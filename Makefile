@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-churn bench-compare bench-pr
+.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-smoke bench-ingest bench-store bench-churn bench-compare bench-pr
 
 all: check
 
@@ -65,8 +65,9 @@ bench-pr:
 
 # Short fuzzing burst over every fuzz target: the frame parser, the
 # radiotap splitter, the sharded store's record ingest, and the
-# incremental-region differential oracle. Checked-in corpora under
-# testdata/fuzz replay as plain tests; this keeps mining.
+# incremental-region and M-Loc vertex-kernel differential oracles.
+# Checked-in corpora under testdata/fuzz replay as plain tests; this
+# keeps mining.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRadiotap$$' -fuzztime=10s ./internal/dot11
@@ -74,10 +75,18 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotCodec$$' -fuzztime=10s ./internal/apdb
 	$(GO) test -run xxx -fuzz 'FuzzIncrementalRegion$$' -fuzztime=30s ./internal/geom
+	$(GO) test -run xxx -fuzz 'FuzzRegionVertices$$' -fuzztime=10s ./internal/geom
 	$(GO) test -run xxx -fuzz 'FuzzCapwireDecode$$' -fuzztime=10s ./internal/capwire
 
 fmt:
 	gofmt -l -w .
+
+# End-to-end benchmark at smoke scale: all four bench/ workloads through
+# capwire → engine → mapserver, each checked bit for bit against a
+# sequential uncached reference engine. bench/ is its own module, so the
+# repository-wide go test does not reach it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # End-to-end observability gate: boot cmd/marauder on the sim world with
 # -metrics-addr, scrape /metrics, and assert the engine cache counters,
@@ -119,4 +128,4 @@ profile-smoke:
 	sh scripts/profile_smoke.sh
 
 # The gate CI runs: everything must pass before a merge.
-check: vet build test race metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-churn bench-compare
+check: vet build test race bench-smoke metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-churn bench-compare

@@ -20,10 +20,20 @@ import (
 // MAC is a 48-bit IEEE 802 MAC address.
 type MAC [6]byte
 
-// String renders the address in the canonical colon-separated form.
+// String renders the address in the canonical colon-separated form,
+// lower-case hex ("00:1b:2c:3d:4e:5f"). The map publishes one per device
+// per frame, so it formats from a digit table rather than through fmt.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
-		m[0], m[1], m[2], m[3], m[4], m[5])
+	const hexDigits = "0123456789abcdef"
+	var b [17]byte
+	for i, v := range m {
+		if i > 0 {
+			b[3*i-1] = ':'
+		}
+		b[3*i] = hexDigits[v>>4]
+		b[3*i+1] = hexDigits[v&0x0f]
+	}
+	return string(b[:])
 }
 
 // ParseMAC parses a colon-separated MAC address.

@@ -3,7 +3,9 @@ package dot11
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,6 +26,27 @@ func TestMACString(t *testing.T) {
 	}
 	if _, err := ParseMAC("nonsense"); err == nil {
 		t.Error("want error for bad MAC")
+	}
+}
+
+// TestMACStringMatchesSprintf pins the table formatter to the fmt form
+// it replaced, and to ParseMAC, over random addresses and the extremes.
+func TestMACStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	macs := []MAC{{}, Broadcast, {0x0f, 0xf0, 0x09, 0x90, 0xa0, 0x0a}}
+	for i := 0; i < 1000; i++ {
+		var m MAC
+		rng.Read(m[:])
+		macs = append(macs, m)
+	}
+	for _, m := range macs {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+		if got := m.String(); got != want {
+			t.Fatalf("String(% x) = %q, want %q", m[:], got, want)
+		}
+		if parsed, err := ParseMAC(m.String()); err != nil || parsed != m {
+			t.Fatalf("ParseMAC(%q) = %v, %v", m.String(), parsed, err)
+		}
 	}
 }
 

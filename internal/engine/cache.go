@@ -36,34 +36,35 @@ func newGammaCache(max int) *gammaCache {
 	return &gammaCache{max: max, entries: make(map[string]cacheEntry)}
 }
 
-// gammaKey canonicalizes Γ into a cache key. Γ is already deduplicated
-// and MAC-ascending (APSetWindow's documented order), so the byte
-// concatenation of its addresses is canonical.
-func gammaKey(gamma []dot11.MAC) string {
-	buf := make([]byte, 0, len(gamma)*6)
+// appendGammaKey appends Γ's canonical cache key to buf. Γ is already
+// deduplicated and MAC-ascending (APSetWindow's documented order), so the
+// byte concatenation of its addresses is canonical. Callers build the key
+// in a stack buffer: a lookup then allocates nothing, and only put copies
+// the key into a string.
+func appendGammaKey(buf []byte, gamma []dot11.MAC) []byte {
 	for _, m := range gamma {
 		buf = append(buf, m[:]...)
 	}
-	return string(buf)
+	return buf
 }
 
-func (c *gammaCache) get(key string) (core.Estimate, error, bool) {
+func (c *gammaCache) get(key []byte) (core.Estimate, error, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[string(key)]
 	c.mu.Unlock()
 	return e.est, e.err, ok
 }
 
 // put inserts an entry and returns how many entries a wholesale refill
 // evicted (0 when the cap was not reached).
-func (c *gammaCache) put(key string, est core.Estimate, err error) int {
+func (c *gammaCache) put(key []byte, est core.Estimate, err error) int {
 	c.mu.Lock()
 	evicted := 0
 	if len(c.entries) >= c.max {
 		evicted = len(c.entries)
 		c.entries = make(map[string]cacheEntry)
 	}
-	c.entries[key] = cacheEntry{est: est, err: err}
+	c.entries[string(key)] = cacheEntry{est: est, err: err}
 	c.mu.Unlock()
 	return evicted
 }

@@ -217,6 +217,29 @@ func TestIngestQuarantinesCorruptCaptures(t *testing.T) {
 	}
 }
 
+// TestQuarantinePathZeroAllocs guards the pre-resolved per-reason
+// counters: once the sample ring is full, quarantining a capture takes no
+// registry lookup and allocates nothing.
+func TestQuarantinePathZeroAllocs(t *testing.T) {
+	eng, err := New(Config{Know: trainBase(), WindowSec: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < quarantineKeep; i++ {
+		eng.quarantine(QuarantinedCapture{Reason: ReasonMissingFrame})
+	}
+	undecodable := mQuarantined[ReasonUndecodable].Value()
+	for _, reason := range []string{ReasonUndecodable, ReasonMissingFrame} {
+		c := QuarantinedCapture{TimeSec: 1, Reason: reason, RawLen: 3}
+		if avg := testing.AllocsPerRun(100, func() { eng.quarantine(c) }); avg != 0 {
+			t.Fatalf("quarantining a %s capture allocates %.2f times, want 0", reason, avg)
+		}
+	}
+	if got := mQuarantined[ReasonUndecodable].Value() - undecodable; got != 101 {
+		t.Fatalf("undecodable counter advanced %d, want 101", got)
+	}
+}
+
 func TestQuarantineRingBounded(t *testing.T) {
 	eng, err := New(Config{Know: trainBase(), WindowSec: 10})
 	if err != nil {

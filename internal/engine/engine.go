@@ -293,13 +293,12 @@ func (e *Engine) IngestCapturesFrom(source string, caps []sniffer.Capture) int {
 				reason = ReasonMissingFrame
 			}
 			if reason != "" {
-				e.rejects.add(QuarantinedCapture{
+				e.quarantine(QuarantinedCapture{
 					TimeSec:     c.TimeSec,
 					Reason:      reason,
 					RawLen:      len(c.Raw),
 					CardChannel: c.CardChannel,
 				})
-				mQuarantined(reason).Inc()
 				quarantined++
 				continue
 			}
@@ -464,10 +463,10 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 
 // locateGamma answers one localization request, through the Γ cache when
 // enabled. gamma must be in APSetWindow's canonical (ascending, deduped)
-// order; the cache key is its byte concatenation. It returns the knowledge
-// the estimate was computed against (so traced callers attribute the
-// provenance to the right base) and whether the cache answered. tr may be
-// nil (untraced).
+// order; the cache key is its byte concatenation (appendGammaKey). It
+// returns the knowledge the estimate was computed against (so traced
+// callers attribute the provenance to the right base) and whether the
+// cache answered. tr may be nil (untraced).
 func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (core.Estimate, core.Knowledge, bool, error) {
 	est, know, hit, _, err := e.locateGammaTracked(gamma, tr, nil, nil)
 	return est, know, hit, err
@@ -505,7 +504,9 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 		sp.End()
 		return est, know, false, tracked, err
 	}
-	key := gammaKey(gamma)
+	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
+	var keyBuf [32 * len(dot11.MAC{})]byte
+	key := appendGammaKey(keyBuf[:0], gamma)
 	if est, err, ok := e.cache.get(key); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
@@ -672,6 +673,12 @@ func (e *Engine) Snapshot(timeSec float64) map[dot11.MAC]core.Estimate {
 
 // SnapshotRange is Snapshot over an explicit observation range — e.g. the
 // whole capture history when replaying an attack offline.
+//
+// Workers claim snapshotChunk devices at a time from one shared atomic
+// cursor and collect their located estimates privately; the collections
+// are merged into the result map once every worker is done. The map holds
+// one estimate per device whatever the interleaving, so the result is
+// identical to localizing sequentially.
 func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	began := time.Now()
 	defer func() {
@@ -682,12 +689,9 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	scanStart := time.Now()
 	devs := store.Devices()
 	mStageScan.ObserveSince(scanStart)
-	out := make(map[dot11.MAC]core.Estimate, len(devs))
-	workers := e.workers
-	if workers > len(devs) {
-		workers = len(devs)
-	}
+	workers := min(e.workers, (len(devs)+snapshotChunk-1)/snapshotChunk)
 	if workers <= 1 {
+		out := make(map[dot11.MAC]core.Estimate, len(devs))
 		var buf []dot11.MAC
 		for _, dev := range devs {
 			var est core.Estimate
@@ -700,34 +704,57 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 		return out
 	}
 	var (
-		outMu sync.Mutex
+		next  atomic.Int64
 		wg    sync.WaitGroup
-		work  = make(chan dot11.MAC)
+		found = make([][]located, workers)
 	)
-	for w := 0; w < workers; w++ {
+	for w := range found {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var buf []dot11.MAC
-			for dev := range work {
-				var est core.Estimate
-				var err error
-				buf, est, err = e.fixWindow(buf[:0], dev, start, end)
-				if err != nil {
-					continue
+			var mine []located
+			for {
+				hi := int(next.Add(snapshotChunk))
+				lo := hi - snapshotChunk
+				if lo >= len(devs) {
+					break
 				}
-				outMu.Lock()
-				out[dev] = est
-				outMu.Unlock()
+				for _, dev := range devs[lo:min(hi, len(devs))] {
+					var est core.Estimate
+					var err error
+					buf, est, err = e.fixWindow(buf[:0], dev, start, end)
+					if err == nil {
+						mine = append(mine, located{dev, est})
+					}
+				}
 			}
+			found[w] = mine
 		}()
 	}
-	for _, dev := range devs {
-		work <- dev
-	}
-	close(work)
 	wg.Wait()
+	n := 0
+	for _, f := range found {
+		n += len(f)
+	}
+	out := make(map[dot11.MAC]core.Estimate, n)
+	for _, f := range found {
+		for _, l := range f {
+			out[l.dev] = l.est
+		}
+	}
 	return out
+}
+
+// snapshotChunk is how many devices a snapshot worker claims at once:
+// enough to amortize the shared cursor, few enough that the last chunks
+// still balance across workers.
+const snapshotChunk = 32
+
+// located is one device a snapshot worker managed to locate.
+type located struct {
+	dev dot11.MAC
+	est core.Estimate
 }
 
 // Stats reports fix and cache counters plus the store's shard shape.

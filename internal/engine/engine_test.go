@@ -92,17 +92,84 @@ func TestFixMatchesTracker(t *testing.T) {
 	}
 }
 
+// TestSnapshotParallelMatchesSequential runs the chunked fan-out over far
+// more devices than snapshotChunk × workers, so every worker claims many
+// chunks and the last chunk is partial, with the Γ cache on and off.
 func TestSnapshotParallelMatchesSequential(t *testing.T) {
-	k, store, _ := gridWorld(80, 50)
+	k, store, _ := gridWorld(80, 1234)
 	seq := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 1, CacheSize: -1})
-	par := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 8, CacheSize: -1})
-	a := seq.Snapshot(50)
-	b := par.Snapshot(50)
-	if len(a) == 0 {
-		t.Fatal("sequential snapshot located nothing")
+	want := seq.Snapshot(50)
+	if len(want) < 1000 {
+		t.Fatalf("sequential snapshot located %d devices, want ≥ 1000", len(want))
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("parallel snapshot differs: %d vs %d devices", len(a), len(b))
+	for _, workers := range []int{2, 3, 8} {
+		for _, cacheSize := range []int{-1, 0} {
+			par := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: workers, CacheSize: cacheSize})
+			for round := 0; round < 2; round++ { // the second round is served from the cache
+				if got := par.Snapshot(50); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d cache=%d round %d: parallel snapshot differs: %d vs %d devices",
+						workers, cacheSize, round, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestParallelSnapshotDuringIngest is the chunked fan-out's -race check:
+// snapshots over more than a thousand devices run while new devices and
+// records stream in, and once ingest settles the parallel cached answer
+// equals a sequential uncached one.
+func TestParallelSnapshotDuringIngest(t *testing.T) {
+	k, store, devs := gridWorld(80, 1400)
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 3})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ap := mac(0xA0, byte(w))
+			for i := 0; i < 1500; i++ {
+				dev := devs[i%len(devs)]
+				if i%5 == 0 {
+					dev = mac(0xF0+byte(w), byte(i/5)) // first sighting
+				}
+				e.Ingest(float64(40+(i*13)%30), dot11.NewProbeResponse(ap, dev, "", 1, uint16(i)), true)
+			}
+		}(w)
+	}
+	for i := 0; i < 4; i++ {
+		if len(e.Snapshot(50)) == 0 {
+			t.Error("snapshot located nothing mid-stream")
+		}
+	}
+	wg.Wait()
+	ref := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 1, CacheSize: -1})
+	got, want := e.Snapshot(50), ref.Snapshot(50)
+	if len(want) < 500 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("settled parallel snapshot (%d devices) differs from sequential reference (%d)", len(got), len(want))
+	}
+}
+
+// TestCachedFixZeroAllocs pins the Γ-cache key in its stack buffer: a fix
+// answered by the cache, on a reused Γ buffer as the snapshot workers and
+// Track run it, allocates nothing.
+func TestCachedFixZeroAllocs(t *testing.T) {
+	k, store, devs := gridWorld(60, 4)
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
+	var buf []dot11.MAC
+	fix := func() {
+		var err error
+		if buf, _, err = e.fixWindow(buf[:0], devs[0], 35, 65); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fix()
+	hits := e.Stats().CacheHits
+	if avg := testing.AllocsPerRun(200, fix); avg != 0 {
+		t.Fatalf("cache-hit fix allocates %.2f times, want 0", avg)
+	}
+	if e.Stats().CacheHits == hits {
+		t.Fatal("fixes were not served from the cache")
 	}
 }
 
@@ -313,21 +380,22 @@ func TestResetObservationsKeepsShardCount(t *testing.T) {
 func TestGammaCacheEviction(t *testing.T) {
 	c := newGammaCache(4)
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), core.Estimate{K: i}, nil)
+		c.put([]byte(fmt.Sprintf("k%d", i)), core.Estimate{K: i}, nil)
 	}
 	if c.len() != 4 {
 		t.Fatalf("len = %d", c.len())
 	}
-	c.put("overflow", core.Estimate{}, nil)
+	c.put([]byte("overflow"), core.Estimate{}, nil)
 	if c.len() != 1 {
 		t.Fatalf("eviction kept %d entries, want wholesale refill", c.len())
 	}
-	if _, _, ok := c.get("overflow"); !ok {
+	if _, _, ok := c.get([]byte("overflow")); !ok {
 		t.Error("new entry missing after eviction")
 	}
 }
 
 func TestGammaKeyCanonical(t *testing.T) {
+	gammaKey := func(g []dot11.MAC) string { return string(appendGammaKey(nil, g)) }
 	a := []dot11.MAC{mac(0, 1), mac(0, 2)}
 	b := []dot11.MAC{mac(0, 1), mac(0, 2)}
 	if gammaKey(a) != gammaKey(b) {

@@ -80,7 +80,14 @@ func stageSeconds(stage string) *telemetry.Histogram {
 }
 
 // mQuarantined counts captures diverted to the reject queue, by reason.
-func mQuarantined(reason string) *telemetry.Counter {
+// Every reason's handle is resolved here, once, so the per-capture path
+// never takes the registry lock or builds a label key.
+var mQuarantined = map[string]*telemetry.Counter{
+	ReasonUndecodable:  quarantinedCounter(ReasonUndecodable),
+	ReasonMissingFrame: quarantinedCounter(ReasonMissingFrame),
+}
+
+func quarantinedCounter(reason string) *telemetry.Counter {
 	return telemetry.Default().Counter(
 		"marauder_engine_quarantined_total",
 		"Captures quarantined instead of ingested, by reason.",

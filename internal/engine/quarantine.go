@@ -53,6 +53,13 @@ type quarantine struct {
 	next     int                  // ring write cursor
 }
 
+// quarantine diverts one rejected capture to the reject queue and counts
+// it under its reason's pre-resolved metric handle.
+func (e *Engine) quarantine(c QuarantinedCapture) {
+	e.rejects.add(c)
+	mQuarantined[c.Reason].Inc()
+}
+
 // add records one rejected capture.
 func (q *quarantine) add(c QuarantinedCapture) {
 	q.mu.Lock()

@@ -189,6 +189,15 @@ func RegionVertices(discs []Circle) []Point {
 // vertex set is appended to dst and the extended slice returned. An
 // unchanged dst means the region is empty. The enumeration order and
 // numerics are bit-identical to RegionVertices.
+//
+// Candidates are screened with hypot-free containment (boundedDisc), and
+// each candidate's checks are reordered for early exit: the disc that
+// excluded the previous candidate goes first, the candidate's own two
+// defining discs — on whose boundaries it lies, so they always need the
+// exact predicate — go last. Containment in every disc is a conjunction
+// of pure predicates, each answering exactly as Circle.Contains, so
+// neither the screen nor the order can change Δ, its order, or anything
+// derived from it.
 func AppendRegionVertices(dst []Point, discs []Circle) []Point {
 	switch len(discs) {
 	case 0:
@@ -196,14 +205,24 @@ func AppendRegionVertices(dst []Point, discs []Circle) []Point {
 	case 1:
 		return append(dst, discs[0].C)
 	}
+	// Γs stay well under 32 discs, so the bounds live on the stack.
+	var stack [32]boundedDisc
+	bs := stack[:0]
+	if len(discs) > len(stack) {
+		bs = make([]boundedDisc, 0, len(discs))
+	}
+	for _, d := range discs {
+		bs = append(bs, boundDisc(d))
+	}
 	base := len(dst)
+	last := -1 // the disc that excluded the previous candidate
 	for i := 0; i < len(discs); i++ {
 		for j := i + 1; j < len(discs); j++ {
 			p1, p2, n := discs[i].intersect2(discs[j])
-			if n >= 1 && InAllDiscs(p1, discs) {
+			if n >= 1 && inAllBounded(p1, bs, i, j, &last) {
 				dst = append(dst, p1)
 			}
-			if n == 2 && InAllDiscs(p2, discs) {
+			if n == 2 && inAllBounded(p2, bs, i, j, &last) {
 				dst = append(dst, p2)
 			}
 		}
@@ -220,10 +239,91 @@ func AppendRegionVertices(dst []Point, discs []Circle) []Point {
 			smallest = i
 		}
 	}
-	if InAllDiscs(discs[smallest].C, discs) {
-		return append(dst, discs[smallest].C)
+	c := discs[smallest].C
+	for k := range bs {
+		if !bs[k].contains(c) {
+			return dst
+		}
 	}
-	return dst
+	return append(dst, c)
+}
+
+// boundedDisc is a disc with Circle.Contains' threshold precomputed in
+// squared-distance space: d² below lo is conclusively inside, above hi
+// conclusively outside, and only the 1e-9-relative band between them
+// pays the exact hypot predicate. Both M-Loc vertex kernels use it:
+// AppendRegionVertices and the incremental Region.
+type boundedDisc struct {
+	c      Circle
+	lo, hi float64
+}
+
+// boundDisc precomputes c's containment bounds (see containBounds).
+func boundDisc(c Circle) boundedDisc {
+	lo, hi := containBounds(c.R)
+	return boundedDisc{c: c, lo: lo, hi: hi}
+}
+
+// containBounds returns the squared-distance bounds (R+Eps)²·(1∓1e-9)
+// within which Circle.Contains must be consulted. They are sound only
+// when R+Eps is positive and its square a finite normal number: then the
+// few-ulp rounding of d² = dx²+dy² (overflow to +Inf and subnormal
+// underflow included) and of hypot sit far inside the 1e-9 margin. For
+// any other radius — R ≤ −Eps, NaN, huge or tiny — the bounds are
+// ±Inf, so every test falls through to the exact predicate.
+func containBounds(r float64) (lo, hi float64) {
+	thr := r + Eps
+	t2 := thr * thr
+	if !(thr > 0) || !(t2 >= minNormal) || t2 > math.MaxFloat64 {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return t2 * (1 - 1e-9), t2 * (1 + 1e-9)
+}
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// contains answers exactly as b.c.Contains(p). NaN distances fail both
+// comparisons and reach the exact predicate.
+func (b *boundedDisc) contains(p Point) bool {
+	dx, dy := p.X-b.c.C.X, p.Y-b.c.C.Y
+	d2 := dx*dx + dy*dy
+	if d2 < b.lo {
+		return true
+	}
+	if d2 > b.hi {
+		return false
+	}
+	return b.exact(p)
+}
+
+// exact is the razor-band fallback. It is rare, so it stays out of line
+// and keeps the loops that spell contains out (Region.Add,
+// Region.findExcluder) compact.
+//
+//go:noinline
+func (b *boundedDisc) exact(p Point) bool {
+	return b.c.Contains(p)
+}
+
+// inAllBounded reports whether p, the intersection point of discs i and
+// j, lies in every disc. It tests *last first and records any other
+// excluder there, then i and j.
+func inAllBounded(p Point, bs []boundedDisc, i, j int, last *int) bool {
+	l := *last
+	if l >= 0 && l != i && l != j && !bs[l].contains(p) {
+		return false
+	}
+	for k := range bs {
+		if k == i || k == j || k == l {
+			continue
+		}
+		if !bs[k].contains(p) {
+			*last = k
+			return false
+		}
+	}
+	return bs[i].contains(p) && bs[j].contains(p)
 }
 
 // BoundingBox returns the axis-aligned bounding box of the intersection of

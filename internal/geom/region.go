@@ -76,8 +76,9 @@ const (
 )
 
 type regionCircle struct {
-	key     uint64
-	c       Circle
+	key uint64
+	// boundedDisc is the disc with its hypot-free containment bounds.
+	boundedDisc
 	inner   int // discs entirely inside this one (each kills this circle's arcs)
 	cross   int // crossing neighbors
 	nbrs    []neighbor
@@ -106,11 +107,6 @@ type regionCircle struct {
 	// points with other circles, and those endpoints lie in every closed
 	// disc, so the witness scheme holds them alive.
 	aliveGen uint32
-
-	// Squared-distance bounds for containsFast, precomputed from the
-	// radius: d² beyond t2hi is conclusively outside, below t2lo
-	// conclusively inside, between them the exact predicate decides.
-	t2lo, t2hi float64
 
 	// invR caches 1/R for normalizing stored boundary vertices into
 	// clip-event unit directions (0 for a degenerate zero-radius disc,
@@ -337,30 +333,6 @@ func flip(rel uint8) uint8 {
 	return rel
 }
 
-// containsFast is Circle.Contains with the hypot deferred: the
-// precomputed squared-distance bounds decide all but a 1e-9-relative
-// razor band around the threshold, which falls through to the exact
-// predicate. The result is always identical to Contains.
-func (rc *regionCircle) containsFast(p Point) bool {
-	dx, dy := p.X-rc.c.C.X, p.Y-rc.c.C.Y
-	d2 := dx*dx + dy*dy
-	if d2 > rc.t2hi {
-		return false
-	}
-	if d2 < rc.t2lo {
-		return true
-	}
-	return rc.containsExact(p)
-}
-
-// containsExact is the razor-band fallback, kept out of line so the
-// two-comparison fast path above stays within the inlining budget.
-//
-//go:noinline
-func (rc *regionCircle) containsExact(p Point) bool {
-	return rc.c.Contains(p)
-}
-
 // findExcluder returns the index of a live circle that does not contain
 // p, or -1 when p is inside every disc; k1 and k2 are the keys of p's
 // two defining circles. Against a non-defining circle the conclusive
@@ -386,22 +358,22 @@ func (r *Region) findExcluder(p Point, k1, k2 uint64) int {
 			i2 = i
 			continue
 		}
-		// containsFast, spelled out: the function's call overhead is
-		// measurable at this innermost loop's call frequency and the
-		// compiler cannot inline it past the exact-predicate call.
+		// boundedDisc.contains, spelled out: the function's call
+		// overhead is measurable at this innermost loop's call frequency,
+		// and the compiler does not inline it.
 		dx, dy := p.X-rc.c.C.X, p.Y-rc.c.C.Y
 		d2 := dx*dx + dy*dy
-		if d2 < rc.t2lo {
+		if d2 < rc.lo {
 			continue
 		}
-		if d2 > rc.t2hi || !rc.containsExact(p) {
+		if d2 > rc.hi || !rc.exact(p) {
 			return i
 		}
 	}
-	if i1 >= 0 && !r.circles[i1].containsFast(p) {
+	if i1 >= 0 && !r.circles[i1].contains(p) {
 		return i1
 	}
-	if i2 >= 0 && !r.circles[i2].containsFast(p) {
+	if i2 >= 0 && !r.circles[i2].contains(p) {
 		return i2
 	}
 	return -1
@@ -445,10 +417,8 @@ func (r *Region) Add(key uint64, c Circle) {
 	r.circles = append(r.circles, regionCircle{})
 	copy(r.circles[at+1:], r.circles[at:])
 	nc := &r.circles[at]
-	thr := c.R + Eps
-	t2 := thr * thr
-	*nc = regionCircle{key: key, c: c, nbrs: r.newNbrs(), evs: r.newEvs(),
-		dirty: true, t2lo: t2 * (1 - 1e-9), t2hi: t2 * (1 + 1e-9)}
+	*nc = regionCircle{key: key, boundedDisc: boundDisc(c), nbrs: r.newNbrs(),
+		evs: r.newEvs(), dirty: true}
 	if c.R > 0 {
 		nc.invR = 1 / c.R
 	}
@@ -459,10 +429,10 @@ func (r *Region) Add(key uint64, c Circle) {
 	w := 0
 	for i := range r.alive {
 		av := r.alive[i]
-		// containsFast, manually inlined (see findExcluder).
+		// boundedDisc.contains, manually inlined (see findExcluder).
 		dx, dy := av.p.X-c.C.X, av.p.Y-c.C.Y
 		d2 := dx*dx + dy*dy
-		if d2 < nc.t2lo || (d2 <= nc.t2hi && nc.containsExact(av.p)) {
+		if d2 < nc.lo || (d2 <= nc.hi && nc.exact(av.p)) {
 			r.alive[w] = av
 			w++
 			continue
@@ -966,7 +936,7 @@ func (r *Region) AppendVertices(dst []Point) []Point {
 
 func (r *Region) inAllLive(p Point) bool {
 	for i := range r.circles {
-		if !r.circles[i].containsFast(p) {
+		if !r.circles[i].contains(p) {
 			return false
 		}
 	}

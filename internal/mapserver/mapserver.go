@@ -56,13 +56,14 @@ func mRequestSeconds(route string) *telemetry.Histogram {
 		telemetry.Labels{"route": route})
 }
 
-// observeError records one localization error distance under the
-// algorithm (Estimate.Method) label.
-func observeError(algo string, errM float64) {
-	telemetry.Default().Histogram(
+// errorHist resolves the localization-error histogram for one algorithm
+// (Estimate.Method) label. Resolving goes through the registry lock, so
+// per-device loops resolve once per method (see PublishFrame).
+func errorHist(algo string) *telemetry.Histogram {
+	return telemetry.Default().Histogram(
 		"marauder_localization_error_meters",
 		"Localization error versus ground truth, by algorithm.",
-		telemetry.DistanceBuckets(), telemetry.Labels{"algo": algo}).Observe(errM)
+		telemetry.DistanceBuckets(), telemetry.Labels{"algo": algo})
 }
 
 // APMarker is one AP dot on the map.
@@ -158,7 +159,7 @@ func (s *State) UpdateDevice(mac dot11.MAC, est core.Estimate, truth *geom.Point
 		m.Truth = &tcopy
 		m.HasTruth = true
 		m.ErrM = est.Pos.Dist(tcopy)
-		observeError(est.Method, m.ErrM)
+		errorHist(est.Method).Observe(m.ErrM)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,6 +183,12 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 		tr.Finish(nil)
 	}()
 	devices := make(map[string]DeviceMarker, len(frame))
+	// A frame's estimates almost always share one method, so the error
+	// histogram is re-resolved only when the method changes.
+	var (
+		errAlgo string
+		errH    *telemetry.Histogram
+	)
 	for mac, est := range frame {
 		m := DeviceMarker{
 			MAC:    mac.String(),
@@ -195,7 +202,10 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 				m.Truth = &tcopy
 				m.HasTruth = true
 				m.ErrM = est.Pos.Dist(tcopy)
-				observeError(est.Method, m.ErrM)
+				if errH == nil || est.Method != errAlgo {
+					errAlgo, errH = est.Method, errorHist(est.Method)
+				}
+				errH.Observe(m.ErrM)
 			}
 		}
 		devices[m.MAC] = m

@@ -467,3 +467,30 @@ func TestPublishFrameRecordsErrorHistogram(t *testing.T) {
 		t.Fatalf("error histogram sum = %v", sum)
 	}
 }
+
+// TestPublishFrameErrorHistogramPerMethod mixes methods in one frame: the
+// per-method handle memo must still file every error under its own
+// algorithm label.
+func TestPublishFrameErrorHistogramPerMethod(t *testing.T) {
+	hist := func(algo string) *telemetry.Histogram {
+		return telemetry.Default().Histogram("marauder_localization_error_meters", "",
+			telemetry.DistanceBuckets(), telemetry.Labels{"algo": algo})
+	}
+	mloc, cent := hist("m-loc"), hist("centroid")
+	mloc0, cent0 := mloc.Count(), cent.Count()
+	frame := make(map[dot11.MAC]core.Estimate)
+	for i := 0; i < 40; i++ {
+		method := "m-loc"
+		if i%3 == 0 {
+			method = "centroid"
+		}
+		frame[dot11.MAC{0xDE, 0, 0, 0, 0, byte(i)}] = core.Estimate{Pos: geom.Pt(1, 1), Method: method}
+	}
+	NewState().PublishFrame(frame, func(dot11.MAC) (geom.Point, bool) { return geom.Pt(0, 0), true })
+	if got := mloc.Count() - mloc0; got != 26 {
+		t.Errorf("m-loc errors recorded %d, want 26", got)
+	}
+	if got := cent.Count() - cent0; got != 14 {
+		t.Errorf("centroid errors recorded %d, want 14", got)
+	}
+}

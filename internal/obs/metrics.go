@@ -10,8 +10,8 @@ import (
 // these series; they answer the operational questions the store itself
 // can't — is ingest keeping up, are captures arriving out of order (each
 // one forces a re-sort on the next window query), how large the ingest
-// batches actually are, whether the MAC hash balances the shards, and
-// what a window query costs on the hot localization path.
+// batches actually are, and whether the MAC hash balances the shards. A
+// window query's cost is the engine's sampled window_assembly stage.
 var (
 	mRecords = telemetry.Default().Counter(
 		"marauder_obs_records_total",
@@ -22,9 +22,6 @@ var (
 	mResorts = telemetry.Default().Counter(
 		"marauder_obs_resorts_total",
 		"Device logs re-sorted by a window query after out-of-order ingest.", nil)
-	mWindowSeconds = telemetry.Default().Histogram(
-		"marauder_obs_window_query_seconds",
-		"Latency of one Γ window query (AppendAPSetWindow).", telemetry.LatencyBuckets(), nil)
 	mBatchFrames = telemetry.Default().Histogram(
 		"marauder_obs_ingest_batch_size",
 		"Items per batched ingest call (IngestFrames / IngestBatch).",

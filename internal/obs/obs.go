@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dot11"
@@ -69,6 +70,18 @@ type FrameCapture struct {
 type Store struct {
 	shards []*shard
 	mask   uint32
+
+	// devGen counts first sightings of a device, shared by every shard;
+	// devList caches the sorted Devices answer for one devGen value, so a
+	// map frame re-sorts the device set only after a new device appeared.
+	devGen  atomic.Uint64
+	devList atomic.Pointer[deviceList]
+}
+
+// deviceList is the sorted device set as of first-sighting count gen.
+type deviceList struct {
+	gen  uint64
+	macs []dot11.MAC
 }
 
 // shard owns every piece of state keyed by one slice of the MAC hash
@@ -83,6 +96,7 @@ type shard struct {
 	aps         map[dot11.MAC]bool
 	probedSSIDs map[dot11.MAC]map[string]bool
 	recGauge    *telemetry.Gauge
+	devGen      *atomic.Uint64 // the owning Store's first-sighting count
 }
 
 // deviceLog is one device's pairwise records, kept in canonical time order
@@ -139,6 +153,7 @@ func NewStoreShards(n int) *Store {
 			probing:  make(map[dot11.MAC]bool),
 			aps:      make(map[dot11.MAC]bool),
 			recGauge: shardRecordGauge(i),
+			devGen:   &s.devGen,
 		}
 	}
 	return s
@@ -182,8 +197,15 @@ func (sh *shard) addRecordLocked(r Record) {
 
 func (sh *shard) markSeenLocked(dev dot11.MAC, timeSec float64) {
 	if _, ok := sh.seen[dev]; !ok {
-		sh.seen[dev] = timeSec
+		sh.setSeenLocked(dev, timeSec)
 	}
+}
+
+// setSeenLocked records dev's first-seen time and invalidates the
+// store's cached device list. Caller holds the shard write lock.
+func (sh *shard) setSeenLocked(dev dot11.MAC, timeSec float64) {
+	sh.seen[dev] = timeSec
+	sh.devGen.Add(1)
 }
 
 // frameOwner classifies a frame and returns the MAC whose shard owns all
@@ -372,17 +394,34 @@ func (s *Store) ShardLens() []int {
 
 // Devices returns every device ever seen, sorted by address. A device
 // lives in exactly one shard, so the merge needs no dedup.
+//
+// The sorted list is cached until the next first sighting of a device, so
+// repeated map frames over a stable population pay one copy instead of a
+// merge and a sort. The caller owns the returned slice.
 func (s *Store) Devices() []dot11.MAC {
-	var out []dot11.MAC
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for m := range sh.seen {
-			out = append(out, m)
+	// Load the generation before reading the shards, so the list cached
+	// below holds at least every device its generation counts. A device
+	// first seen during the merge bumps the count past gen and forces a
+	// rebuild on the next call.
+	gen := s.devGen.Load()
+	l := s.devList.Load()
+	if l == nil || l.gen != gen {
+		var macs []dot11.MAC
+		for _, sh := range s.shards {
+			sh.mu.RLock()
+			for m := range sh.seen {
+				macs = append(macs, m)
+			}
+			sh.mu.RUnlock()
 		}
-		sh.mu.RUnlock()
+		sortMACs(macs)
+		l = &deviceList{gen: gen, macs: macs}
+		s.devList.Store(l)
 	}
-	sortMACs(out)
-	return out
+	if len(l.macs) == 0 {
+		return nil
+	}
+	return append([]dot11.MAC(nil), l.macs...)
 }
 
 // ProbingDevices returns the devices observed sending probe requests.
@@ -470,7 +509,6 @@ func (s *Store) AppendAPSetWindowTrace(dst []dot11.MAC, dev dot11.MAC, start, en
 // the window matched (before AP deduplication) and whether it re-sorted
 // the device log.
 func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	defer mWindowSeconds.ObserveSince(time.Now())
 	sh := s.shardFor(dev)
 	base := len(dst)
 	sh.mu.RLock()
@@ -510,12 +548,28 @@ func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end flo
 // canonically ordered log. NaN-timestamped records sort to the front and
 // match no window (NaN ≥ start is false for every start).
 func appendWindow(dst []dot11.MAC, recs []Record, start, end float64) []dot11.MAC {
-	lo := sort.Search(len(recs), func(i int) bool { return recs[i].TimeSec >= start })
-	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].TimeSec >= end })
+	lo := searchTime(recs, 0, start)
+	hi := searchTime(recs, lo, end)
 	for _, r := range recs[lo:hi] {
 		dst = append(dst, r.AP)
 	}
 	return dst
+}
+
+// searchTime returns the first index i ≥ from with recs[i].TimeSec ≥ t,
+// or len(recs): sort.Search's answer over recs[from:], without the
+// closure call per probe.
+func searchTime(recs []Record, from int, t float64) int {
+	lo, hi := from, len(recs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if recs[m].TimeSec >= t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // sortDeviceLogLocked restores a device log's canonical time order after

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"sync"
@@ -174,6 +175,57 @@ func TestDevicesSorted(t *testing.T) {
 		if devs[i-1][5] > devs[i][5] {
 			t.Fatalf("not sorted: %v", devs)
 		}
+	}
+}
+
+// TestDevicesCacheInvalidation pins the cached device list: every path
+// that first sees a device — a probe, a record, a batch, a restore from a
+// snapshot — must show up in the next Devices call, and a caller writing
+// into a returned slice must not change later answers.
+func TestDevicesCacheInvalidation(t *testing.T) {
+	s := NewStoreShards(4)
+	s.Ingest(0, dot11.NewProbeRequest(mac(5), "", 1), false)
+	want := []dot11.MAC{mac(5)}
+	if got := s.Devices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("devices = %v, want %v", got, want)
+	}
+	// Re-sightings change nothing; first sightings through every ingest
+	// path invalidate the cached list.
+	s.Ingest(1, dot11.NewProbeRequest(mac(5), "", 1), false)
+	s.Ingest(2, dot11.NewProbeResponse(mac(0xA1), mac(2), "", 1, 1), true)
+	s.IngestFrames([]FrameCapture{{TimeSec: 3, Frame: dot11.NewProbeRequest(mac(9), "", 1)}})
+	s.IngestBatch([]Record{{TimeSec: 4, Device: mac(1), AP: mac(0xA2), Kind: KindProbeResponse}})
+	want = []dot11.MAC{mac(1), mac(2), mac(5), mac(9)}
+	got := s.Devices()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("devices after new sightings = %v, want %v", got, want)
+	}
+	got[0] = mac(0xEE)
+	got = append(got[:1], got[2:]...)
+	if again := s.Devices(); !reflect.DeepEqual(again, want) {
+		t.Fatalf("caller's writes leaked into the cached list: %v, want %v", again, want)
+	}
+
+	// A restored store lists every device of its snapshot, and keeps
+	// invalidating on new sightings afterwards.
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Devices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored devices = %v, want %v", got, want)
+	}
+	r.Ingest(5, dot11.NewProbeRequest(mac(7), "", 1), false)
+	want = []dot11.MAC{mac(1), mac(2), mac(5), mac(7), mac(9)}
+	if got := r.Devices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored store after a new sighting = %v, want %v", got, want)
+	}
+	if got := NewStore().Devices(); got != nil {
+		t.Fatalf("empty store devices = %v, want nil", got)
 	}
 }
 

@@ -141,7 +141,7 @@ func LoadShards(r io.Reader, shards int) (*Store, error) {
 		sh.addRecordLocked(rec)
 	}
 	for _, e := range snap.Seen {
-		s.shardFor(e.MAC).seen[e.MAC] = e.First
+		s.shardFor(e.MAC).setSeenLocked(e.MAC, e.First)
 	}
 	for _, m := range snap.Probing {
 		s.shardFor(m).probing[m] = true
