@@ -514,7 +514,7 @@ func churnWorld(nAPs, k int) (core.Knowledge, [][]dot11.MAC, *obs.Store, dot11.M
 // sampled fix — on both paths: incremental (core.MLocTracked diffing one
 // reused Region, area served from the same live region) versus full
 // recompute (core.MLoc plus core.RegionArea re-intersecting all k discs).
-// scripts/bench_churn.sh enforces the ≥5× speedup gate on exactly this
+// scripts/bench_floors.sh enforces the ≥5× speedup floor on exactly this
 // pair. The engine pair runs the same contrast end to end through Track
 // with caching disabled, where shared per-fix overhead (window queries,
 // trace plumbing) dilutes but must not erase the win.

@@ -18,8 +18,9 @@
 // -pos places the agent's receiver on the campus plane, so a fleet of
 // agents at different positions covers it like the paper's sniffer
 // deployment. -duration bounds the simulated capture time (0 loops the
-// victim's route forever). -overflow picks what happens when the engine
-// falls behind: block propagates backpressure into the capture loop,
+// victim's route forever); SIGINT or SIGTERM stops it after flushing the
+// queued tail. -overflow picks what happens when the engine falls
+// behind: block propagates backpressure into the capture loop,
 // drop-oldest sheds the oldest unsent batch and counts every drop.
 //
 // -wire-chaos wraps the connection in the deterministic wire fault plan
@@ -40,6 +41,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/capwire"
@@ -232,7 +234,7 @@ func run(args []string, ready chan<- *capwire.Client) error {
 		"server", *server, "agent", *agentID, "pos", pos,
 		"overflow", policy.String(), "queue", *queue)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	total := w.route.TotalDuration()

@@ -1,9 +1,10 @@
 // Command ftdcdump decodes the flight-recorder files the pipeline writes
 // (internal/telemetry/ftdc): chunked, delta-encoded, CRC-checksummed
 // binary captures of every telemetry metric plus Go runtime stats, taken
-// on a fixed interval. It is the post-mortem half of the recorder: a soak
-// or chaos run leaves a .ftdc file behind, and ftdcdump turns it back
-// into numbers long after the process and its /metrics endpoint are gone.
+// on a fixed interval. It is the post-mortem half of the recorder: a
+// serving or chaos run leaves a .ftdc file behind, and ftdcdump turns it
+// back into numbers long after the process and its /metrics endpoint are
+// gone.
 //
 // Usage:
 //
@@ -24,12 +25,12 @@
 // recording down to a time range — samples at or after -since and
 // strictly before -until survive; either bound may be an RFC3339 stamp
 // (2026-08-08T12:00:00Z, fractional seconds accepted) or unix seconds
-// (1786500000, fractions accepted) — the shape a soak log or an
+// (1786500000, fractions accepted) — the shape a marauder log or an
 // /api/health report hands you. -check additionally asserts the
 // recording is sane — decodable, at least one sample, strictly monotonic
-// timestamps — and exits non-zero otherwise; the soak smoke test gates on
-// it. A crash-truncated final chunk is reported on stderr but is not an
-// error: every sealed chunk before it still decodes.
+// timestamps — and exits non-zero otherwise; scripts/profile_smoke.sh
+// gates on it. A crash-truncated final chunk is reported on stderr but is
+// not an error: every sealed chunk before it still decodes.
 package main
 
 import (
@@ -222,7 +223,7 @@ func totalSamples(chunks []*ftdc.Chunk) int {
 	return n
 }
 
-// checkSane is the soak smoke test's gate: the recording must contain at
+// checkSane is the profile smoke test's gate: the recording must contain at
 // least one sample, every chunk must carry the timestamp column, and the
 // timestamps must be strictly increasing across the whole file.
 func checkSane(chunks []*ftdc.Chunk) error {

@@ -36,7 +36,7 @@
 // at /api/health. -checkpoint-dir enables crash-safe observation
 // checkpoints: the newest valid one is restored on start and periodic
 // snapshots are written every -checkpoint-interval, plus a final one on
-// graceful shutdown.
+// graceful shutdown (SIGINT or SIGTERM).
 //
 // -ftdc-dir turns on the flight recorder: every telemetry metric plus Go
 // runtime stats (heap, RSS, GC pause, goroutines, scheduler latency) is
@@ -95,6 +95,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/capwire"
@@ -811,7 +812,7 @@ func serve(a *attack, algo, addr string, speedup float64, pprofOn bool) error {
 		"component", "marauder", "url", url, "algo", algo,
 		"device", a.victim.MAC.String(), "speedup", speedup)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if a.ckpt != nil && a.ckptPeriodic {
 		go a.ckpt.Run(ctx)

@@ -221,3 +221,79 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 		t.Fatalf("store len = %d, want %d", n, 4*500)
 	}
 }
+
+// TestStoreQueryEdgeCases pins the Store's query surface at its edges:
+// out-of-range radii, an empty store, Nearest against a brute-force
+// scan, and Adds made after earlier queries, which every query path must
+// see rather than a snapshot cached by the warm-up. (A Get miss is
+// TestAddGetLen's.)
+func TestStoreQueryEdgeCases(t *testing.T) {
+	random := func(n int, seed int64) (*Store, *rand.Rand) {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		for i := 0; i < n; i++ {
+			s.Add(Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)})
+		}
+		return s, rng
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"within_negative_radius", func(t *testing.T) {
+			s, _ := random(10, 2)
+			if got := s.Within(geom.Pt(0, 0), -1); got != nil {
+				t.Fatalf("Within(-1) = %+v, want nil", got)
+			}
+		}},
+		{"within_far_away", func(t *testing.T) {
+			s, _ := random(10, 2)
+			if got := s.Within(geom.Pt(1e7, 1e7), 10); len(got) != 0 {
+				t.Fatalf("far Within = %+v, want empty", got)
+			}
+		}},
+		{"nearest_empty", func(t *testing.T) {
+			if e, ok := New().Nearest(geom.Pt(0, 0)); ok {
+				t.Fatalf("empty Nearest = %+v, want !ok", e)
+			}
+		}},
+		{"nearest_matches_scan", func(t *testing.T) {
+			s, rng := random(150, 3)
+			all := s.All()
+			for trial := 0; trial < 100; trial++ {
+				p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
+				best, want := math.Inf(1), Entry{}
+				for _, e := range all {
+					if d := e.Pos.Dist(p); d < best {
+						best, want = d, e
+					}
+				}
+				if got, ok := s.Nearest(p); !ok || got.BSSID != want.BSSID {
+					t.Fatalf("trial %d: Nearest = %+v, %v; scan says %+v", trial, got, ok, want)
+				}
+			}
+		}},
+		{"adds_after_queries_visible", func(t *testing.T) {
+			s, _ := random(50, 6)
+			s.Within(geom.Pt(0, 0), 100)
+			s.Nearest(geom.Pt(5000, 5000))
+			late := Entry{BSSID: mac64(200), Pos: geom.Pt(5000, 5000), MaxRange: 80}
+			s.Add(late)
+			if s.Len() != 51 {
+				t.Fatalf("Len after Add = %d, want 51", s.Len())
+			}
+			if got, ok := s.Get(late.BSSID); !ok || got != late {
+				t.Fatalf("Get after Add = %+v, %v", got, ok)
+			}
+			if within := s.Within(geom.Pt(5000, 5000), 10); len(within) != 1 || within[0].BSSID != late.BSSID {
+				t.Fatalf("Within after Add = %+v, want the late AP", within)
+			}
+			if near, ok := s.Nearest(geom.Pt(4990, 5010)); !ok || near.BSSID != late.BSSID {
+				t.Fatalf("Nearest after Add = %+v, want the late AP", near)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
+	}
+}

@@ -86,7 +86,7 @@ func mBatchSeconds() *telemetry.Histogram {
 }
 
 // Client-side metrics, labeled by agent ID (one per capagent process;
-// several in cmd/soak's loopback mode).
+// several when one process runs many clients, as the tests do).
 func mClientQueueDepth(agent string) *telemetry.Gauge {
 	return telemetry.Default().Gauge(
 		"marauder_agent_send_queue_batches",

@@ -31,7 +31,7 @@ func hashPoint(h hash.Hash, p geom.Point) {
 	hashF64(h, p.Y)
 }
 
-// worldDigest generates the full soak-rig input — deployment, population,
+// worldDigest generates a full long-run input — deployment, population,
 // mobility samples, three days of diurnal office traffic — from one seed
 // and folds every field that reaches the pipeline into a SHA-256. Two
 // equal digests mean byte-identical schedules and traffic.
@@ -96,9 +96,10 @@ func worldDigest(t *testing.T, seed int64) string {
 
 // goldenWorldDigest pins seed 42's digest. It asserts more than the
 // equality tests below: the generated world is stable across processes,
-// machines and Go releases, so a checked-in BENCH_<pr>.json from one run
-// is comparable with the next PR's. If an intentional generator change
-// lands, re-pin this constant in the same commit and say so.
+// machines and Go releases, so benchmark runs of two commits replay the
+// same traffic and their figures are comparable. If an intentional
+// generator change lands, re-pin this constant in the same commit and say
+// so.
 const goldenWorldDigest = "e78929b6a860fc7004a018f15e9c7c15d9d8f6615a480ae0a0ee3cafd39ff22e"
 
 func TestWorldDigestGolden(t *testing.T) {

@@ -3,8 +3,8 @@
 // profiles from the running process into rotated, size-capped artifact
 // files alongside the FTDC stream, then decodes its own CPU captures
 // in-process into a top-N hot-function attribution table (pprofparse.go)
-// so the hottest symbols are visible over /api/profile and in soak
-// summaries without ever attaching an external pprof tool.
+// so the hottest symbols are visible over /api/profile and in the
+// -once summary line without ever attaching an external pprof tool.
 //
 // Like the FTDC recorder and the tracer, a nil *Profiler is the disabled
 // state: every method absorbs the call at the cost of one nil check.

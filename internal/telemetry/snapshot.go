@@ -16,8 +16,8 @@ const (
 // Sample is one metric instance read out of a registry at a point in
 // time: typed, structured, and safe to hold after the read (all slices
 // are copies). It is the machine-readable sibling of the Prometheus text
-// exposition — the flight recorder, /api/stats providers and the soak
-// harness consume these instead of re-parsing text.
+// exposition — the flight recorder and /api/stats providers consume
+// these instead of re-parsing text.
 type Sample struct {
 	// Name is the metric family name (e.g. marauder_engine_fixes_total).
 	Name string
@@ -102,10 +102,9 @@ func (h *Histogram) Quantile(p float64) float64 {
 }
 
 // QuantileFromCumulative is Histogram.Quantile over raw cumulative
-// buckets — usable on a delta of two snapshots, which is how a soak run
-// computes per-run quantiles from process-cumulative histograms. bounds
-// are the finite upper bounds; cum must have len(bounds)+1 entries, the
-// last being the total count.
+// buckets, e.g. a Bounds/Cumulative pair read off a live histogram.
+// bounds are the finite upper bounds; cum must have len(bounds)+1
+// entries, the last being the total count.
 func QuantileFromCumulative(bounds []float64, cum []uint64, p float64) float64 {
 	if len(cum) != len(bounds)+1 || math.IsNaN(p) || p < 0 || p > 1 {
 		return math.NaN()
@@ -135,50 +134,4 @@ func QuantileFromCumulative(bounds []float64, cum []uint64, p float64) float64 {
 		return lower
 	}
 	return lower + (bounds[i]-lower)*(target-float64(below))/float64(inBucket)
-}
-
-// MaxNonEmptyBound returns the upper bound of the highest non-empty
-// bucket in a cumulative snapshot (or a delta of two snapshots) — the
-// tightest "no observation exceeded X" statement fixed buckets support.
-// The boolean is false when the buckets are empty; when only the +Inf
-// bucket is non-empty the last finite bound is returned with inf=true.
-func MaxNonEmptyBound(bounds []float64, cum []uint64) (bound float64, inf, ok bool) {
-	if len(cum) != len(bounds)+1 || cum[len(cum)-1] == 0 {
-		return 0, false, false
-	}
-	var below uint64
-	for i, c := range cum {
-		n := c - below
-		below = c
-		if n == 0 {
-			continue
-		}
-		if i < len(bounds) {
-			bound, inf = bounds[i], false
-		} else if len(bounds) > 0 {
-			bound, inf = bounds[len(bounds)-1], true
-		} else {
-			return 0, true, false
-		}
-	}
-	return bound, inf, true
-}
-
-// DeltaCumulative subtracts an earlier cumulative snapshot from a later
-// one of the same histogram, yielding the buckets of just the interval —
-// the building block for per-run quantiles over process-wide histograms.
-// It returns nil when the shapes differ or any bucket went backwards
-// (i.e. the snapshots are not from the same live histogram).
-func DeltaCumulative(later, earlier []uint64) []uint64 {
-	if len(later) != len(earlier) {
-		return nil
-	}
-	out := make([]uint64, len(later))
-	for i := range later {
-		if later[i] < earlier[i] {
-			return nil
-		}
-		out[i] = later[i] - earlier[i]
-	}
-	return out
 }

@@ -175,34 +175,3 @@ func TestObserveN(t *testing.T) {
 		}
 	}
 }
-
-func TestDeltaCumulativeAndMaxBound(t *testing.T) {
-	earlier := []uint64{1, 3, 3, 4}
-	later := []uint64{2, 6, 7, 9}
-	d := DeltaCumulative(later, earlier)
-	want := []uint64{1, 3, 4, 5}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("delta[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-	if DeltaCumulative([]uint64{1}, []uint64{1, 2}) != nil {
-		t.Fatal("shape mismatch not rejected")
-	}
-	if DeltaCumulative([]uint64{1, 2}, []uint64{2, 2}) != nil {
-		t.Fatal("backwards bucket not rejected")
-	}
-
-	bounds := []float64{1, 2, 5}
-	if _, _, ok := MaxNonEmptyBound(bounds, []uint64{0, 0, 0, 0}); ok {
-		t.Fatal("empty buckets reported a max bound")
-	}
-	b, inf, ok := MaxNonEmptyBound(bounds, []uint64{1, 2, 2, 2})
-	if !ok || inf || b != 2 {
-		t.Fatalf("max bound = (%v, inf=%v, ok=%v), want (2, false, true)", b, inf, ok)
-	}
-	b, inf, ok = MaxNonEmptyBound(bounds, []uint64{0, 0, 0, 3})
-	if !ok || !inf || b != 5 {
-		t.Fatalf("overflow max bound = (%v, inf=%v, ok=%v), want (5, true, true)", b, inf, ok)
-	}
-}

@@ -3,7 +3,8 @@
 # capture source, stream from two cmd/capagent processes through the
 # aggressive wire fault plan, SIGKILL one agent mid-stream, restart it
 # under the same identity, and assert the restart resumes from its acked
-# cursor with the exactly-once books still balanced. This is the CI gate
+# cursor with the exactly-once books still balanced, then stop the other
+# agent with SIGTERM and assert it shut down gracefully. This is the CI gate
 # for "the distributed capture plane survives wire chaos and an agent
 # hard-kill", end to end over real TCP — not just the capwire unit tests.
 set -eu
@@ -150,4 +151,15 @@ while [ ! -f "$CKPT/agent-cursors.json" ]; do
     sleep 0.5
 done
 
-echo "agent-chaos-smoke: ok (wire chaos survived, kill resumed at cursor, accounting balanced)"
+# A plain kill (SIGTERM, as docker stop or systemd sends) must take the
+# agent's graceful path: flush the queued tail, report, close.
+kill "$A1_PID"
+wait "$A1_PID" 2>/dev/null || true
+A1_PID=
+grep -q 'capture agent stopped' "$LOG_A1" || {
+    echo "agent-chaos-smoke: lab-1 did not shut down gracefully on SIGTERM" >&2
+    tail -20 "$LOG_A1" >&2
+    exit 1
+}
+
+echo "agent-chaos-smoke: ok (wire chaos survived, kill resumed at cursor, accounting balanced, graceful SIGTERM)"

@@ -4,12 +4,18 @@
 # -prof-dir and assert every profile kind (cpu, heap, goroutine, mutex,
 # block) was written and the in-process attributor decoded the CPU
 # capture into a non-empty hot-function table (the "profile:" summary
-# line). Serving: boot with the profiler, the default SLOs and per-fix
-# stage timing, then assert /api/slo and /api/profile carry live content
-# and the new metric families show on /metrics.
+# line). Serving: boot with the profiler, the default SLOs, per-fix
+# stage timing, the flight recorder and checkpointing, then assert
+# /api/slo and /api/profile carry live content and the new metric
+# families show on /metrics. Finally stop it with a plain kill (SIGTERM,
+# as docker stop or systemd sends) and assert the graceful shutdown ran:
+# a final checkpoint was logged and ftdcdump -check decodes the sealed
+# flight record.
 #
 # Env overrides: SMOKE_ADDR (default 127.0.0.1:18655), APS (one-shot AP
-# count, default 600), PROFILE_DIR (kept when set; default a temp dir).
+# count, default 600), PROFILE_DIR (kept when set; default a temp dir;
+# the one-shot's profiles land in it and the serving run's flight record
+# in its ftdc/ subdirectory).
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18655}"
@@ -25,6 +31,7 @@ trap cleanup EXIT INT TERM
 PROFILE_DIR="${PROFILE_DIR:-$TMP/prof}"
 
 go build -o "$TMP/marauder" ./cmd/marauder
+go build -o "$TMP/ftdcdump" ./cmd/ftdcdump
 
 fetch() {
     if command -v curl >/dev/null 2>&1; then
@@ -60,10 +67,12 @@ if ! grep -q '^profile: [1-9][0-9]* samples, hottest ' "$TMP/once.out"; then
 fi
 
 # Serving path: profiler cycling fast, default SLOs ticking every
-# second, stage timing on every fix.
+# second, stage timing on every fix, flight recorder and checkpoints on.
 "$TMP/marauder" -addr "$ADDR" -aps 150 -speedup 200 \
     -prof-dir "$TMP/prof-serve" -prof-interval 5s -prof-cpu 2s \
     -slo-defaults -slo-tick 1s -stage-sample-every 1 \
+    -ftdc-dir "$PROFILE_DIR/ftdc" -ftdc-interval 250ms \
+    -checkpoint-dir "$TMP/ckpt" \
     >"$TMP/serve.out" 2>&1 &
 PID=$!
 
@@ -117,4 +126,22 @@ kill "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null || true
 PID=""
 
-echo "profile-smoke: ok (5 artifact kinds, decoded attribution, live /api/slo + /api/profile)"
+# SIGTERM must take the graceful path: final checkpoint, the recorder's
+# last sample and a sealed file.
+grep -q 'final checkpoint written' "$TMP/serve.out" || {
+    echo "profile-smoke: no final checkpoint after SIGTERM" >&2
+    tail -20 "$TMP/serve.out" >&2
+    exit 1
+}
+found=0
+for f in "$PROFILE_DIR"/ftdc/*.ftdc; do
+    [ -e "$f" ] || continue
+    found=$((found + 1))
+    "$TMP/ftdcdump" -check "$f"
+done
+if [ "$found" -eq 0 ]; then
+    echo "profile-smoke: the serving run left no flight record" >&2
+    exit 1
+fi
+
+echo "profile-smoke: ok (5 artifact kinds, decoded attribution, live /api/slo + /api/profile, graceful SIGTERM)"
