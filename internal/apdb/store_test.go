@@ -226,28 +226,20 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 // out-of-range radii, an empty store, Nearest against a brute-force
 // scan, and Adds made after earlier queries, which every query path must
 // see rather than a snapshot cached by the warm-up. (A Get miss is
-// TestAddGetLen's.)
+// TestGridIndexGet's.)
 func TestStoreQueryEdgeCases(t *testing.T) {
-	random := func(n int, seed int64) (*Store, *rand.Rand) {
-		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		for i := 0; i < n; i++ {
-			s.Add(Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)})
-		}
-		return s, rng
-	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
 		{"within_negative_radius", func(t *testing.T) {
-			s, _ := random(10, 2)
+			s, _ := randomStore(10, 2)
 			if got := s.Within(geom.Pt(0, 0), -1); got != nil {
 				t.Fatalf("Within(-1) = %+v, want nil", got)
 			}
 		}},
 		{"within_far_away", func(t *testing.T) {
-			s, _ := random(10, 2)
+			s, _ := randomStore(10, 2)
 			if got := s.Within(geom.Pt(1e7, 1e7), 10); len(got) != 0 {
 				t.Fatalf("far Within = %+v, want empty", got)
 			}
@@ -258,7 +250,7 @@ func TestStoreQueryEdgeCases(t *testing.T) {
 			}
 		}},
 		{"nearest_matches_scan", func(t *testing.T) {
-			s, rng := random(150, 3)
+			s, rng := randomStore(150, 3)
 			all := s.All()
 			for trial := 0; trial < 100; trial++ {
 				p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
@@ -274,7 +266,7 @@ func TestStoreQueryEdgeCases(t *testing.T) {
 			}
 		}},
 		{"adds_after_queries_visible", func(t *testing.T) {
-			s, _ := random(50, 6)
+			s, _ := randomStore(50, 6)
 			s.Within(geom.Pt(0, 0), 100)
 			s.Nearest(geom.Pt(5000, 5000))
 			late := Entry{BSSID: mac64(200), Pos: geom.Pt(5000, 5000), MaxRange: 80}
@@ -295,5 +287,59 @@ func TestStoreQueryEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, c.run)
+	}
+}
+
+// randomStore fills a store with n APs at uniform positions in a 2 km
+// square, BSSIDs 0..n-1.
+func randomStore(n int, seed int64) (*Store, *rand.Rand) {
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	for i := 0; i < n; i++ {
+		s.Add(Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)})
+	}
+	return s, rng
+}
+
+// TestGridIndexMatchesLinearScan checks the live Store's grid-indexed
+// Within against the snapshot's exported linear scan, so the grid is
+// compared with ground truth rather than with itself.
+func TestGridIndexMatchesLinearScan(t *testing.T) {
+	s, rng := randomStore(200, 1)
+	if s.Len() != 200 {
+		t.Fatalf("indexed %d", s.Len())
+	}
+	sn := s.Snapshot()
+	for trial := 0; trial < 50; trial++ {
+		p := geom.Pt(rng.Float64()*2200-1100, rng.Float64()*2200-1100)
+		dist := rng.Float64() * 500
+		want := sn.ScanWithin(p, dist)
+		got := s.Within(p, dist)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: grid %d vs linear %d entries", trial, len(got), len(want))
+		}
+		inScan := make(map[dot11.MAC]Entry, len(want))
+		for _, e := range want {
+			inScan[e.BSSID] = e
+		}
+		for _, e := range got {
+			if inScan[e.BSSID] != e {
+				t.Fatalf("trial %d: grid returned %+v not in linear result", trial, e)
+			}
+		}
+	}
+}
+
+// TestGridIndexGet: a Get hit returns the stored entry and a miss
+// reports !ok.
+func TestGridIndexGet(t *testing.T) {
+	s, _ := randomStore(20, 4)
+	want := s.All()[7]
+	got, ok := s.Get(want.BSSID)
+	if !ok || got != want {
+		t.Errorf("Get = %v, %v; want %v", got, ok, want)
+	}
+	if _, ok := s.Get(mac64(200)); ok {
+		t.Error("missing entry found")
 	}
 }
