@@ -20,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 // cardinalityCap is the fixed per-family instance budget. The largest
@@ -47,10 +48,15 @@ func TestRegistryCardinalityBounded(t *testing.T) {
 		t.Fatal("nothing captured")
 	}
 
+	// A tracer sampling every fix also times every fix.
+	tracer, err := trace.New(trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := engine.New(engine.Config{
-		Know:             core.KnowledgeFromStore(apdb.FromWorld(w, true)),
-		WindowSec:        45,
-		StageSampleEvery: 1,
+		Know:      core.KnowledgeFromStore(apdb.FromWorld(w, true)),
+		WindowSec: 45,
+		Tracer:    tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/capwire"
 	"repro/internal/sim"
 	"repro/internal/sniffer"
+	"repro/internal/telemetry"
 )
 
 // TestRunRejectsDanglingFlags: a flag that only tunes a feature the
@@ -37,17 +42,56 @@ func TestRunRejectsDanglingFlags(t *testing.T) {
 }
 
 // TestDisabledCheckpointIntervalRuns: zero/negative -checkpoint-interval
-// means "no periodic checkpoints", not an invalid duration — the run
-// still writes its final checkpoint.
+// means "no periodic checkpoints", not an invalid duration — the run logs
+// that once and still writes its final checkpoint. A positive interval
+// logs no such notice.
 func TestDisabledCheckpointIntervalRuns(t *testing.T) {
-	dir := t.TempDir()
-	err := run([]string{
-		"-once", "-aps", "40", "-seed", "3",
-		"-checkpoint-dir", dir, "-checkpoint-interval", "0s",
-	})
-	if err != nil {
-		t.Fatalf("run with disabled checkpoint interval: %v", err)
+	for _, tc := range []struct {
+		interval string
+		disabled bool
+	}{{"0s", true}, {"-1s", true}, {"5s", false}} {
+		dir := t.TempDir()
+		var err error
+		logs := captureStderr(t, func() {
+			err = run([]string{
+				"-once", "-aps", "40", "-seed", "3",
+				"-checkpoint-dir", dir, "-checkpoint-interval", tc.interval,
+			})
+		})
+		if err != nil {
+			t.Fatalf("run with -checkpoint-interval %s: %v", tc.interval, err)
+		}
+		if got := strings.Contains(logs, "periodic checkpoints disabled"); got != tc.disabled {
+			t.Errorf("-checkpoint-interval %s: disabled notice logged = %v, want %v", tc.interval, got, tc.disabled)
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) == 0 {
+			t.Errorf("-checkpoint-interval %s: no final checkpoint in %s", tc.interval, dir)
+		}
 	}
+}
+
+// captureStderr runs f with os.Stderr (and so run's slog output) sent to
+// a pipe and returns what was written, then restores the default logger.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	done := make(chan struct{})
+	go func() { io.Copy(&buf, r); close(done) }()
+	orig := os.Stderr
+	os.Stderr = w
+	f()
+	os.Stderr = orig
+	w.Close()
+	<-done
+	r.Close()
+	if _, err := telemetry.SetupLogging(os.Stderr, "info", "text"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 // TestAgentIngestFlowsToEngineHealth exercises the marauder-side wiring

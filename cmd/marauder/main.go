@@ -14,7 +14,6 @@
 //	         [-prof-dir DIR] [-prof-interval 60s] [-prof-cpu 10s]
 //	         [-mutex-profile-fraction 0] [-block-profile-rate 0]
 //	         [-slo SPEC]... [-slo-defaults] [-slo-tick 10s]
-//	         [-stage-sample-every 0]
 //	         [-agents-listen :7642] [-local-capture=true] [-ingest-stale-after 0]
 //
 // All five of the paper's algorithms select through the same
@@ -28,7 +27,9 @@
 // /debug/pprof/ on both. -trace samples localizations into per-estimate
 // traces and provenance records (-trace-sample sets the sampled fraction,
 // -trace-buffer the retained ring), served at /api/trace and
-// /api/explain?device=MAC on the map port.
+// /api/explain?device=MAC on the map port. The per-stage histograms
+// (marauder_stage_seconds, marauder_fix_seconds) time 1 fix in 16 plus
+// every traced one, so -trace -trace-sample 1 times every fix.
 //
 // -chaos injects a deterministic aggressive fault plan (card failures,
 // clock skew, frame corruption, drops, duplication, reordering) seeded by
@@ -59,9 +60,7 @@
 // -slo-defaults installs the built-in fix-latency and fix-availability
 // objectives. Objectives are evaluated every -slo-tick over multi-window
 // error budgets, served at /api/slo, and folded into /api/health reasons
-// while burning or exhausted. -stage-sample-every times the per-stage
-// histograms (marauder_stage_seconds) on every Nth fix (0 = default 16,
-// 1 = every fix, negative = off).
+// while burning or exhausted.
 //
 // -agents-listen starts the distributed capture plane: a capwire server
 // accepting remote capture agents (cmd/capagent) that stream frame
@@ -185,8 +184,6 @@ type attackOpts struct {
 	// Store, when non-nil, seeds the engine with a recovered observation
 	// store instead of an empty one.
 	Store *obs.Store
-	// StageSampleEvery forwards to engine.Config.StageSampleEvery.
-	StageSampleEvery int
 	// StaleIngestAfter forwards to engine.Config.StaleIngestAfter.
 	StaleIngestAfter time.Duration
 }
@@ -316,7 +313,6 @@ func buildAttackOpts(o attackOpts) (*attack, error) {
 		WindowSec:        45,
 		Workers:          o.Workers,
 		Tracer:           o.Tracer,
-		StageSampleEvery: o.StageSampleEvery,
 		StaleIngestAfter: o.StaleIngestAfter,
 	})
 	if err != nil {
@@ -462,7 +458,6 @@ func run(args []string) error {
 	})
 	sloDefaults := fs.Bool("slo-defaults", false, "track the built-in fix-latency and fix-availability objectives")
 	sloTick := fs.Duration("slo-tick", 10*time.Second, "SLO evaluation period")
-	stageEvery := fs.Int("stage-sample-every", 0, "time per-stage histograms every Nth fix (0 = default 16, 1 = every fix, negative = off)")
 	agentsListen := fs.String("agents-listen", "", "TCP listen address for remote capture agents (capwire protocol; empty = no agent plane)")
 	localCapture := fs.Bool("local-capture", true, "run the in-process sniffer fleet (false = remote agents are the only capture source)")
 	staleAfter := fs.Duration("ingest-stale-after", 0, "degrade /api/health when a capture source delivers nothing for this long (0 = off)")
@@ -489,13 +484,13 @@ func run(args []string) error {
 	if *once && *agentsListen != "" {
 		return errors.New("-agents-listen needs the serving loop; it cannot be combined with -once")
 	}
-	ckptEvery, ckptPeriodic := flagcheck.CheckpointInterval(*ckptInterval, func(format string, args ...any) {
-		slog.Info(fmt.Sprintf(format, args...), "component", "marauder")
-	})
 	telemetry.SetProfileRates(*mutexFrac, *blockRate)
 	if _, err := telemetry.SetupLogging(os.Stderr, *logLevel, *logFormat); err != nil {
 		return err
 	}
+	ckptEvery, ckptPeriodic := flagcheck.CheckpointInterval(*ckptInterval, func(format string, args ...any) {
+		slog.Info(fmt.Sprintf(format, args...), "component", "marauder")
+	})
 	var tracer *trace.Tracer
 	if *traceOn {
 		var err error
@@ -518,7 +513,7 @@ func run(args []string) error {
 		slog.Info("telemetry listening", "component", "marauder", "addr", *metricsAddr, "pprof", *pprofOn)
 	}
 
-	opts := attackOpts{Seed: *seed, APs: *nAPs, Algo: *algo, Workers: *workers, Shards: *shards, Tracer: tracer, StageSampleEvery: *stageEvery, StaleIngestAfter: *staleAfter}
+	opts := attackOpts{Seed: *seed, APs: *nAPs, Algo: *algo, Workers: *workers, Shards: *shards, Tracer: tracer, StaleIngestAfter: *staleAfter}
 	if *chaos {
 		opts.Faults = faults.Aggressive(*chaosSeed)
 		slog.Info("chaos mode on", "component", "marauder", "seed", *chaosSeed)

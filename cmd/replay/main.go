@@ -12,7 +12,6 @@
 //	       [-chaos] [-chaos-seed 1] [-checkpoint-dir DIR]
 //	       [-prof-dir DIR] [-prof-cpu 10s]
 //	       [-mutex-profile-fraction 0] [-block-profile-rate 0]
-//	       [-stage-sample-every 0]
 //
 // With -prof-dir one profiler capture cycle runs concurrently with the
 // replay (CPU capture first, cut short when the replay finishes, then
@@ -32,7 +31,8 @@
 // given paths, then replays them (useful without prior artifacts). With
 // -trace every sampled localization carries a trace and provenance
 // record, and each located device's estimate is explained after the map
-// is printed.
+// is printed. The per-stage histograms time 1 fix in 16 plus every traced
+// one, so -trace -trace-sample 1 times every fix.
 package main
 
 import (
@@ -96,31 +96,23 @@ func run(args []string) error {
 	chaos := fs.Bool("chaos", false, "run the capture through the aggressive fault plan before ingest")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault plan seed (deterministic per seed)")
 	ckptDir := fs.String("checkpoint-dir", "", "restore the newest observation checkpoint before the replay and write one after it")
-	ckptInterval := fs.Duration("checkpoint-interval", 10*time.Second, "checkpoint period (accepted for parity with marauder; one-shot replay writes a single final checkpoint)")
 	profDir := fs.String("prof-dir", "", "directory for profiler artifacts; one capture cycle covers the replay (empty = off)")
 	profCPU := fs.Duration("prof-cpu", 10*time.Second, "maximum CPU capture length (cut short when the replay finishes first)")
 	mutexFrac := fs.Int("mutex-profile-fraction", 0, "sample 1/n of mutex contention events into the mutex profile (0 = off)")
 	blockRate := fs.Int("block-profile-rate", 0, "record goroutine blocking lasting >= n ns into the block profile (0 = off)")
-	stageEvery := fs.Int("stage-sample-every", 0, "time per-stage histograms every Nth fix (0 = default 16, 1 = every fix, negative = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	// Dependent-flag validation, shared semantics with cmd/marauder: a
-	// flag that only tunes a never-enabled feature is an error, and a
-	// zero/negative -checkpoint-interval means "periodic checkpoints
-	// disabled" (the replay's single final checkpoint still happens).
+	// flag that only tunes a never-enabled feature is an error.
 	fc := flagcheck.New(fs).
 		Requires("chaos-seed", "chaos").
-		Requires("checkpoint-interval", "checkpoint-dir").
 		Requires("prof-cpu", "prof-dir").
 		Requires("trace-sample", "trace").
 		Requires("trace-buffer", "trace")
 	if err := fc.Err(); err != nil {
 		return err
 	}
-	ckptEvery, _ := flagcheck.CheckpointInterval(*ckptInterval, func(format string, args ...any) {
-		slog.Info(fmt.Sprintf(format, args...), "component", "replay")
-	})
 	telemetry.SetProfileRates(*mutexFrac, *blockRate)
 	if _, err := telemetry.SetupLogging(os.Stderr, *logLevel, *logFormat); err != nil {
 		return err
@@ -275,12 +267,11 @@ func run(args []string) error {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Know:             know,
-		Store:            store,
-		Localizer:        locate,
-		WindowSec:        60, // SnapshotRange below spans the whole capture
-		Tracer:           tracer,
-		StageSampleEvery: *stageEvery,
+		Know:      know,
+		Store:     store,
+		Localizer: locate,
+		WindowSec: 60, // SnapshotRange below spans the whole capture
+		Tracer:    tracer,
 	})
 	if err != nil {
 		return err
@@ -369,7 +360,7 @@ func run(args []string) error {
 		slog.Info("observation store saved", "component", "replay", "path", *obsOut)
 	}
 	if *ckptDir != "" {
-		ckpt := &obs.Checkpointer{Dir: *ckptDir, Interval: ckptEvery, Source: func() *obs.Store { return store }}
+		ckpt := &obs.Checkpointer{Dir: *ckptDir, Source: func() *obs.Store { return store }}
 		ckpt.SetGeneration(recoveredGen)
 		path, err := ckpt.CheckpointNow()
 		if err != nil {

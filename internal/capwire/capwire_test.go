@@ -558,3 +558,28 @@ func TestCursorSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("missing file: %v %d %v", missing, gen, err)
 	}
 }
+
+// TestDedupBatchZeroAllocs: a replayed batch at or below the cursor is
+// counted through the agent's pre-resolved metric handles, so the dedup
+// branch allocates nothing and never takes the registry lock.
+func TestDedupBatchZeroAllocs(t *testing.T) {
+	srv, err := NewServer(ServerConfig{
+		Ingest:  func(string, []sniffer.Capture) int { return 0 },
+		Cursors: map[string]uint64{"dedup-agent": 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := srv.agent("dedup-agent")
+	b := &Batch{Seq: 3, Items: make([]Item, 4)}
+	if avg := testing.AllocsPerRun(200, func() {
+		if ok, cur := srv.handleBatch(st, b); !ok || cur != 5 {
+			t.Fatalf("dedup batch: ok=%v cursor=%d, want true 5", ok, cur)
+		}
+	}); avg != 0 {
+		t.Fatalf("dedup branch allocates %.2f times per batch, want 0", avg)
+	}
+	if s := st.statusLocked(time.Now()); s.BatchesDeduped != 201 || s.FramesDeduped != 804 {
+		t.Errorf("deduped %d batches / %d frames, want 201 / 804", s.BatchesDeduped, s.FramesDeduped)
+	}
+}

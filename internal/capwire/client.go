@@ -148,6 +148,7 @@ type pendingBatch struct {
 // queueing, reconnect and resume. Safe for concurrent use.
 type Client struct {
 	cfg ClientConfig
+	m   clientMetrics
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -176,6 +177,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		cfg:     cfg,
+		m:       newClientMetrics(cfg.AgentID),
 		nextSeq: 1,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		done:    make(chan struct{}),
@@ -231,7 +233,7 @@ func (c *Client) Send(ctx context.Context, caps []sniffer.Capture) error {
 				c.queue = append(c.queue[:i], c.queue[i+1:]...)
 				c.stats.DroppedBatches++
 				c.stats.DroppedFrames += uint64(victim.frames)
-				mClientDropped(c.cfg.AgentID).Inc()
+				c.m.dropped.Inc()
 				continue
 			}
 		}
@@ -246,7 +248,7 @@ func (c *Client) Send(ctx context.Context, caps []sniffer.Capture) error {
 	c.queue = append(c.queue, pb)
 	c.stats.EnqueuedBatches++
 	c.stats.EnqueuedFrames += uint64(pb.frames)
-	mClientQueueDepth(c.cfg.AgentID).Set(float64(len(c.queue)))
+	c.m.queueDepth.Set(float64(len(c.queue)))
 	c.cond.Broadcast()
 	return nil
 }
@@ -532,7 +534,7 @@ func (c *Client) session(conn net.Conn) error {
 				// A seq assigned on an earlier connection: this is a
 				// replay of the unacked tail.
 				c.stats.ReplayedBatches++
-				mClientReplayed(c.cfg.AgentID).Inc()
+				c.m.replayed.Inc()
 			}
 			msg = &Batch{Seq: pb.seq, Items: pb.items}
 			c.nextSend++
@@ -569,7 +571,7 @@ func (c *Client) adoptCursor(conn net.Conn, cursor uint64) {
 	c.conn = conn
 	c.stats.Handshakes++
 	if c.stats.Handshakes > 1 {
-		mClientReconnects(c.cfg.AgentID).Inc()
+		c.m.reconnects.Inc()
 	}
 	if cursor > 0 {
 		c.stats.Resumes++
@@ -609,7 +611,7 @@ func (c *Client) adoptCursor(conn net.Conn, cursor uint64) {
 		c.nextSeq = seq + 1
 		c.stats.RenumberedBatches += uint64(renumbered)
 		if renumbered > 0 {
-			mClientRenumbered(c.cfg.AgentID).Add(uint64(renumbered))
+			c.m.renumbered.Add(uint64(renumbered))
 		}
 	}
 	// Everything still queued (sent-unacked included) goes back on the
@@ -652,5 +654,5 @@ func (c *Client) popAckedLocked(cursor uint64) {
 			c.nextSend = 0
 		}
 	}
-	mClientQueueDepth(c.cfg.AgentID).Set(float64(len(c.queue)))
+	c.m.queueDepth.Set(float64(len(c.queue)))
 }

@@ -37,6 +37,7 @@ type ServerConfig struct {
 // fresh one past the cursor.
 type agentState struct {
 	id string
+	m  agentMetrics
 
 	mu        sync.Mutex
 	cursor    uint64
@@ -136,7 +137,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if id == "" || len(id) > MaxAgentID {
 			continue
 		}
-		s.agents[id] = &agentState{id: id, cursor: cur}
+		s.agents[id] = &agentState{id: id, m: newAgentMetrics(id), cursor: cur}
 	}
 	return s, nil
 }
@@ -216,7 +217,7 @@ func (s *Server) agent(id string) *agentState {
 	defer s.mu.Unlock()
 	st := s.agents[id]
 	if st == nil {
-		st = &agentState{id: id}
+		st = &agentState{id: id, m: newAgentMetrics(id)}
 		s.agents[id] = st
 	}
 	return st
@@ -255,10 +256,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	cursor := st.cursor
 	st.mu.Unlock()
 
-	mAgentConnects(st.id).Inc()
-	mAgentConnected(st.id).Set(1)
+	st.m.connects.Inc()
+	st.m.connected.Set(1)
 	if resumed {
-		mAgentResumes(st.id).Inc()
+		st.m.resumes.Inc()
 		s.logf("capwire: agent %s resuming from cursor %d", st.id, cursor)
 	} else {
 		s.logf("capwire: agent %s connected", st.id)
@@ -269,7 +270,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	st.mu.Lock()
 	if st.conn == conn {
 		st.conn = nil
-		mAgentConnected(st.id).Set(0)
+		st.m.connected.Set(0)
 	}
 	st.mu.Unlock()
 	if err != nil {
@@ -306,12 +307,12 @@ func (s *Server) session(conn net.Conn, st *agentState, cursor uint64) error {
 			st.lag = m.QueuedBatches
 			ackCursor = st.cursor
 			st.mu.Unlock()
-			mAgentLag(st.id).Set(float64(m.QueuedBatches))
+			st.m.lag.Set(float64(m.QueuedBatches))
 		default:
 			st.mu.Lock()
 			st.protoErrs++
 			st.mu.Unlock()
-			mAgentProtoErrors(st.id).Inc()
+			st.m.protoErrors.Inc()
 			return fmt.Errorf("unexpected %T mid-session", msg)
 		}
 		out, err := EncodeMessage(&Ack{Cursor: ackCursor})
@@ -340,8 +341,8 @@ func (s *Server) handleBatch(st *agentState, b *Batch) (bool, uint64) {
 		st.dedupF += uint64(len(b.Items))
 		st.batchesRx++
 		st.framesRx += uint64(len(b.Items))
-		mAgentDedupedBatches(st.id).Inc()
-		mAgentDedupedFrames(st.id).Add(uint64(len(b.Items)))
+		st.m.dedupedBatches.Inc()
+		st.m.dedupedFrames.Add(uint64(len(b.Items)))
 		return true, st.cursor
 	case b.Seq == st.cursor+1:
 		caps := b.ToCaptures()
@@ -358,14 +359,14 @@ func (s *Server) handleBatch(st *agentState, b *Batch) (bool, uint64) {
 		st.batches++
 		st.frames += uint64(n)
 		st.quar += uint64(len(caps) - n)
-		mAgentBatches(st.id).Inc()
-		mAgentFrames(st.id).Add(uint64(n))
-		mAgentQuarantined(st.id).Add(uint64(len(caps) - n))
+		st.m.batches.Inc()
+		st.m.frames.Add(uint64(n))
+		st.m.quarantined.Add(uint64(len(caps) - n))
 		s.batchMs.ObserveSince(start)
 		return true, st.cursor
 	default:
 		st.protoErrs++
-		mAgentProtoErrors(st.id).Inc()
+		st.m.protoErrors.Inc()
 		return false, st.cursor
 	}
 }

@@ -14,8 +14,8 @@
 //     radius, then call AP-Rad and M-Loc.
 //
 // The package also provides the Centroid and Closest-AP baselines the
-// paper compares against, and a Tracker that runs continuous localization
-// over the observation store.
+// paper compares against. Continuous localization over the observation
+// store is internal/engine's job.
 package core
 
 import (
@@ -126,6 +126,20 @@ type Estimate struct {
 	K int `json:"k"`
 	// Method names the algorithm that produced the estimate.
 	Method string `json:"method"`
+}
+
+// TrackPoint is one position fix of a tracked device.
+type TrackPoint struct {
+	// TimeSec is the centre of the observation window.
+	TimeSec float64 `json:"timeSec"`
+	// Est is the location estimate for that window.
+	Est Estimate `json:"est"`
+}
+
+// Error returns the Euclidean localization error between an estimate and
+// the true position, in metres.
+func Error(est Estimate, truth geom.Point) float64 {
+	return est.Pos.Dist(truth)
 }
 
 // Localization errors.

@@ -218,3 +218,10 @@ func TestKnowledgeHelpers(t *testing.T) {
 		t.Error("empty disc set covers nothing")
 	}
 }
+
+func TestErrorMetric(t *testing.T) {
+	e := Estimate{Pos: geom.Pt(3, 4)}
+	if Error(e, geom.Pt(0, 0)) != 5 {
+		t.Error("error metric wrong")
+	}
+}

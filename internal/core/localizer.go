@@ -55,12 +55,13 @@ type DiagnosedTrainer interface {
 	TrainDiagnosed(base Knowledge, deviceSets map[dot11.MAC][]dot11.MAC) (Knowledge, TrainDiag, error)
 }
 
-// LocalizerFunc adapts a bare Locator func to the Localizer interface.
+// LocalizerFunc adapts a bare algorithm func (MLoc, CentroidBaseline,
+// ClosestAPBaseline) to the Localizer interface.
 type LocalizerFunc struct {
 	// Method is the reported Name.
 	Method string
 	// Func is the wrapped algorithm.
-	Func Locator
+	Func func(Knowledge, []dot11.MAC) (Estimate, error)
 }
 
 // Name implements Localizer.

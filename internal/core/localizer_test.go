@@ -39,7 +39,7 @@ func TestLocalizersMatchDirectCalls(t *testing.T) {
 	gamma := []dot11.MAC{mac(0xA1), mac(0xA2), mac(0xA3)}
 	for _, tc := range []struct {
 		loc    Localizer
-		direct Locator
+		direct func(Knowledge, []dot11.MAC) (Estimate, error)
 	}{
 		{MLocalizer{}, MLoc},
 		{CentroidLocalizer{}, CentroidBaseline},
@@ -131,43 +131,6 @@ func TestAPLocLocalizerTrainsOnce(t *testing.T) {
 	if est.Method != "ap-loc" {
 		t.Errorf("method = %q", est.Method)
 	}
-}
-
-func TestTrackerLocalizerField(t *testing.T) {
-	tr, dev := trackerFixture()
-	tr.Localizer = CentroidLocalizer{}
-	est, err := tr.Fix(dev, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Method != "centroid" {
-		t.Errorf("method = %q", est.Method)
-	}
-}
-
-func TestTrackerTrackNoDrift(t *testing.T) {
-	// With accumulated stepping, 0.1-second steps drift by whole
-	// milliseconds over ten thousand iterations; index-based stepping
-	// keeps every timestamp exact.
-	tr, dev := trackerFixture()
-	points, err := tr.Track(dev, 0, 1000, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		i := p.TimeSec / 0.1
-		nearest := float64(int(i+0.5)) * 0.1
-		if diff := absf(p.TimeSec - nearest); diff > 1e-9 {
-			t.Fatalf("timestamp %v drifted %.2e from the step grid", p.TimeSec, diff)
-		}
-	}
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func TestAPRadTrainDiagnosed(t *testing.T) {

@@ -58,11 +58,6 @@ type Config struct {
 	// RefreshBackoff is the first retry's delay, doubled per further
 	// attempt; 0 means the default (25ms), negative disables the sleep.
 	RefreshBackoff time.Duration
-	// StageSampleEvery times the fix-path stage histograms
-	// (marauder_stage_seconds, marauder_fix_seconds) on every Nth fix:
-	// 0 means the default (16), 1 times every fix, negative disables
-	// stage timing. Unsampled fixes pay one atomic add.
-	StageSampleEvery int
 	// StaleIngestAfter flags a capture source (the local sniffer fleet or
 	// a remote capwire agent) as stale in Health when it has delivered
 	// nothing for this long after having delivered at least once — so a
@@ -104,10 +99,8 @@ type Engine struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 
-	// stageEvery/stageCtr drive deterministic 1-in-N stage timing on the
-	// fix path; stageEvery 0 disables it.
-	stageEvery uint64
-	stageCtr   atomic.Uint64
+	// stageCtr drives the deterministic 1-in-stageSampleEvery fix timing.
+	stageCtr atomic.Uint64
 
 	// trainedOnce flips when a training run first succeeds: from then on a
 	// failed refresh degrades to the last-known-good knowledge instead of
@@ -191,13 +184,6 @@ func New(cfg Config) (*Engine, error) {
 	} else if backoff < 0 {
 		backoff = 0
 	}
-	stageEvery := uint64(16)
-	switch {
-	case cfg.StageSampleEvery < 0:
-		stageEvery = 0
-	case cfg.StageSampleEvery > 0:
-		stageEvery = uint64(cfg.StageSampleEvery)
-	}
 	e := &Engine{
 		loc:             loc,
 		windowSec:       cfg.WindowSec,
@@ -208,7 +194,6 @@ func New(cfg Config) (*Engine, error) {
 		tracer:          cfg.Tracer,
 		refreshAttempts: attempts,
 		refreshBackoff:  backoff,
-		stageEvery:      stageEvery,
 		staleAfter:      max(cfg.StaleIngestAfter, 0),
 	}
 	if cfg.CacheSize >= 0 {
@@ -271,13 +256,7 @@ func (e *Engine) IngestCapturesFrom(source string, caps []sniffer.Capture) int {
 	if source != "" {
 		e.markSource(source, len(caps))
 	}
-	ingestStart := time.Now()
-	defer mStageIngest.ObserveSince(ingestStart)
-	var tr *trace.Trace
-	if e.tracer != nil {
-		tr = e.tracer.Start(trace.KindIngest, "")
-	}
-	sp := tr.StartSpan("ingest").Attr("frames", len(caps))
+	start := time.Now()
 	batch := make([]obs.FrameCapture, 0, len(caps))
 	quarantined := 0
 	for _, c := range caps {
@@ -306,12 +285,16 @@ func (e *Engine) IngestCapturesFrom(source string, caps []sniffer.Capture) int {
 		batch = append(batch, obs.FrameCapture{TimeSec: c.TimeSec, Frame: c.Frame, FromAP: c.FromAP})
 	}
 	e.Store().IngestFrames(batch)
-	if quarantined > 0 {
-		sp.Attr("quarantined", quarantined)
-	}
-	sp.End()
-	tr.Finish(nil)
 	mFramesIngested.Add(uint64(len(batch)))
+	dur := time.Since(start)
+	mStageIngest.Observe(dur.Seconds())
+	if tr := e.tracer.Start(trace.KindIngest, ""); tr != nil {
+		attrs := map[string]any{"frames": len(caps)}
+		if quarantined > 0 {
+			attrs["quarantined"] = quarantined
+		}
+		tr.Finish(start, dur, nil, trace.Span{Name: "ingest", DurUS: dur.Microseconds(), Attrs: attrs})
+	}
 	return len(batch)
 }
 
@@ -410,16 +393,11 @@ func (e *Engine) RefreshKnowledge() error {
 
 // refreshOnce runs one training attempt end to end.
 func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
-	var tr *trace.Trace
-	if e.tracer != nil {
-		tr = e.tracer.Start(trace.KindRefresh, "")
-	}
 	start := time.Now()
 	e.mu.RLock()
 	base := e.base
 	store := e.store
 	e.mu.RUnlock()
-	sp := tr.StartSpan("knowledge")
 	var (
 		trained   core.Knowledge
 		diag      core.TrainDiag
@@ -433,16 +411,15 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 		trained, err = trainer.Train(base, store.DeviceAPSets())
 	}
 	if err != nil {
-		sp.Attr("err", err.Error())
-		sp.End()
-		tr.Finish(nil)
+		e.traceRefresh(start, time.Since(start), map[string]any{"err": err.Error()})
 		return fmt.Errorf("engine: refresh knowledge: %w", err)
 	}
 	e.SetKnowledge(trained)
+	dur := time.Since(start)
 	info := &trace.TrainingInfo{
 		Algorithm:  e.loc.Name(),
 		Gen:        e.knowGen.Load(),
-		DurationMs: float64(time.Since(start).Microseconds()) / 1e3,
+		DurationMs: dur.Seconds() * 1e3,
 	}
 	if diagnosed {
 		info.Constraints = diag.Constraints
@@ -451,14 +428,22 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 		info.Objective = diag.Objective
 	}
 	e.lastTrain.Store(info)
-	sp.Attr("gen", info.Gen).
-		Attr("constraints", info.Constraints).
-		Attr("lp_iterations", info.LPIterations)
-	sp.End()
-	tr.Finish(nil)
 	mRefreshes.Inc()
-	mRefreshSeconds.ObserveSince(start)
+	mRefreshSeconds.Observe(dur.Seconds())
+	e.traceRefresh(start, dur, map[string]any{
+		"gen":           info.Gen,
+		"constraints":   info.Constraints,
+		"lp_iterations": info.LPIterations,
+	})
 	return nil
+}
+
+// traceRefresh files one training attempt, timed by the clock pair that
+// feeds marauder_engine_knowledge_refresh_seconds, as a single-span
+// refresh trace when the tracer samples it.
+func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[string]any) {
+	e.tracer.Start(trace.KindRefresh, "").Finish(start, dur, nil,
+		trace.Span{Name: "knowledge", DurUS: dur.Microseconds(), Attrs: attrs})
 }
 
 // locateGamma answers one localization request, through the Γ cache when
@@ -466,14 +451,9 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 // order; the cache key is its byte concatenation (appendGammaKey). It
 // returns the knowledge the estimate was computed against (so traced
 // callers attribute the provenance to the right base) and whether the
-// cache answered. tr may be nil (untraced).
-func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (core.Estimate, core.Knowledge, bool, error) {
-	est, know, hit, _, err := e.locateGammaTracked(gamma, tr, nil, nil)
-	return est, know, hit, err
-}
-
-// locateGammaTracked is locateGamma with an optional incremental region
-// tracker. When tl and rt are both non-nil, cache misses run through
+// cache answered.
+//
+// When tl and rt are both non-nil, cache misses run through
 // tl.LocateTracked so consecutive Γs of one tracked device update rt's
 // intersection region instead of rebuilding it. The trackedCompute result
 // reports whether that path ran — false on cache hits, which never advance
@@ -481,7 +461,7 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (core.Estimate,
 // safe). A tracked estimate's Vertices alias rt's arena; on the cached
 // path they are detached before the put (cache entries outlive the next
 // fix), so only the cache-disabled tracked path returns an aliased slice.
-func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, hit, trackedCompute bool, err error) {
+func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, hit, trackedCompute bool, err error) {
 	e.fixes.Add(1)
 	mFixes.Inc()
 	if len(gamma) == 0 {
@@ -491,7 +471,6 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 	know = e.know
 	e.mu.RUnlock()
 	tracked := tl != nil && rt != nil
-	sp := tr.StartSpan("localize")
 	if e.cache == nil {
 		e.misses.Add(1)
 		mCacheMisses.Inc()
@@ -500,8 +479,6 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 		} else {
 			est, err = e.loc.Locate(know, gamma)
 		}
-		sp.Attr("cache_hit", false)
-		sp.End()
 		return est, know, false, tracked, err
 	}
 	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
@@ -510,8 +487,6 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 	if est, err, ok := e.cache.get(key); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
-		sp.Attr("cache_hit", true)
-		sp.End()
 		return est, know, true, false, err
 	}
 	e.misses.Add(1)
@@ -530,13 +505,11 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 		e.evictions.Add(uint64(evicted))
 		mCacheEvictions.Add(uint64(evicted))
 	}
-	sp.Attr("cache_hit", false)
-	sp.End()
 	return est, know, false, tracked, err
 }
 
-// fixWindow answers one localization over [start, end): the traced
-// window-query → localize → provenance chain shared by Fix, FixRange,
+// fixWindow answers one localization over [start, end): the
+// window_assembly → localize → trace_record chain shared by Fix, FixRange,
 // Track and the snapshot workers. buf is the reusable Γ buffer (pass
 // buf[:0] in loops); the possibly-grown buffer is returned for reuse.
 // With tracing disabled the only cost over the raw path is one nil check.
@@ -546,56 +519,54 @@ func (e *Engine) fixWindow(buf []dot11.MAC, dev dot11.MAC, start, end float64) (
 }
 
 // fixWindowTracked is fixWindow with an optional region tracker (see
-// locateGammaTracked). aliased reports that the returned estimate's
-// Vertices alias rt's internal arena and are valid only until the next
-// fix through rt; callers that retain estimates must copy them.
+// locateGamma). aliased reports that the returned estimate's Vertices
+// alias rt's internal arena and are valid only until the next fix through
+// rt; callers that retain estimates must copy them.
 func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end float64, tl core.TrackedLocalizer, rt *core.RegionTracker) ([]dot11.MAC, core.Estimate, bool, error) {
 	var tr *trace.Trace
 	if e.tracer != nil {
 		tr = e.tracer.Start(trace.KindFix, dev.String())
 	}
-	// Deterministic 1-in-N stage timing: adjacent stages share clock
-	// reads, so a timed fix costs four time.Now calls and an untimed one
-	// costs a single atomic add.
-	timed := e.stageEvery != 0 && e.stageCtr.Add(1)%e.stageEvery == 0
-	var t0, t1, t2 time.Time
+	// A fix is timed when the 1-in-stageSampleEvery sampler picks it or
+	// the tracer sampled it. Adjacent stages share clock reads, so a timed
+	// fix costs four time.Now calls and an untimed one a single atomic add.
+	var sp fixSpan
+	timed := e.stageCtr.Add(1)%stageSampleEvery == 0 || tr != nil
 	if timed {
-		t0 = time.Now()
+		sp.start = time.Now()
 	}
-	if tr != nil {
-		sp := tr.StartSpan("window-query")
-		buf = e.Store().AppendAPSetWindowTrace(buf, dev, start, end, sp)
-		sp.End()
-	} else {
-		buf = e.Store().AppendAPSetWindow(buf, dev, start, end)
-	}
+	buf, scanned, resorted := e.Store().ScanAPSetWindow(buf, dev, start, end)
 	if timed {
-		t1 = time.Now()
-		mStageWindow.Observe(t1.Sub(t0).Seconds())
+		sp.mark(stageWindow)
 	}
-	est, know, hit, trackedCompute, err := e.locateGammaTracked(buf, tr, tl, rt)
+	est, know, hit, trackedCompute, err := e.locateGamma(buf, tl, rt)
 	if timed {
-		t2 = time.Now()
 		// The middle stage is the incremental region update when the
 		// tracked path computed, plain localization otherwise (cache hits
 		// included — a hit's lookup time is localization cost).
 		if trackedCompute {
-			mStageRegion.Observe(t2.Sub(t1).Seconds())
+			sp.mark(stageRegion)
 		} else {
-			mStageLocalize.Observe(t2.Sub(t1).Seconds())
+			sp.mark(stageLocalize)
 		}
 	}
-	// Provenance reads the tracker's path/diff only for fixes the tracked
-	// path actually computed; cache hits and untracked fixes pass nil.
-	var trt *core.RegionTracker
-	if trackedCompute {
-		trt = rt
+	var p *trace.Provenance
+	if tr != nil {
+		// Provenance reads the tracker's path/diff only for fixes the
+		// tracked path actually computed; cache hits and untracked fixes
+		// pass nil.
+		var trt *core.RegionTracker
+		if trackedCompute {
+			trt = rt
+		}
+		p = e.provenance(dev, buf, know, est, err, hit, start, end, trt)
 	}
-	e.finishFix(tr, dev, buf, know, est, err, hit, start, end, trt)
 	if timed {
-		t3 := time.Now()
-		mStageTrace.Observe(t3.Sub(t2).Seconds())
-		mFixSeconds.Observe(t3.Sub(t0).Seconds())
+		sp.mark(stageTrace)
+		sp.observe()
+	}
+	if tr != nil {
+		fileFix(tr, &sp, p, scanned, resorted)
 	}
 	if err != nil && !errors.Is(err, core.ErrNoAPs) {
 		mFixErrors.Inc()

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -73,18 +74,40 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// referenceFix is the sequential, uncached oracle the engine is checked
+// against: Γ straight from the store, then the plain Localizer.
+func referenceFix(loc core.Localizer, k core.Knowledge, store *obs.Store, dev dot11.MAC, start, end float64) (core.Estimate, error) {
+	gamma := store.APSetWindow(dev, start, end)
+	if len(gamma) == 0 {
+		return core.Estimate{}, core.ErrNoAPs
+	}
+	return loc.Locate(k, gamma)
+}
+
+// referenceTrack steps referenceFix over [startSec, endSec] at
+// startSec + i·stepSec, skipping windows that fail.
+func referenceTrack(loc core.Localizer, k core.Knowledge, store *obs.Store, windowSec float64, dev dot11.MAC, startSec, endSec, stepSec float64) []core.TrackPoint {
+	var out []core.TrackPoint
+	for i := 0; startSec+float64(i)*stepSec <= endSec; i++ {
+		ts := startSec + float64(i)*stepSec
+		if est, err := referenceFix(loc, k, store, dev, ts-windowSec/2, ts+windowSec/2); err == nil {
+			out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
+		}
+	}
+	return out
+}
+
 func TestFixMatchesTracker(t *testing.T) {
 	k, store, devs := gridWorld(60, 10)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	tr := &core.Tracker{Know: k, Store: store, WindowSec: 30}
 	for _, dev := range devs {
 		got, gotErr := e.Fix(dev, 50)
-		want, wantErr := tr.Fix(dev, 50)
+		want, wantErr := referenceFix(core.MLocalizer{}, k, store, dev, 35, 65)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%v: engine err %v, tracker err %v", dev, gotErr, wantErr)
+			t.Fatalf("%v: engine err %v, reference err %v", dev, gotErr, wantErr)
 		}
 		if gotErr == nil && got.Pos != want.Pos {
-			t.Fatalf("%v: engine %v, tracker %v", dev, got.Pos, want.Pos)
+			t.Fatalf("%v: engine %v, reference %v", dev, got.Pos, want.Pos)
 		}
 	}
 	if _, err := e.Fix(devs[0], 500); !errors.Is(err, core.ErrNoAPs) {
@@ -176,20 +199,51 @@ func TestCachedFixZeroAllocs(t *testing.T) {
 func TestTrackMatchesTrackerAndSkipsGaps(t *testing.T) {
 	k, store, devs := gridWorld(60, 3)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	tr := &core.Tracker{Know: k, Store: store, WindowSec: 30}
 	got, err := e.Track(devs[0], 0, 200, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Track(devs[0], 0, 200, 10)
-	if err != nil {
-		t.Fatal(err)
+	want := referenceTrack(core.MLocalizer{}, k, store, 30, devs[0], 0, 200, 10)
+	if len(want) == 0 || len(want) == 21 {
+		t.Fatalf("reference track has %d of 21 points, want some windows located and some skipped", len(want))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine track %d points, tracker %d", len(got), len(want))
+		t.Fatalf("engine track %d points, reference %d", len(got), len(want))
 	}
 	if _, err := e.Track(devs[0], 0, 10, 0); err == nil {
 		t.Error("want error for zero step")
+	}
+}
+
+// TestTrackNoDrift: Track computes step i as startSec + i·stepSec rather
+// than accumulating stepSec, so after ten thousand 0.1 s steps every
+// timestamp still sits exactly on the step grid. Accumulation would be off
+// by ~1e-10 s by then.
+func TestTrackNoDrift(t *testing.T) {
+	k, store, devs := gridWorld(60, 1)
+	// A second sighting near the end of the range, so points exist where
+	// accumulated drift would be largest.
+	gamma := store.APSetWindow(devs[0], 0, 100)
+	for i, ap := range gamma {
+		store.Ingest(995, dot11.NewProbeResponse(ap, devs[0], "", 1, uint16(100+i)), true)
+	}
+	const step = 0.1
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
+	pts, err := e.Track(devs[0], 0, 1000, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for _, p := range pts {
+		if i := math.Round(p.TimeSec / step); p.TimeSec != i*step {
+			t.Fatalf("timestamp %v is off the step grid by %.2e", p.TimeSec, p.TimeSec-i*step)
+		}
+		if p.TimeSec > 900 {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no points near the end of the range")
 	}
 }
 

@@ -63,7 +63,7 @@ func TestFixRangeProvenance(t *testing.T) {
 	if p.WindowStart != 40 || p.WindowEnd != 60 {
 		t.Errorf("window = [%v, %v], want [40, 60]", p.WindowStart, p.WindowEnd)
 	}
-	for _, stage := range []string{"window-query", "localize", "provenance"} {
+	for _, stage := range []string{"window_assembly", "localize", "trace_record"} {
 		if _, ok := p.StagesMs[stage]; !ok {
 			t.Errorf("StagesMs missing %q: %v", stage, p.StagesMs)
 		}

@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/telemetry"
+import (
+	"time"
+
+	"repro/internal/telemetry"
+)
 
 // Process-wide pipeline metrics, registered at package init so an
 // exposition endpoint serves the full engine series set from the first
@@ -46,24 +50,24 @@ var (
 		"RefreshKnowledge calls that exhausted retries and kept the last-known-good knowledge.", nil)
 )
 
-// Per-stage wall-time histograms for the fix/ingest hot paths — the
-// always-on version of the stage durations sampled traces carry, so the
+// Per-stage wall-time histograms for the fix/ingest hot paths, so the
 // engine-level cost breakdown is a /metrics scrape away. Fix-path stages
-// (window_assembly, localize, region_update, trace_record) are sampled
-// 1-in-N (Config.StageSampleEvery) to keep the cached-fix path inside
-// the perf gate; batch-level stages (store_scan, ingest) are timed on
-// every occurrence. All stages share one sampling rate, so stage *shares*
-// computed from the sums are unbiased.
+// (window_assembly, localize, region_update, trace_record) and
+// marauder_fix_seconds are fed from one fixSpan per timed fix — the same
+// clock reads a traced fix's spans and provenance report. Batch-level
+// stages (store_scan, ingest) are timed on every occurrence.
 var (
-	mStageWindow   = stageSeconds("window_assembly")
-	mStageLocalize = stageSeconds("localize")
-	mStageRegion   = stageSeconds("region_update")
-	mStageTrace    = stageSeconds("trace_record")
-	mStageScan     = stageSeconds("store_scan")
-	mStageIngest   = stageSeconds("ingest")
-	mFixSeconds    = telemetry.Default().Histogram(
+	mFixStage = func() (h [numFixStages]*telemetry.Histogram) {
+		for s, name := range stageNames {
+			h[s] = stageSeconds(name)
+		}
+		return h
+	}()
+	mStageScan   = stageSeconds("store_scan")
+	mStageIngest = stageSeconds("ingest")
+	mFixSeconds  = telemetry.Default().Histogram(
 		"marauder_fix_seconds",
-		"End-to-end wall time per localization fix (sampled 1-in-N with the stage histograms).",
+		"End-to-end wall time per localization fix (timed on 1 fix in 16 plus every traced fix).",
 		telemetry.LatencyBuckets(), nil)
 	mFixErrors = telemetry.Default().Counter(
 		"marauder_engine_fix_errors_total",
@@ -74,9 +78,69 @@ var (
 func stageSeconds(stage string) *telemetry.Histogram {
 	return telemetry.Default().Histogram(
 		"marauder_stage_seconds",
-		"Wall time per pipeline stage (fix-path stages sampled 1-in-N, see Config.StageSampleEvery).",
+		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix).",
 		telemetry.LatencyBuckets(),
 		telemetry.Labels{"stage": stage})
+}
+
+// stageSampleEvery is the fix timing stride: every 16th fix is timed (plus
+// every traced one), keeping the cached-fix path at one atomic add. All
+// fix stages share the rate, so stage shares computed from the sums are
+// unbiased.
+const stageSampleEvery = 16
+
+// stage is one fix-path stage; its name is the marauder_stage_seconds
+// label, the trace span name and the Provenance.StagesMs key alike.
+type stage uint8
+
+const (
+	stageWindow stage = iota
+	stageLocalize
+	stageRegion
+	stageTrace
+	numFixStages
+)
+
+var stageNames = [numFixStages]string{"window_assembly", "localize", "region_update", "trace_record"}
+
+// fixSpan is one timed fix's clock reads: the start and the end of each
+// stage in order (window assembly, localize or region update, trace
+// record). It lives on the fix path's stack, and every consumer — the
+// stage and fix histograms, the trace's spans, Provenance.StagesMs and
+// TotalMs — reads these timestamps, so they agree to the nanosecond.
+type fixSpan struct {
+	start  time.Time
+	n      int
+	stages [3]stage
+	ends   [3]time.Time
+}
+
+// mark ends the next stage now.
+func (f *fixSpan) mark(s stage) {
+	f.stages[f.n], f.ends[f.n] = s, time.Now()
+	f.n++
+}
+
+// bounds returns stage i's start and end: it begins where the previous
+// stage ended.
+func (f *fixSpan) bounds(i int) (from, to time.Time) {
+	from = f.start
+	if i > 0 {
+		from = f.ends[i-1]
+	}
+	return from, f.ends[i]
+}
+
+// total is the whole fix's wall time.
+func (f *fixSpan) total() time.Duration { return f.ends[f.n-1].Sub(f.start) }
+
+// observe feeds the stage histograms and marauder_fix_seconds.
+func (f *fixSpan) observe() {
+	for i := range f.n {
+		from, to := f.bounds(i)
+		mFixStage[f.stages[i]].Observe(to.Sub(from).Seconds())
+	}
+	mFixSeconds.Observe(f.total().Seconds())
 }
 
 // mQuarantined counts captures diverted to the reject queue, by reason.

@@ -2,28 +2,44 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dot11"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 // stageCounts reads the observation counts of every marauder_stage_seconds
 // instance plus marauder_fix_seconds from the process-default registry.
 func stageCounts() map[string]uint64 {
 	out := map[string]uint64{}
+	for key, s := range stageSamples() {
+		out[key] = s.Count
+	}
+	return out
+}
+
+// stageSamples reads every marauder_stage_seconds instance (keyed by its
+// label string) plus marauder_fix_seconds (keyed "fix").
+func stageSamples() map[string]telemetry.Sample {
+	out := map[string]telemetry.Sample{}
 	for _, s := range telemetry.Default().Snapshot() {
 		switch s.Name {
 		case "marauder_stage_seconds":
-			out[s.Labels] = s.Count
+			out[s.Labels] = s
 		case "marauder_fix_seconds":
-			out["fix"] = s.Count
+			out["fix"] = s
 		}
 	}
 	return out
 }
+
+// everyFix is a tracer that samples every fix, which also times every fix.
+func everyFix(t *testing.T) *trace.Tracer { return testTracer(t, trace.Config{}) }
 
 func stageDelta(before, after map[string]uint64, key string) uint64 {
 	return after[key] - before[key]
@@ -31,7 +47,7 @@ func stageDelta(before, after map[string]uint64, key string) uint64 {
 
 func TestStageHistogramsObserveEveryFixWhenSampled(t *testing.T) {
 	k, store, devs := gridWorld(40, 8)
-	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, StageSampleEvery: 1, CacheSize: -1})
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: everyFix(t), CacheSize: -1})
 
 	before := stageCounts()
 	for _, dev := range devs {
@@ -60,7 +76,7 @@ func TestStageHistogramsObserveEveryFixWhenSampled(t *testing.T) {
 func TestStageHistogramsTrackedPathUsesRegionUpdate(t *testing.T) {
 	k, store, devs := gridWorld(40, 2)
 	// Cache disabled so every Track step runs the tracked compute path.
-	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, StageSampleEvery: 1, CacheSize: -1})
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: everyFix(t), CacheSize: -1})
 	if _, ok := e.Localizer().(core.TrackedLocalizer); !ok {
 		t.Skip("default localizer is not tracked")
 	}
@@ -78,36 +94,99 @@ func TestStageHistogramsTrackedPathUsesRegionUpdate(t *testing.T) {
 	}
 }
 
+// TestStageSamplingDefaultsAndDisable: with tracing disabled the fixed
+// sampler times every 16th fix; an enabled tracer's sampled fixes are
+// timed on top of that.
 func TestStageSamplingDefaultsAndDisable(t *testing.T) {
 	k, store, devs := gridWorld(40, 1)
 
-	// Default: every 16th fix is timed.
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	if e.stageEvery != 16 {
-		t.Errorf("default stageEvery = %d, want 16", e.stageEvery)
-	}
 	before := stageCounts()
 	for i := 0; i < 32; i++ {
 		_, _ = e.Fix(devs[0], 50)
 	}
 	after := stageCounts()
 	if got := stageDelta(before, after, "fix"); got != 2 {
-		t.Errorf("32 fixes at 1-in-16 observed %d times, want 2", got)
+		t.Errorf("32 untraced fixes observed %d times, want 2 (1 in 16)", got)
 	}
 
-	// Negative disables stage timing entirely.
-	e = testEngine(t, Config{Know: k, Store: store, WindowSec: 30, StageSampleEvery: -1})
-	if e.stageEvery != 0 {
-		t.Errorf("disabled stageEvery = %d, want 0", e.stageEvery)
-	}
+	// At 1-in-2 tracing the traced fixes (every even one) include the
+	// sampler's every-16th, so 32 fixes are timed 16 times.
+	e = testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: testTracer(t, trace.Config{Sample: 0.5})})
 	before = stageCounts()
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 32; i++ {
 		_, _ = e.Fix(devs[0], 50)
 	}
 	after = stageCounts()
-	if got := stageDelta(before, after, "fix"); got != 0 {
-		t.Errorf("disabled sampling still observed %d fixes", got)
+	if got := stageDelta(before, after, "fix"); got != 16 {
+		t.Errorf("32 fixes at 1-in-2 tracing observed %d times, want 16", got)
 	}
+}
+
+// TestFixSpanFeedsEveryConsumer: one traced fix's stage histograms, fix
+// histogram, trace spans and provenance read the same clock reads. Each
+// stage's marauder_stage_seconds sum moves by exactly StagesMs[stage]/1e3
+// and marauder_fix_seconds by TotalMs/1e3; a tracked, uncached Track step
+// reports region_update in both places.
+func TestFixSpanFeedsEveryConsumer(t *testing.T) {
+	k, store, devs := gridWorld(40, 2)
+	tracer := everyFix(t)
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: tracer, CacheSize: -1})
+	if _, ok := e.Localizer().(core.TrackedLocalizer); !ok {
+		t.Fatal("default localizer is not tracked")
+	}
+	check := func(name string, fix func() error, mid string) {
+		t.Helper()
+		before := stageSamples()
+		if err := fix(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := stageSamples()
+		p, ok := tracer.Explain(devs[0].String())
+		if !ok {
+			t.Fatalf("%s: no provenance", name)
+		}
+		stages := []string{"window_assembly", mid, "trace_record"}
+		if len(p.StagesMs) != len(stages) {
+			t.Errorf("%s: StagesMs = %v, want exactly %v", name, p.StagesMs, stages)
+		}
+		for _, st := range stages {
+			key := `stage="` + st + `"`
+			if n := after[key].Count - before[key].Count; n != 1 {
+				t.Errorf("%s: %s observed %d times, want 1", name, st, n)
+			}
+			ms, ok := p.StagesMs[st]
+			if !ok {
+				t.Errorf("%s: StagesMs has no %s: %v", name, st, p.StagesMs)
+			}
+			if d := after[key].Sum - before[key].Sum - ms/1e3; math.Abs(d) > 1e-9 {
+				t.Errorf("%s: %s histogram moved %v s, StagesMs says %v ms", name, st, after[key].Sum-before[key].Sum, ms)
+			}
+		}
+		if d := after["fix"].Sum - before["fix"].Sum - p.TotalMs/1e3; math.Abs(d) > 1e-9 {
+			t.Errorf("%s: fix histogram moved %v s, TotalMs says %v ms", name, after["fix"].Sum-before["fix"].Sum, p.TotalMs)
+		}
+		rec := tracer.Recent(1)[0]
+		if len(rec.Spans) != len(stages) {
+			t.Fatalf("%s: trace spans %+v, want %v", name, rec.Spans, stages)
+		}
+		for i, sp := range rec.Spans {
+			if sp.Name != stages[i] {
+				t.Errorf("%s: span %d is %q, want %q", name, i, sp.Name, stages[i])
+			}
+		}
+		if rec.Spans[0].Attrs["gamma"] != len(p.Gamma) {
+			t.Errorf("%s: window span attrs %v, want gamma=%d", name, rec.Spans[0].Attrs, len(p.Gamma))
+		}
+	}
+	check("Fix", func() error { _, err := e.Fix(devs[0], 50); return err }, "localize")
+	check("Track", func() error {
+		pts, err := e.Track(devs[0], 50, 50, 10)
+		if err == nil && len(pts) != 1 {
+			err = fmt.Errorf("%d points, want 1", len(pts))
+		}
+		return err
+	}, "region_update")
 }
 
 func TestSnapshotObservesStoreScanStage(t *testing.T) {

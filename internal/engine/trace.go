@@ -58,22 +58,17 @@ func trackerArea(rt *core.RegionTracker) (float64, bool) {
 	return rt.RegionArea()
 }
 
-// finishFix assembles the provenance record of one traced fix and files
-// the trace. The expensive fields — the exact intersected area and the
-// Theorem 2 quadrature — are computed only here, i.e. only for fixes the
-// sampler selected; unsampled and untraced fixes never pay for them.
-// know is the knowledge the estimate was actually computed against (not
-// re-read, so a concurrent SetKnowledge cannot misattribute the area).
-// rt, when non-nil, is the region tracker that computed this fix; its
-// path/diff telemetry lands in the record (callers pass nil for cache hits
-// and untracked fixes, whose estimates no tracker produced).
-func (e *Engine) finishFix(tr *trace.Trace, dev dot11.MAC, gamma []dot11.MAC,
-	know core.Knowledge, est core.Estimate, err error, hit bool, start, end float64,
-	rt *core.RegionTracker) {
-	if tr == nil {
-		return
-	}
-	sp := tr.StartSpan("provenance")
+// provenance assembles the provenance record of one traced fix. The
+// expensive fields — the exact intersected area and the Theorem 2
+// quadrature — are computed only here, i.e. only for fixes the sampler
+// selected; unsampled and untraced fixes never pay for them. know is the
+// knowledge the estimate was actually computed against (not re-read, so a
+// concurrent SetKnowledge cannot misattribute the area). rt, when non-nil,
+// is the region tracker that computed this fix; its path/diff telemetry
+// lands in the record (callers pass nil for cache hits and untracked
+// fixes, whose estimates no tracker produced).
+func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledge,
+	est core.Estimate, err error, hit bool, start, end float64, rt *core.RegionTracker) *trace.Provenance {
 	p := &trace.Provenance{
 		Device:       dev.String(),
 		Algorithm:    e.loc.Name(),
@@ -113,12 +108,40 @@ func (e *Engine) finishFix(tr *trace.Trace, dev dot11.MAC, gamma []dot11.MAC,
 		}
 		p.Theorem2AreaM2 = theorem2Area(p.K, p.MeanRadiusM)
 	}
-	sp.End()
-	tr.Finish(p)
+	return p
+}
+
+// fileFix finishes a traced fix from its fixSpan: one span per stage and
+// the provenance's StagesMs and TotalMs, all read from the timestamps the
+// stage histograms observed. The window_assembly span carries the
+// records the window matched, |Γ| and whether the query re-sorted the
+// device log; the middle stage carries the cache-hit flag.
+func fileFix(tr *trace.Trace, sp *fixSpan, p *trace.Provenance, scanned int, resorted bool) {
+	spans := make([]trace.Span, sp.n)
+	p.StagesMs = make(map[string]float64, sp.n)
+	for i := range spans {
+		from, to := sp.bounds(i)
+		name := stageNames[sp.stages[i]]
+		spans[i] = trace.Span{
+			Name:    name,
+			StartUS: from.Sub(sp.start).Microseconds(),
+			DurUS:   to.Sub(from).Microseconds(),
+		}
+		p.StagesMs[name] = to.Sub(from).Seconds() * 1e3
+	}
+	window := map[string]any{"records": scanned, "gamma": len(p.Gamma)}
+	if resorted {
+		window["resorted"] = true
+	}
+	spans[0].Attrs = window
+	spans[1].Attrs = map[string]any{"cache_hit": p.CacheHit}
+	total := sp.total()
+	p.TotalMs = total.Seconds() * 1e3
+	tr.Finish(sp.start, total, p, spans...)
 	slog.Debug("localization traced",
 		"component", "engine", trace.LogKey, tr.ID(),
 		"device", p.Device, "algo", p.Algorithm, "k", p.K,
-		"cache_hit", hit, "located", p.Located)
+		"cache_hit", p.CacheHit, "located", p.Located)
 }
 
 func macStrings(ms []dot11.MAC) []string {

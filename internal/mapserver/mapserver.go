@@ -37,7 +37,7 @@ var (
 	// rather than sampled.
 	mStagePublish = telemetry.Default().Histogram(
 		"marauder_stage_seconds",
-		"Wall time per pipeline stage (fix-path stages sampled 1-in-N, see Config.StageSampleEvery).",
+		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix).",
 		telemetry.LatencyBuckets(), telemetry.Labels{"stage": "publish"})
 )
 
@@ -172,16 +172,7 @@ func (s *State) UpdateDevice(mac dot11.MAC, est core.Estimate, truth *geom.Point
 // supplies the true position for devices whose ground truth the caller
 // knows (simulation); it returns false for the rest.
 func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11.MAC) (geom.Point, bool)) {
-	defer mStagePublish.ObserveSince(time.Now())
-	var tr *trace.Trace
-	if t := s.traceSource(); t != nil {
-		tr = t.Start(trace.KindPublish, "")
-	}
-	sp := tr.StartSpan("publish").Attr("devices", len(frame))
-	defer func() {
-		sp.End()
-		tr.Finish(nil)
-	}()
+	start := time.Now()
 	devices := make(map[string]DeviceMarker, len(frame))
 	// A frame's estimates almost always share one method, so the error
 	// histogram is re-resolved only when the method changes.
@@ -215,6 +206,12 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 	s.mu.Unlock()
 	mFramesPublished.Inc()
 	mDevicesOnMap.Set(float64(len(devices)))
+	dur := time.Since(start)
+	mStagePublish.Observe(dur.Seconds())
+	if tr := s.traceSource().Start(trace.KindPublish, ""); tr != nil {
+		tr.Finish(start, dur, nil, trace.Span{
+			Name: "publish", DurUS: dur.Microseconds(), Attrs: map[string]any{"devices": len(frame)}})
+	}
 }
 
 // SetStatsSource installs the provider behind /api/stats — typically a

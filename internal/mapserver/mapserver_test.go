@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dot11"
@@ -386,11 +387,11 @@ func TestAPITraceAndExplain(t *testing.T) {
 
 	// Record a fix trace with provenance and read it back both ways.
 	x := tracer.Start(trace.KindFix, "aa:bb:cc:dd:ee:ff")
-	x.StartSpan("localize").End()
-	x.Finish(&trace.Provenance{
+	x.Finish(time.Now(), 3*time.Microsecond, &trace.Provenance{
 		Algorithm: "m-loc", Gamma: []string{"00:00:00:00:00:01"}, K: 1,
 		Located: true, IntersectedAreaM2: 42.0, Theorem2AreaM2: 40.1, CacheHit: true,
-	})
+		StagesMs: map[string]float64{"localize": 0.003}, TotalMs: 0.003,
+	}, trace.Span{Name: "localize", DurUS: 3})
 
 	res, err = http.Get(srv.URL + "/api/explain?device=aa:bb:cc:dd:ee:ff")
 	if err != nil {

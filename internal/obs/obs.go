@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/dot11"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // Kind classifies an observation.
@@ -476,39 +475,26 @@ func (s *Store) APSetWindow(dev dot11.MAC, start, end float64) []dot11.MAC {
 
 // AppendAPSetWindow appends the window's Γ to dst and returns the extended
 // slice, in the same deduplicated ascending-MAC order as APSetWindow. It
-// is the allocation-friendly form for hot loops: pass dst[:0] of a reused
-// buffer and no per-call allocation happens once the buffer has grown.
+// is ScanAPSetWindow for callers that need only Γ.
+func (s *Store) AppendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) []dot11.MAC {
+	dst, _, _ = s.ScanAPSetWindow(dst, dev, start, end)
+	return dst
+}
+
+// ScanAPSetWindow appends the window's Γ to dst and returns the extended
+// slice, in the same deduplicated ascending-MAC order as APSetWindow, plus
+// how many records the window matched (before AP deduplication) and
+// whether out-of-order ingest forced a re-sort of the device log under
+// the query. It is the allocation-friendly form for hot loops: pass dst[:0]
+// of a reused buffer and no per-call allocation happens once the buffer
+// has grown.
 //
 // The query binary-searches the device's time-sorted record log rather
 // than scanning the whole store. When out-of-order ingest has dirtied the
 // log, the re-sort and the search happen under one shard write lock, so a
 // record ingested before the query began is always in the result — there
 // is no window in which the re-sort can hide it.
-func (s *Store) AppendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) []dot11.MAC {
-	dst, _, _ = s.appendAPSetWindow(dst, dev, start, end)
-	return dst
-}
-
-// AppendAPSetWindowTrace is AppendAPSetWindow with the query annotated
-// onto an open trace span: how many records the window matched, the
-// deduplicated |Γ|, and whether out-of-order ingest forced a re-sort of
-// the device log under the query. sp may be nil (nothing is annotated).
-func (s *Store) AppendAPSetWindowTrace(dst []dot11.MAC, dev dot11.MAC, start, end float64, sp *trace.SpanHandle) []dot11.MAC {
-	base := len(dst)
-	dst, scanned, resorted := s.appendAPSetWindow(dst, dev, start, end)
-	if sp != nil {
-		sp.Attr("records", scanned).Attr("gamma", len(dst)-base)
-		if resorted {
-			sp.Attr("resorted", true)
-		}
-	}
-	return dst
-}
-
-// appendAPSetWindow answers the window query and reports how many records
-// the window matched (before AP deduplication) and whether it re-sorted
-// the device log.
-func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
+func (s *Store) ScanAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
 	sh := s.shardFor(dev)
 	base := len(dst)
 	sh.mu.RLock()

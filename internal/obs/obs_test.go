@@ -259,6 +259,27 @@ func TestAppendAPSetWindowReuseAndOrder(t *testing.T) {
 	}
 }
 
+// TestScanAPSetWindowCounts: the scan reports the records the window
+// matched before AP deduplication, and flags the query that re-sorted a
+// log dirtied by out-of-order ingest — only that one.
+func TestScanAPSetWindowCounts(t *testing.T) {
+	s := NewStore()
+	dev := mac(1)
+	s.Ingest(10, dot11.NewProbeResponse(mac(0xA1), dev, "", 1, 1), true)
+	s.Ingest(12, dot11.NewProbeResponse(mac(0xB2), dev, "", 6, 2), true)
+	s.Ingest(11, dot11.NewProbeResponse(mac(0xA1), dev, "", 6, 3), true) // out of order
+	gamma, scanned, resorted := s.ScanAPSetWindow(nil, dev, 0, 100)
+	if len(gamma) != 2 || scanned != 3 || !resorted {
+		t.Fatalf("first scan: Γ %v, %d records, resorted %v; want 2 APs, 3 records, resorted", gamma, scanned, resorted)
+	}
+	if _, scanned, resorted = s.ScanAPSetWindow(nil, dev, 10.5, 100); scanned != 2 || resorted {
+		t.Fatalf("second scan: %d records, resorted %v; want 2, not resorted", scanned, resorted)
+	}
+	if gamma, scanned, _ = s.ScanAPSetWindow(nil, mac(9), 0, 100); len(gamma) != 0 || scanned != 0 {
+		t.Fatalf("unknown device: Γ %v, %d records", gamma, scanned)
+	}
+}
+
 // Regression: in the unsharded seed store, out-of-order detection used a
 // plain < comparison against the log tail. A NaN-timestamped record made
 // that comparison false forever after, so the log kept its sorted flag

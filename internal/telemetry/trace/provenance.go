@@ -58,9 +58,13 @@ type Provenance struct {
 	// Training describes the knowledge generation's training run (AP-Rad
 	// / AP-Loc); nil for untrained algorithms.
 	Training *TrainingInfo `json:"training,omitempty"`
-	// StagesMs is wall time per pipeline stage, in milliseconds.
+	// StagesMs is wall time per fix stage, in milliseconds, keyed by the
+	// marauder_stage_seconds label: window_assembly, then localize or
+	// region_update, then trace_record. The same clock reads feed those
+	// histograms, so StagesMs[s]/1e3 is exactly what stage s observed.
 	StagesMs map[string]float64 `json:"stagesMs"`
-	// TotalMs is the whole fix's wall time, in milliseconds.
+	// TotalMs is the whole fix's wall time, in milliseconds — the
+	// marauder_fix_seconds observation.
 	TotalMs float64 `json:"totalMs"`
 	// Err is the localization failure, if any.
 	Err string `json:"err,omitempty"`

@@ -6,14 +6,16 @@
 // records *why* one device landed where it did — which communicable AP set
 // Γ was observed, how many discs intersected, whether the Γ cache or a
 // fresh algorithm run produced the estimate, and where the wall time went
-// across ingest → window-query → knowledge → localize → publish.
+// across ingest, window assembly, localization and publish.
 //
 // The tracer is built for an always-on tracking pipeline serving millions
 // of estimates: tracing is off unless a *Tracer is installed, sampling is
 // deterministic (every Nth localization), and a disabled or unsampled path
 // costs one nil check / one atomic add. Every exported method is safe on a
-// nil *Tracer, nil *Trace and nil *SpanHandle, so instrumented code never
-// branches on "is tracing on" — it just calls through.
+// nil *Tracer and a nil *Trace. The tracer reads no clock itself: a trace
+// is finished with the start time, duration and spans its caller already
+// measured for its latency histograms, so a traced operation and its
+// metrics report the same timestamps.
 package trace
 
 import (
@@ -147,13 +149,7 @@ func (t *Tracer) Start(kind, device string) *Trace {
 		return nil
 	}
 	mSampled.Inc()
-	return &Trace{
-		tracer: t,
-		id:     t.newID(),
-		kind:   kind,
-		device: device,
-		start:  time.Now(),
-	}
+	return &Trace{tracer: t, id: t.newID(), kind: kind, device: device}
 }
 
 // newID derives a 16-hex-digit trace ID from the process seed and an
@@ -262,7 +258,8 @@ func (t *Tracer) Stats() Stats {
 
 // Span is one timed stage inside a trace.
 type Span struct {
-	// Name is the stage ("window-query", "localize", ...).
+	// Name is the stage, named as the marauder_stage_seconds label it
+	// shares ("window_assembly", "localize", ...).
 	Name string `json:"name"`
 	// StartUS is the offset from the trace start, in microseconds.
 	StartUS int64 `json:"startUs"`
@@ -293,10 +290,7 @@ type Trace struct {
 	id     string
 	kind   string
 	device string
-	start  time.Time
-	mu     sync.Mutex
-	spans  []Span
-	done   bool
+	done   atomic.Bool
 }
 
 // ID returns the trace identifier ("" on a nil trace) — the value logged
@@ -308,100 +302,30 @@ func (tr *Trace) ID() string {
 	return tr.id
 }
 
-// StartSpan opens a named stage. End the returned handle to record it.
-func (tr *Trace) StartSpan(name string) *SpanHandle {
-	if tr == nil {
-		return nil
-	}
-	return &SpanHandle{tr: tr, name: name, start: time.Now()}
-}
-
-// Finish closes the trace and files it with the tracer; prov (optional)
-// attaches the estimate's provenance record and indexes it by device.
-// Finishing twice or finishing a nil trace is a no-op.
-func (tr *Trace) Finish(prov *Provenance) {
-	if tr == nil {
+// Finish closes the trace and files it with the tracer. start and dur are
+// the operation's wall-clock extent, read by the caller from the same
+// clock pair that feeds its latency histogram; spans are its stages, with
+// StartUS offsets from start, and are kept as passed. prov (optional) attaches the estimate's
+// provenance record and indexes it by device; its StagesMs and TotalMs
+// are the caller's to fill. Finishing twice or finishing a nil trace is a
+// no-op.
+func (tr *Trace) Finish(start time.Time, dur time.Duration, prov *Provenance, spans ...Span) {
+	if tr == nil || !tr.done.CompareAndSwap(false, true) {
 		return
 	}
-	tr.mu.Lock()
-	if tr.done {
-		tr.mu.Unlock()
-		return
-	}
-	tr.done = true
-	spans := tr.spans
-	tr.mu.Unlock()
-	dur := time.Since(tr.start)
 	if prov != nil {
 		prov.TraceID = tr.id
 		if prov.Device == "" {
 			prov.Device = tr.device
 		}
-		if prov.StagesMs == nil {
-			prov.StagesMs = StageDurations(spans)
-		}
-		prov.TotalMs = float64(dur.Microseconds()) / 1e3
 	}
 	tr.tracer.record(&Record{
 		ID:         tr.id,
 		Kind:       tr.kind,
 		Device:     tr.device,
-		Start:      tr.start.UnixMicro(),
+		Start:      start.UnixMicro(),
 		DurUS:      dur.Microseconds(),
 		Spans:      spans,
 		Provenance: prov,
 	})
-}
-
-// SpanHandle is an open stage of a trace. All methods are nil-safe.
-type SpanHandle struct {
-	tr    *Trace
-	name  string
-	start time.Time
-	attrs map[string]any
-}
-
-// Attr annotates the stage; returns the handle for chaining.
-func (sp *SpanHandle) Attr(key string, v any) *SpanHandle {
-	if sp == nil {
-		return nil
-	}
-	if sp.attrs == nil {
-		sp.attrs = make(map[string]any, 4)
-	}
-	sp.attrs[key] = v
-	return sp
-}
-
-// End records the stage onto its trace.
-func (sp *SpanHandle) End() {
-	if sp == nil {
-		return
-	}
-	end := time.Now()
-	span := Span{
-		Name:    sp.name,
-		StartUS: sp.start.Sub(sp.tr.start).Microseconds(),
-		DurUS:   end.Sub(sp.start).Microseconds(),
-		Attrs:   sp.attrs,
-	}
-	sp.tr.mu.Lock()
-	if !sp.tr.done {
-		sp.tr.spans = append(sp.tr.spans, span)
-	}
-	sp.tr.mu.Unlock()
-}
-
-// StageDurations flattens a finished trace's spans into the per-stage
-// millisecond map the Provenance carries. Later spans with the same name
-// accumulate.
-func StageDurations(spans []Span) map[string]float64 {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(spans))
-	for _, s := range spans {
-		out[s.Name] += float64(s.DurUS) / 1e3
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -51,7 +52,7 @@ func TestSamplingStride(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if x := tr.Start(KindFix, "d"); x != nil {
 			sampled++
-			x.Finish(nil)
+			x.Finish(time.Now(), 0, nil)
 		}
 	}
 	if sampled != 25 {
@@ -66,7 +67,7 @@ func TestRingOrderAndOverwrite(t *testing.T) {
 	tr, _ := New(Config{Buffer: 4})
 	for i := 0; i < 6; i++ {
 		x := tr.Start(KindFix, fmt.Sprintf("dev-%d", i))
-		x.Finish(nil)
+		x.Finish(time.Now(), 0, nil)
 	}
 	recent := tr.Recent(0)
 	if len(recent) != 4 {
@@ -93,9 +94,9 @@ func TestExplainIndex(t *testing.T) {
 		t.Fatal("Explain on empty tracer reported a record")
 	}
 	x := tr.Start(KindFix, "aa")
-	x.Finish(&Provenance{Algorithm: "m-loc", K: 3})
+	x.Finish(time.Now(), 0, &Provenance{Algorithm: "m-loc", K: 3})
 	x = tr.Start(KindFix, "aa")
-	x.Finish(&Provenance{Algorithm: "m-loc", K: 5})
+	x.Finish(time.Now(), 0, &Provenance{Algorithm: "m-loc", K: 5})
 	p, ok := tr.Explain("aa")
 	if !ok {
 		t.Fatal("Explain missed a finished provenance")
@@ -112,11 +113,11 @@ func TestExplainIndexEviction(t *testing.T) {
 	tr, _ := New(Config{Devices: 3})
 	for i := 0; i < 3; i++ {
 		x := tr.Start(KindFix, fmt.Sprintf("dev-%d", i))
-		x.Finish(&Provenance{})
+		x.Finish(time.Now(), 0, &Provenance{})
 	}
 	// A fourth distinct device trips the wholesale clear.
 	x := tr.Start(KindFix, "dev-3")
-	x.Finish(&Provenance{})
+	x.Finish(time.Now(), 0, &Provenance{})
 	if st := tr.Stats(); st.Devices != 1 {
 		t.Errorf("after eviction index holds %d devices, want 1", st.Devices)
 	}
@@ -126,48 +127,47 @@ func TestExplainIndexEviction(t *testing.T) {
 	// Re-recording a known device at the cap must not clear.
 	tr2, _ := New(Config{Devices: 1})
 	x = tr2.Start(KindFix, "same")
-	x.Finish(&Provenance{K: 1})
+	x.Finish(time.Now(), 0, &Provenance{K: 1})
 	x = tr2.Start(KindFix, "same")
-	x.Finish(&Provenance{K: 2})
+	x.Finish(time.Now(), 0, &Provenance{K: 2})
 	if p, ok := tr2.Explain("same"); !ok || p.K != 2 {
 		t.Errorf("known-device update at cap: got %+v ok=%v, want K=2", p, ok)
 	}
 }
 
-func TestSpansAndStageDurations(t *testing.T) {
+func TestFinishRecordsSpans(t *testing.T) {
 	tr, _ := New(Config{})
 	x := tr.Start(KindFix, "d")
-	x.StartSpan("window-query").Attr("records", 7).End()
-	x.StartSpan("localize").Attr("cache_hit", true).End()
-	x.StartSpan("localize").End() // same name accumulates
-	x.Finish(&Provenance{})
+	start := time.UnixMicro(1_000_000)
+	stages := map[string]float64{"window_assembly": 0.004, "localize": 0.0065}
+	x.Finish(start, 12*time.Microsecond, &Provenance{StagesMs: stages},
+		Span{Name: "window_assembly", DurUS: 4, Attrs: map[string]any{"records": 7}},
+		Span{Name: "localize", StartUS: 4, DurUS: 6, Attrs: map[string]any{"cache_hit": true}})
 	rec := tr.Recent(1)[0]
-	if len(rec.Spans) != 3 {
-		t.Fatalf("recorded %d spans, want 3", len(rec.Spans))
+	if len(rec.Spans) != 2 {
+		t.Fatalf("recorded %d spans, want 2", len(rec.Spans))
 	}
-	if rec.Spans[0].Name != "window-query" || rec.Spans[0].Attrs["records"] != 7 {
-		t.Errorf("span 0 = %+v, want window-query with records=7", rec.Spans[0])
+	if rec.Spans[0].Name != "window_assembly" || rec.Spans[0].Attrs["records"] != 7 {
+		t.Errorf("span 0 = %+v, want window_assembly with records=7", rec.Spans[0])
 	}
-	stages := rec.Provenance.StagesMs
-	if len(stages) != 2 {
-		t.Errorf("StagesMs has %d stages, want 2 (same-name spans merged): %v", len(stages), stages)
+	if rec.Spans[1].StartUS != 4 || rec.Spans[1].DurUS != 6 {
+		t.Errorf("span 1 = %+v, want start 4 µs, duration 6 µs", rec.Spans[1])
 	}
-	if _, ok := stages["localize"]; !ok {
-		t.Errorf("StagesMs missing localize: %v", stages)
+	if rec.Start != 1_000_000 || rec.DurUS != 12 {
+		t.Errorf("record start %d dur %d, want the caller's 1000000 and 12", rec.Start, rec.DurUS)
 	}
-	if StageDurations(nil) != nil {
-		t.Error("StageDurations(nil) should be nil")
+	// The caller's stage durations are kept as given, not re-derived from
+	// the microsecond-rounded spans.
+	if got := rec.Provenance.StagesMs; got["localize"] != 0.0065 || len(got) != 2 {
+		t.Errorf("StagesMs = %v, want the caller's %v", got, stages)
 	}
 }
 
 func TestDoubleFinishAndLateSpan(t *testing.T) {
 	tr, _ := New(Config{})
 	x := tr.Start(KindFix, "d")
-	sp := x.StartSpan("early")
-	sp.End()
-	x.Finish(nil)
-	x.Finish(nil) // second finish is a no-op
-	x.StartSpan("late").End()
+	x.Finish(time.Now(), 0, nil, Span{Name: "early"})
+	x.Finish(time.Now(), 0, nil, Span{Name: "late"}) // second finish is a no-op
 	if st := tr.Stats(); st.Finished != 1 {
 		t.Errorf("double Finish recorded %d traces, want 1", st.Finished)
 	}
@@ -200,9 +200,7 @@ func TestNilSafety(t *testing.T) {
 	if x.ID() != "" {
 		t.Error("nil trace ID not empty")
 	}
-	sp := x.StartSpan("s") // nil handle
-	sp.Attr("k", 1).End()  // absorbs everything
-	x.Finish(&Provenance{})
+	x.Finish(time.Now(), 0, &Provenance{}, Span{Name: "s"}) // absorbed
 }
 
 func TestTraceIDsDistinct(t *testing.T) {
@@ -218,7 +216,7 @@ func TestTraceIDsDistinct(t *testing.T) {
 			t.Fatalf("duplicate trace ID %s", id)
 		}
 		seen[id] = true
-		x.Finish(nil)
+		x.Finish(time.Now(), 0, nil)
 	}
 }
 
@@ -231,8 +229,8 @@ func TestConcurrentTracing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				x := tr.Start(KindFix, fmt.Sprintf("dev-%d", g))
-				x.StartSpan("localize").Attr("i", i).End()
-				x.Finish(&Provenance{K: i})
+				x.Finish(time.Now(), 0, &Provenance{K: i},
+					Span{Name: "localize", Attrs: map[string]any{"i": i}})
 			}
 		}(g)
 	}
@@ -249,11 +247,10 @@ func TestConcurrentTracing(t *testing.T) {
 func TestRecordJSONShape(t *testing.T) {
 	tr, _ := New(Config{})
 	x := tr.Start(KindFix, "02:aa:00:00:00:01")
-	x.StartSpan("localize").End()
-	x.Finish(&Provenance{
+	x.Finish(time.Now(), 0, &Provenance{
 		Algorithm: "m-loc", Gamma: []string{"02:bb:00:00:00:01"}, K: 1,
 		Located: true, IntersectedAreaM2: 12.5, Theorem2AreaM2: 14.1, CacheHit: true,
-	})
+	}, Span{Name: "localize", DurUS: 3, Attrs: map[string]any{"cache_hit": true}})
 	b, err := json.Marshal(tr.Recent(1)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +269,15 @@ func TestRecordJSONShape(t *testing.T) {
 	} {
 		if _, ok := prov[key]; !ok {
 			t.Errorf("provenance JSON missing %q: %s", key, b)
+		}
+	}
+	spans, ok := m["spans"].([]any)
+	if !ok || len(spans) != 1 {
+		t.Fatalf("want one span in %s", b)
+	}
+	for _, key := range []string{"name", "startUs", "durUs", "attrs"} {
+		if _, ok := spans[0].(map[string]any)[key]; !ok {
+			t.Errorf("span JSON missing %q: %s", key, b)
 		}
 	}
 }

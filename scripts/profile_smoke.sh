@@ -67,10 +67,11 @@ if ! grep -q '^profile: [1-9][0-9]* samples, hottest ' "$TMP/once.out"; then
 fi
 
 # Serving path: profiler cycling fast, default SLOs ticking every
-# second, stage timing on every fix, flight recorder and checkpoints on.
+# second, tracing (and so stage timing) on every fix, flight recorder and
+# checkpoints on.
 "$TMP/marauder" -addr "$ADDR" -aps 150 -speedup 200 \
     -prof-dir "$TMP/prof-serve" -prof-interval 5s -prof-cpu 2s \
-    -slo-defaults -slo-tick 1s -stage-sample-every 1 \
+    -slo-defaults -slo-tick 1s -trace \
     -ftdc-dir "$PROFILE_DIR/ftdc" -ftdc-interval 250ms \
     -checkpoint-dir "$TMP/ckpt" \
     >"$TMP/serve.out" 2>&1 &
