@@ -11,8 +11,10 @@ all: check
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, so the root vet does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

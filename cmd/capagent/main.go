@@ -12,8 +12,9 @@
 //	capagent -server HOST:7642 [-agent lab-1] [-seed 1] [-aps 300]
 //	         [-pos 0,0] [-speedup 50] [-duration 0]
 //	         [-queue 256] [-overflow block|drop-oldest] [-heartbeat 1s]
-//	         [-wire-chaos] [-wire-seed 1]
-//	         [-metrics-addr :9643] [-log-level info] [-log-format text]
+//	         [-wire-chaos] [-wire-seed 1] [operational flags]
+//
+// Its operational flags are internal/ops's log flags and -metrics-addr.
 //
 // -pos places the agent's receiver on the campus plane, so a fleet of
 // agents at different positions covers it like the paper's sniffer
@@ -36,23 +37,19 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/capwire"
 	"repro/internal/dot11"
 	"repro/internal/faults"
-	"repro/internal/flagcheck"
 	"repro/internal/geom"
+	"repro/internal/ops"
 	"repro/internal/rf"
 	"repro/internal/sim"
 	"repro/internal/sniffer"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -62,73 +59,27 @@ func main() {
 	}
 }
 
-// world is the agent's deterministic capture scene: the same campus,
-// victim and route cmd/marauder builds for the same seed, with this
-// agent's sniffer at its own position.
+// world is the agent's deterministic capture scene: the campus
+// cmd/marauder builds for the same seed and AP count, with this agent's
+// sniffer at its own position.
 type world struct {
-	sim     *sim.World
-	victim  *sim.Device
-	route   *sim.RouteWalk
+	campus  *sim.Campus
 	sniffer *sniffer.Sniffer
 }
 
-// buildWorld mirrors cmd/marauder's deployment exactly — same seed and
-// AP count must reproduce the same campus, or the agents' traffic would
-// describe a world the engine does not know.
 func buildWorld(seed int64, nAPs int, pos geom.Point) (*world, error) {
-	w := sim.NewWorld(seed)
-	aps, err := sim.UniformDeployment(sim.DeploymentConfig{
-		N:        nAPs,
-		Min:      geom.Pt(-350, -350),
-		Max:      geom.Pt(350, 350),
-		RangeMin: 70,
-		RangeMax: 130,
-	}, w.RNG())
+	c, err := sim.NewCampus(seed, nAPs)
 	if err != nil {
 		return nil, err
 	}
-	w.APs = aps
-
-	var waypoints []geom.Point
-	row := 0
-	for y := -250.0; y <= 250; y += 125 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(-250, y), geom.Pt(250, y))
-		} else {
-			waypoints = append(waypoints, geom.Pt(250, y), geom.Pt(-250, y))
-		}
-		row++
-	}
-	route := sim.NewRouteWalk(waypoints, 1.5)
-	victim := &sim.Device{
-		MAC:      sim.NewMAC(0xDD, 1),
-		Mobility: route,
-		TX:       rf.TypicalMobile,
-	}
-	w.AddDevice(victim)
 	return &world{
-		sim:    w,
-		victim: victim,
-		route:  route,
+		campus: c,
 		sniffer: sniffer.New(sniffer.Config{
 			Pos:   pos,
 			Chain: rf.ChainLNA(),
 			Plan:  dot11.DefaultPlan(),
 		}),
 	}, nil
-}
-
-// captureWindow captures the victim's scan bursts in [from, to) seconds
-// of route time into one batch.
-func (w *world) captureWindow(from, to float64) []sniffer.Capture {
-	seq := uint16(from/30) + 1
-	var batch []sniffer.Capture
-	for t := from; t < to; t += 30 {
-		pos := w.victim.PosAt(t)
-		batch = w.sniffer.CaptureAllInto(batch, sim.ScanBurst(w.sim, w.victim, t, pos, seq))
-		seq++
-	}
-	return batch
 }
 
 // parsePos parses "x,y" meters.
@@ -148,80 +99,87 @@ func parsePos(s string) (geom.Point, error) {
 	return geom.Pt(xv, yv), nil
 }
 
+// config is capagent's command line: the flags it owns plus the
+// operational groups it takes from ops.
+type config struct {
+	ops                            *ops.Flags
+	server, agentID, pos, overflow string
+	seed, wireSeed                 int64
+	aps, queue                     int
+	speedup, duration              float64
+	heartbeat                      time.Duration
+	wireChaos                      bool
+}
+
+func newFlags() (*flag.FlagSet, *config) {
+	fs := flag.NewFlagSet("capagent", flag.ContinueOnError)
+	c := &config{ops: ops.Register(fs, "capagent", ops.Metrics)}
+	fs.StringVar(&c.server, "server", "", "capwire server address (required), e.g. 127.0.0.1:7642")
+	fs.StringVar(&c.agentID, "agent", "agent-1", "agent identity: the server's cursor and accounting key, stable across restarts")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed (must match the engine's -seed)")
+	fs.IntVar(&c.aps, "aps", 300, "number of deployed APs (must match the engine's -aps)")
+	fs.StringVar(&c.pos, "pos", "0,0", "receiver position on the campus plane, meters, as x,y")
+	fs.Float64Var(&c.speedup, "speedup", 50, "simulated seconds per wall second")
+	fs.Float64Var(&c.duration, "duration", 0, "simulated seconds to capture (0 = loop the route until interrupted)")
+	fs.IntVar(&c.queue, "queue", 256, "send queue bound in batches (unsent + sent-unacked)")
+	fs.StringVar(&c.overflow, "overflow", "block", "full-queue policy: block (backpressure) or drop-oldest (shed and count)")
+	fs.DurationVar(&c.heartbeat, "heartbeat", time.Second, "idle keepalive period")
+	fs.BoolVar(&c.wireChaos, "wire-chaos", false, "inject the deterministic wire fault plan into the connection")
+	fs.Int64Var(&c.wireSeed, "wire-seed", 1, "wire fault plan seed")
+	return fs, c
+}
+
 // run is the testable entry point. ready, when non-nil, is closed once
 // the client exists — the hook the tests use to know streaming started.
 func run(args []string, ready chan<- *capwire.Client) error {
-	fs := flag.NewFlagSet("capagent", flag.ContinueOnError)
-	server := fs.String("server", "", "capwire server address (required), e.g. 127.0.0.1:7642")
-	agentID := fs.String("agent", "agent-1", "agent identity: the server's cursor and accounting key, stable across restarts")
-	seed := fs.Int64("seed", 1, "random seed (must match the engine's -seed)")
-	nAPs := fs.Int("aps", 300, "number of deployed APs (must match the engine's -aps)")
-	posSpec := fs.String("pos", "0,0", "receiver position on the campus plane, meters, as x,y")
-	speedup := fs.Float64("speedup", 50, "simulated seconds per wall second")
-	duration := fs.Float64("duration", 0, "simulated seconds to capture (0 = loop the route until interrupted)")
-	queue := fs.Int("queue", 256, "send queue bound in batches (unsent + sent-unacked)")
-	overflow := fs.String("overflow", "block", "full-queue policy: block (backpressure) or drop-oldest (shed and count)")
-	heartbeat := fs.Duration("heartbeat", time.Second, "idle keepalive period")
-	wireChaos := fs.Bool("wire-chaos", false, "inject the deterministic wire fault plan into the connection")
-	wireSeed := fs.Int64("wire-seed", 1, "wire fault plan seed")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/vars on this address (e.g. :9643)")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
-	logFormat := fs.String("log-format", "text", "log format: text or json")
+	fs, c := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := flagcheck.New(fs).Requires("wire-seed", "wire-chaos").Err(); err != nil {
+	if err := c.ops.Checker().Requires("wire-seed", "wire-chaos").Err(); err != nil {
 		return err
 	}
-	if *server == "" {
+	if c.server == "" {
 		return errors.New("-server is required")
 	}
-	if *speedup <= 0 {
-		return fmt.Errorf("-speedup must be > 0, got %v", *speedup)
+	if c.speedup <= 0 {
+		return fmt.Errorf("-speedup must be > 0, got %v", c.speedup)
 	}
-	policy, err := capwire.ParseOverflowPolicy(*overflow)
+	if c.duration < 0 {
+		return fmt.Errorf("-duration must be >= 0 (0 loops the route), got %v", c.duration)
+	}
+	policy, err := capwire.ParseOverflowPolicy(c.overflow)
 	if err != nil {
 		return err
 	}
-	pos, err := parsePos(*posSpec)
+	pos, err := parsePos(c.pos)
 	if err != nil {
 		return err
 	}
-	if _, err := telemetry.SetupLogging(os.Stderr, *logLevel, *logFormat); err != nil {
+	p, err := c.ops.Start()
+	if err != nil {
 		return err
 	}
+	defer p.Close()
 
-	if *metricsAddr != "" {
-		msrv := &http.Server{Addr: *metricsAddr, Handler: telemetry.Mux(telemetry.Default(), false)}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				slog.Error("telemetry server failed", "component", "capagent", "addr", *metricsAddr, "err", err)
-			}
-		}()
-		defer msrv.Close()
-		slog.Info("telemetry listening", "component", "capagent", "addr", *metricsAddr)
-	}
-
-	w, err := buildWorld(*seed, *nAPs, pos)
+	w, err := buildWorld(c.seed, c.aps, pos)
 	if err != nil {
 		return err
 	}
 
 	cfg := capwire.ClientConfig{
-		Addr:           *server,
-		AgentID:        *agentID,
-		QueueBatches:   *queue,
+		Addr:           c.server,
+		AgentID:        c.agentID,
+		QueueBatches:   c.queue,
 		Overflow:       policy,
-		HeartbeatEvery: *heartbeat,
+		HeartbeatEvery: c.heartbeat,
 		Logf: func(format string, args ...any) {
 			slog.Info(fmt.Sprintf(format, args...), "component", "capagent")
 		},
 	}
-	var plan *faults.WirePlan
-	if *wireChaos {
-		plan = faults.AggressiveWire(*wireSeed)
-		cfg.WrapConn = plan.WrapConn
-		slog.Info("wire chaos on", "component", "capagent", "seed", *wireSeed)
+	if c.wireChaos {
+		cfg.WrapConn = faults.AggressiveWire(c.wireSeed).WrapConn
+		slog.Info("wire chaos on", "component", "capagent", "seed", c.wireSeed)
 	}
 	client, err := capwire.NewClient(cfg)
 	if err != nil {
@@ -231,13 +189,13 @@ func run(args []string, ready chan<- *capwire.Client) error {
 		ready <- client
 	}
 	slog.Info("capture agent streaming", "component", "capagent",
-		"server", *server, "agent", *agentID, "pos", pos,
-		"overflow", policy.String(), "queue", *queue)
+		"server", c.server, "agent", c.agentID, "pos", pos,
+		"overflow", policy.String(), "queue", c.queue)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := ops.StopContext()
 	defer stop()
 
-	total := w.route.TotalDuration()
+	total := w.campus.Route.TotalDuration()
 	simTime, captured := 0.0, 0.0
 	ticker := time.NewTicker(500 * time.Millisecond)
 	defer ticker.Stop()
@@ -260,11 +218,11 @@ func run(args []string, ready chan<- *capwire.Client) error {
 				"resumes", st.Resumes, "cursor", st.Cursor)
 			return client.Close()
 		case <-ticker.C:
-			next := simTime + *speedup/2
+			next := simTime + c.speedup/2
 			if next > total {
 				next = total
 			}
-			batch := w.captureWindow(simTime, next)
+			batch := w.sniffer.CaptureAll(w.campus.Scans(simTime, next))
 			captured += next - simTime
 			simTime = next
 			if simTime >= total {
@@ -278,7 +236,7 @@ func run(args []string, ready chan<- *capwire.Client) error {
 					return err
 				}
 			}
-			if *duration > 0 && captured >= *duration {
+			if c.duration > 0 && captured >= c.duration {
 				stop()
 				// Re-enter the select with ctx done for the flush path.
 				continue

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +14,7 @@ import (
 
 	"repro/internal/capwire"
 	"repro/internal/geom"
+	"repro/internal/sim"
 	"repro/internal/sniffer"
 )
 
@@ -22,6 +28,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-server", "x", "-pos", "nope"}, "-pos"},
 		{[]string{"-server", "x", "-overflow", "spill"}, "overflow"},
 		{[]string{"-server", "x", "-speedup", "0"}, "-speedup"},
+		{[]string{"-server", "x", "-duration", "-5"}, "-duration"},
 	}
 	for _, c := range cases {
 		err := run(c.args, nil)
@@ -106,26 +113,66 @@ func TestAgentStreamsToServer(t *testing.T) {
 	}
 }
 
-// TestAgentWorldMatchesMarauder: same seed and AP count must produce the
-// same deployment the engine knows, or agent traffic would be noise.
+// TestAgentWorldMatchesMarauder: the agent's scene is the shared campus
+// builder's, the one cmd/marauder's buildAttack also uses (pinned by its
+// TestAttackSceneIsCampus), so the same seed and AP count give the APs,
+// victim and route the engine knows. Otherwise agent traffic is noise.
 func TestAgentWorldMatchesMarauder(t *testing.T) {
-	w1, err := buildWorld(7, 40, geom.Pt(0, 0))
+	w, err := buildWorld(7, 40, geom.Pt(50, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := buildWorld(7, 40, geom.Pt(50, 50))
+	want, err := sim.NewCampus(7, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w1.sim.APs) != 40 || len(w2.sim.APs) != 40 {
-		t.Fatalf("AP counts: %d, %d", len(w1.sim.APs), len(w2.sim.APs))
+	got := w.campus
+	if len(got.World.APs) != 40 || !reflect.DeepEqual(got.World.APs, want.World.APs) {
+		t.Fatal("agent APs differ from the shared campus builder's")
 	}
-	for i := range w1.sim.APs {
-		if w1.sim.APs[i].MAC != w2.sim.APs[i].MAC || w1.sim.APs[i].Pos != w2.sim.APs[i].Pos {
-			t.Fatalf("AP %d differs across same-seed worlds", i)
+	if got.Victim.MAC != want.Victim.MAC {
+		t.Fatalf("victim %v, want %v", got.Victim.MAC, want.Victim.MAC)
+	}
+	if !reflect.DeepEqual(got.Route.Waypoints, want.Route.Waypoints) || got.Route.SpeedMPS != want.Route.SpeedMPS {
+		t.Fatal("agent route differs from the shared campus builder's")
+	}
+}
+
+// TestRunFailsOnBoundMetricsAddr: an -metrics-addr already in use fails
+// the run, naming the address, instead of logging after startup.
+func TestRunFailsOnBoundMetricsAddr(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	addr := taken.Addr().String()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-server", "127.0.0.1:1", "-speedup", "5000", "-duration", "30", "-metrics-addr", addr}, nil)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), addr) {
+			t.Fatalf("run error = %v, want one naming %s", err, addr)
 		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("run did not return")
 	}
-	if w1.victim.MAC != w2.victim.MAC {
-		t.Fatal("victim identity differs across same-seed worlds")
+}
+
+// TestFlagSurface pins the name, type and default of every flag against
+// testdata/flags.golden, so moving flags between packages cannot add,
+// drop or re-default one.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlags()
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s %T %q\n", f.Name, f.Value, f.DefValue) })
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag surface changed:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/capwire"
-	"repro/internal/sim"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
 )
@@ -119,7 +118,7 @@ func TestAgentIngestFlowsToEngineHealth(t *testing.T) {
 	// ingest-source accounting, not the wire (capwire's own tests own
 	// that).
 	a.captureUpTo(0, 120)
-	caps := captureWindow(a, 0, 120)
+	caps := a.sniffer.CaptureAll(a.campus.Scans(0, 120))
 	if len(caps) == 0 {
 		t.Fatal("simulated capture produced no frames")
 	}
@@ -144,17 +143,4 @@ func TestAgentIngestFlowsToEngineHealth(t *testing.T) {
 		t.Fatal("health detail missing agents totals")
 	}
 
-}
-
-// captureWindow reruns the simulation to produce a standalone capture
-// batch, the same way cmd/capagent generates its stream.
-func captureWindow(a *attack, from, to float64) []sniffer.Capture {
-	seq := uint16(from/30) + 1
-	var batch []sniffer.Capture
-	for ts := from; ts < to; ts += 30 {
-		pos := a.victim.PosAt(ts)
-		batch = a.sniffer.CaptureAllInto(batch, sim.ScanBurst(a.world, a.victim, ts, pos, seq))
-		seq++
-	}
-	return batch
 }

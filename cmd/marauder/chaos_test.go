@@ -8,8 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mapserver"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/sniffer"
+	"repro/internal/ops"
 )
 
 // TestChaosAttackFullAccounting drives a full attack pass under the
@@ -19,7 +18,7 @@ import (
 // or quarantined with a reason.
 func TestChaosAttackFullAccounting(t *testing.T) {
 	plan := faults.Aggressive(7)
-	a, err := buildAttackOpts(attackOpts{Seed: 3, APs: 150, Algo: "mloc", Faults: plan})
+	a, err := buildAttackOpts(attackOpts{Seed: 3, APs: 150, Algo: "mloc", Ops: &ops.Process{Faults: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +26,15 @@ func TestChaosAttackFullAccounting(t *testing.T) {
 		t.Fatal("chaos build must install a fault injector")
 	}
 
-	total := a.route.TotalDuration()
+	total := a.campus.Route.TotalDuration()
 	var produced, delivered, ingested int
-	seq := uint16(1)
 	// Tick like serve does, but count each stage's throughput.
 	for from := 0.0; from < total; from += 60 {
 		to := from + 60
 		if to > total {
 			to = total
 		}
-		var batch []sniffer.Capture
-		for ts := from; ts < to; ts += 30 {
-			pos := a.victim.PosAt(ts)
-			batch = a.sniffer.CaptureAllInto(batch, sim.ScanBurst(a.world, a.victim, ts, pos, seq))
-			seq++
-		}
+		batch := a.sniffer.CaptureAll(a.campus.Scans(from, to))
 		produced += len(batch)
 		out := a.injector.Apply(batch)
 		delivered += len(out)
@@ -77,7 +70,7 @@ func TestChaosAttackFullAccounting(t *testing.T) {
 
 	// The pipeline stays live: the victim is still tracked despite a dead
 	// card, flapping coverage, corruption and reordering.
-	points, err := a.eng.Track(a.victim.MAC, 0, total, 60)
+	points, err := a.eng.Track(a.campus.Victim.MAC, 0, total, 60)
 	if err != nil {
 		t.Fatalf("tracking under chaos: %v", err)
 	}
@@ -100,19 +93,19 @@ func TestChaosAttackFullAccounting(t *testing.T) {
 func TestChaosCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	plan := faults.Aggressive(11)
-	a, err := buildAttackOpts(attackOpts{Seed: 5, APs: 150, Algo: "mloc", Faults: plan})
+	a, err := buildAttackOpts(attackOpts{Seed: 5, APs: 150, Algo: "mloc", Ops: &ops.Process{Faults: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ckpt = &obs.Checkpointer{Dir: dir, Source: func() *obs.Store { return a.eng.Store() }}
+	ckpt := &obs.Checkpointer{Dir: dir, Source: func() *obs.Store { return a.eng.Store() }}
 
 	a.captureUpTo(0, 240)
-	if _, err := a.ckpt.CheckpointNow(); err != nil {
+	if _, err := ckpt.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	a.captureUpTo(240, 480)
 	a.drainHeld()
-	if _, err := a.ckpt.CheckpointNow(); err != nil {
+	if _, err := ckpt.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	wantLen := a.eng.Store().Len()
@@ -133,7 +126,7 @@ func TestChaosCheckpointRecovery(t *testing.T) {
 	if info.Meta.Generation != 2 {
 		t.Errorf("recovered generation %d, want 2 (the newest)", info.Meta.Generation)
 	}
-	b, err := buildAttackOpts(attackOpts{Seed: 5, APs: 150, Algo: "mloc", Store: recovered})
+	b, err := buildAttackOpts(attackOpts{Seed: 5, APs: 150, Algo: "mloc", Ops: &ops.Process{Store: recovered}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +142,7 @@ func TestChaosCheckpointRecovery(t *testing.T) {
 	}
 
 	// The restarted attack keeps working on the recovered observations.
-	points, err := b.eng.Track(b.victim.MAC, 0, 480, 60)
+	points, err := b.eng.Track(b.campus.Victim.MAC, 0, 480, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +161,7 @@ func TestChaosCheckpointRecovery(t *testing.T) {
 func TestChaosDeterministicReplay(t *testing.T) {
 	runPass := func() (faults.Counters, *bytes.Buffer) {
 		plan := faults.Aggressive(23)
-		a, err := buildAttackOpts(attackOpts{Seed: 9, APs: 120, Algo: "mloc", Faults: plan})
+		a, err := buildAttackOpts(attackOpts{Seed: 9, APs: 120, Algo: "mloc", Ops: &ops.Process{Faults: plan}})
 		if err != nil {
 			t.Fatal(err)
 		}

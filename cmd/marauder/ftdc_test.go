@@ -76,7 +76,7 @@ func TestHealthReportsRecorderStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	a.rec = rec
+	a.ops.Recorder = rec
 	if err := rec.Sample(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,16 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestBuildAttackAlgorithms(t *testing.T) {
@@ -16,8 +25,8 @@ func TestBuildAttackAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if len(a.world.APs) != 120 {
-			t.Fatalf("%s: aps = %d", algo, len(a.world.APs))
+		if len(a.campus.World.APs) != 120 {
+			t.Fatalf("%s: aps = %d", algo, len(a.campus.World.APs))
 		}
 		if got := a.eng.Localizer().Name(); got != wantName[algo] {
 			t.Fatalf("%s: localizer = %q, want %q", algo, got, wantName[algo])
@@ -81,12 +90,12 @@ func TestCaptureAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.captureUpTo(0, 120)
-	n := a.store.Len()
+	n := a.eng.Store().Len()
 	if n == 0 {
 		t.Fatal("no observations after capture")
 	}
 	a.captureUpTo(120, 240)
-	if a.store.Len() <= n {
+	if a.eng.Store().Len() <= n {
 		t.Fatal("second capture window added nothing")
 	}
 }
@@ -115,5 +124,61 @@ func TestRunBadTelemetryFlags(t *testing.T) {
 	}
 	if err := run([]string{"-log-format", "yaml", "-once"}); err == nil {
 		t.Error("want error for unknown log format")
+	}
+}
+
+// TestFlagSurface pins the name, type and default of every flag against
+// testdata/flags.golden, so moving flags between packages cannot add,
+// drop or re-default one.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlags()
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s %T %q\n", f.Name, f.Value, f.DefValue) })
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag surface changed:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestRunFailsOnBoundMetricsAddr: an -metrics-addr already in use fails
+// the run, naming the address, instead of logging after startup.
+func TestRunFailsOnBoundMetricsAddr(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	addr := taken.Addr().String()
+	err = run([]string{"-once", "-aps", "40", "-seed", "3", "-metrics-addr", addr})
+	if err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("run error = %v, want one naming %s", err, addr)
+	}
+}
+
+// TestAttackSceneIsCampus: the attack runs on the shared campus builder's
+// scene, the one cmd/capagent's agents capture (pinned by its
+// TestAgentWorldMatchesMarauder): same seed and AP count, same APs,
+// victim and route.
+func TestAttackSceneIsCampus(t *testing.T) {
+	a, err := buildAttack(7, 40, "centroid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.NewCampus(7, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.campus
+	if len(got.World.APs) != 40 || !reflect.DeepEqual(got.World.APs, want.World.APs) {
+		t.Fatal("attack APs differ from the shared campus builder's")
+	}
+	if got.Victim.MAC != want.Victim.MAC {
+		t.Fatalf("victim %v, want %v", got.Victim.MAC, want.Victim.MAC)
+	}
+	if !reflect.DeepEqual(got.Route.Waypoints, want.Route.Waypoints) || got.Route.SpeedMPS != want.Route.SpeedMPS {
+		t.Fatal("attack route differs from the shared campus builder's")
 	}
 }

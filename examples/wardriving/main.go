@@ -42,25 +42,7 @@ func run() error {
 	w.APs = aps
 
 	// Training phase: drive the street grid with GPS + NetStumbler.
-	var waypoints []geom.Point
-	row := 0
-	for y := -250.0; y <= 250; y += 100 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(-250, y), geom.Pt(250, y))
-		} else {
-			waypoints = append(waypoints, geom.Pt(250, y), geom.Pt(-250, y))
-		}
-		row++
-	}
-	for x := -250.0; x <= 250; x += 100 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(x, 250), geom.Pt(x, -250))
-		} else {
-			waypoints = append(waypoints, geom.Pt(x, -250), geom.Pt(x, 250))
-		}
-		row++
-	}
-	drive := sim.NewRouteWalk(waypoints, 8)
+	drive := sim.NewRouteWalk(sim.Sweep(250, 100, true), 8)
 	collector := wardrive.Collector{World: w, GPSNoiseStdM: 3, RNG: w.RNG()}
 	tuples := collector.CollectAlong(drive, 8)
 	fmt.Printf("training phase: %d tuples from a %.0f s drive\n",

@@ -96,22 +96,6 @@ func worldKnowledge(w *sim.World, includeRange bool) core.Knowledge {
 	return core.KnowledgeFromStore(apdb.FromWorld(w, includeRange))
 }
 
-// serpentineRoute builds a walk covering the campus interior (staying off
-// the deployment edges, where the AP density a device sees drops off).
-func serpentineRoute() *sim.RouteWalk {
-	var waypoints []geom.Point
-	row := 0
-	for y := -280.0; y <= 280; y += 80 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(-280, y), geom.Pt(280, y))
-		} else {
-			waypoints = append(waypoints, geom.Pt(280, y), geom.Pt(-280, y))
-		}
-		row++
-	}
-	return sim.NewRouteWalk(waypoints, 1.5)
-}
-
 // RunCampus executes the full attack pipeline on a synthetic campus: AP
 // deployment → a mobile device walking and scanning → LNA sniffer capture
 // → observation store → M-Loc / AP-Rad / Centroid localization at every
@@ -152,7 +136,9 @@ func RunCampus(cfg CampusConfig) (*CampusRun, error) {
 	}
 	w.APs = aps
 
-	route := serpentineRoute()
+	// The walk covers the campus interior, staying off the deployment
+	// edges, where the AP density a device sees drops off.
+	route := sim.NewRouteWalk(sim.Sweep(280, 80, false), 1.5)
 	// Namespace 0xDD keeps the tracked device's MAC disjoint from the
 	// background population's 0xD0 namespace.
 	dev := &sim.Device{
@@ -258,31 +244,8 @@ func RunCampus(cfg CampusConfig) (*CampusRun, error) {
 	// vertical passes) like driving a street grid. One-directional routes
 	// leave the AP-location estimate symmetric about the route line; the
 	// crosshatch breaks that symmetry.
-	run.Tuples = wardrive.Collector{World: w}.CollectAlong(crosshatchRoute(), 6)
+	run.Tuples = wardrive.Collector{World: w}.CollectAlong(sim.NewRouteWalk(sim.Sweep(300, 100, true), 10), 6)
 	return run, nil
-}
-
-// crosshatchRoute drives the campus street grid in both directions.
-func crosshatchRoute() *sim.RouteWalk {
-	var waypoints []geom.Point
-	row := 0
-	for y := -300.0; y <= 300; y += 100 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(-300, y), geom.Pt(300, y))
-		} else {
-			waypoints = append(waypoints, geom.Pt(300, y), geom.Pt(-300, y))
-		}
-		row++
-	}
-	for x := -300.0; x <= 300; x += 100 {
-		if row%2 == 0 {
-			waypoints = append(waypoints, geom.Pt(x, 300), geom.Pt(x, -300))
-		} else {
-			waypoints = append(waypoints, geom.Pt(x, -300), geom.Pt(x, 300))
-		}
-		row++
-	}
-	return sim.NewRouteWalk(waypoints, 10)
 }
 
 func filterValid(errs []float64) []float64 {

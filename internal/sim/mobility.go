@@ -49,6 +49,27 @@ func NewRouteWalk(waypoints []geom.Point, speedMPS float64) *RouteWalk {
 	return w
 }
 
+// Sweep returns the waypoints of a back-and-forth sweep over the square
+// [-half, half]²: horizontal passes every step metres, alternating in
+// direction, then, with cross, vertical passes that continue the
+// alternation, as a drive over a street grid does.
+func Sweep(half, step float64, cross bool) []geom.Point {
+	var pts []geom.Point
+	pass := func(a, b geom.Point) {
+		if len(pts)%4 != 0 {
+			a, b = b, a
+		}
+		pts = append(pts, a, b)
+	}
+	for y := -half; y <= half; y += step {
+		pass(geom.Pt(-half, y), geom.Pt(half, y))
+	}
+	for x := -half; cross && x <= half; x += step {
+		pass(geom.Pt(x, half), geom.Pt(x, -half))
+	}
+	return pts
+}
+
 // TotalDuration returns the time to traverse the whole route.
 func (w *RouteWalk) TotalDuration() float64 {
 	if len(w.cumDist) == 0 || w.SpeedMPS <= 0 {

@@ -67,10 +67,6 @@ type Profile struct {
 	locFuncs map[uint64][]string
 }
 
-// FuncsAt returns the function names at a location, innermost first, or
-// nil for an unknown location ID.
-func (p *Profile) FuncsAt(loc uint64) []string { return p.locFuncs[loc] }
-
 // ValueIndex returns the index of the sample-type column with the given
 // type name, or -1.
 func (p *Profile) ValueIndex(name string) int {
@@ -310,15 +306,6 @@ func Parse(data []byte) (*Profile, error) {
 		p.locFuncs[id] = names
 	}
 	return p, nil
-}
-
-// ParseReader is Parse over a stream.
-func ParseReader(r io.Reader) (*Profile, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxProfileBytes))
-	if err != nil {
-		return nil, err
-	}
-	return Parse(data)
 }
 
 // HotFunc is one row of an attribution table: a function with its flat

@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"errors"
 	"go/build"
+	"io/fs"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +15,8 @@ import (
 // higher one, directly or through another package. The observation store
 // knows nothing of tracing (the engine attaches the store's window query
 // counts to spans), the localization algorithms know nothing of the
-// store, and the engine never depends on a command.
+// store, the engine never depends on a command, and only commands import
+// the operational layer.
 func TestLayering(t *testing.T) {
 	if !slices.Contains(moduleDeps(t, "internal/engine"), "internal/obs") {
 		t.Fatal("the import walk missed engine → obs; the guard would read nothing")
@@ -28,6 +32,53 @@ func TestLayering(t *testing.T) {
 			}
 		}
 	}
+	// The operational layer (flags, process lifecycle) belongs to the
+	// commands: a library, example or the benchmark importing it would
+	// couple itself to one process's flags and signal handling.
+	opsImporters := importers(t, "internal/ops")
+	if !slices.Contains(opsImporters, "cmd/marauder") {
+		t.Fatal("the import walk missed cmd/marauder → ops; the guard would read nothing")
+	}
+	for _, dir := range opsImporters {
+		if dir != "cmd" && !strings.HasPrefix(dir, "cmd/") {
+			t.Errorf("%s imports internal/ops; only cmd/... may", dir)
+		}
+	}
+}
+
+// importers walks every package directory under the repository root,
+// the bench module included, and returns those whose code or tests
+// import the module-relative package pkg.
+func importers(t *testing.T, pkg string) []string {
+	t.Helper()
+	var dirs []string
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		p, err := build.ImportDir(dir, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for _, imports := range [][]string{p.Imports, p.TestImports, p.XTestImports} {
+			if slices.Contains(imports, "repro/"+pkg) {
+				dirs = append(dirs, dir)
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 // moduleDeps returns the in-module packages pkg imports, transitively,
