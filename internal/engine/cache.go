@@ -1,39 +1,83 @@
 package engine
 
 import (
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dot11"
 )
 
-// defaultCacheSize is the Γ-cache entry cap when Config.CacheSize is 0.
-const defaultCacheSize = 4096
+// The Γ cache holds cachePerDevice entries per device the store has seen,
+// and never fewer than cacheFloor. A city map frame's distinct Γ keys
+// number about 1.8 per device, so the working set of a stable population
+// fits and a steady frame loop evicts nothing.
+const (
+	cacheFloor     = 4096
+	cachePerDevice = 2
+	// cacheShards is a power of two, so a key's hash picks its shard with
+	// one AND.
+	cacheShards = 16
+)
+
+// cacheCapacity is the entry budget for a store that has seen devices
+// devices.
+func cacheCapacity(devices int) int { return max(cacheFloor, cachePerDevice*devices) }
 
 // gammaCache memoizes localization results by canonicalized Γ key.
-// Localization is a pure function of (knowledge, Γ); the engine
-// invalidates the whole cache whenever the knowledge base is swapped, so
-// entries never go stale. Failures are cached too — a Γ whose discs leave
-// an empty region fails identically (and expensively, through radius
-// inflation) every time it recurs.
+// Localization is a pure function of (knowledge, Γ), and every entry
+// belongs to one knowledge generation: the engine invalidates the cache
+// when the knowledge base is swapped, and get and put take the
+// generation their caller's knowledge belongs to, so an estimate is never
+// served for, or stored under, a generation it was not computed against.
+// Failures are cached too — a Γ whose discs leave an empty region fails
+// identically (and expensively, through radius inflation) every time it
+// recurs.
 //
-// Eviction is wholesale: when the cap is reached the map is dropped and
-// refilled. The working set of distinct Γ keys between knowledge swaps is
-// small (devices near each other share keys), so an LRU's bookkeeping
-// would cost more than the occasional refill.
+// The cache is split into cacheShards shards by a maphash of the key,
+// each with its own lock, so concurrent hits on different keys rarely
+// meet. Each shard evicts by CLOCK (second chance): a hit sets the
+// entry's reference bit, and a full shard advances its hand, clearing set
+// bits, until it finds an unreferenced entry to replace. Capacity is
+// passed in on every put, so it follows the store's device count; a shard
+// over its share evicts on insert until it is back under.
 type gammaCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]cacheEntry
+	seed maphash.Seed
+	// gen is the knowledge generation the entries belong to. It is written
+	// only with every shard locked, so reading it under any one shard's
+	// lock sees it consistent with that shard's contents.
+	gen uint64
+	// entries is the total entry count, kept for Stats and the entries
+	// gauge so neither walks the shards.
+	entries atomic.Int64
+	shards  [cacheShards]cacheShard
 }
 
-type cacheEntry struct {
+// cacheShard is one lock's worth of the cache: an index from key to slot
+// and the slots the CLOCK hand sweeps.
+type cacheShard struct {
+	mu    sync.Mutex
+	index map[string]int32
+	slots []cacheSlot
+	hand  int
+	// Keeps neighbouring shards' locks off one cache line.
+	_ [64]byte
+}
+
+type cacheSlot struct {
+	key string
+	ref bool
 	est core.Estimate
 	err error
 }
 
-func newGammaCache(max int) *gammaCache {
-	return &gammaCache{max: max, entries: make(map[string]cacheEntry)}
+func newGammaCache() *gammaCache {
+	c := &gammaCache{seed: maphash.MakeSeed()}
+	for i := range c.shards {
+		c.shards[i].index = make(map[string]int32)
+	}
+	return c
 }
 
 // appendGammaKey appends Γ's canonical cache key to buf. Γ is already
@@ -48,40 +92,132 @@ func appendGammaKey(buf []byte, gamma []dot11.MAC) []byte {
 	return buf
 }
 
-func (c *gammaCache) get(key []byte) (core.Estimate, error, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[string(key)]
-	c.mu.Unlock()
-	return e.est, e.err, ok
+// shardOf returns the index of key's shard.
+func (c *gammaCache) shardOf(key []byte) int {
+	return int(maphash.Bytes(c.seed, key) & (cacheShards - 1))
 }
 
-// put inserts an entry and returns how many entries a wholesale refill
-// evicted (0 when the cap was not reached).
-func (c *gammaCache) put(key []byte, est core.Estimate, err error) int {
-	c.mu.Lock()
-	evicted := 0
-	if len(c.entries) >= c.max {
-		evicted = len(c.entries)
-		c.entries = make(map[string]cacheEntry)
+// shardShare is shard i's share of a capacity-entry cache: the capacity
+// split as evenly as it goes, and at least one entry.
+func shardShare(capacity, i int) int {
+	n := capacity / cacheShards
+	if i < capacity%cacheShards {
+		n++
 	}
-	c.entries[string(key)] = cacheEntry{est: est, err: err}
-	c.mu.Unlock()
+	return max(n, 1)
+}
+
+// get looks key up for a caller whose knowledge is generation gen, and
+// marks a found entry referenced. A cache still holding another
+// generation's entries answers nothing.
+func (c *gammaCache) get(key []byte, gen uint64) (core.Estimate, error, bool) {
+	s := &c.shards[c.shardOf(key)]
+	s.mu.Lock()
+	i, ok := s.index[string(key)]
+	if !ok || c.gen != gen {
+		s.mu.Unlock()
+		return core.Estimate{}, nil, false
+	}
+	sl := &s.slots[i]
+	if !sl.ref {
+		sl.ref = true // only on the first hit per sweep: repeats leave the line clean
+	}
+	est, err := sl.est, sl.err
+	s.mu.Unlock()
+	return est, err, true
+}
+
+// put stores a result computed against knowledge generation gen, in a
+// cache of capacity entries, and returns how many entries it evicted to
+// make room. A result of a generation the cache no longer (or does not
+// yet) hold is dropped: the knowledge changed while it was computed.
+func (c *gammaCache) put(key []byte, est core.Estimate, err error, gen uint64, capacity int) (evicted int) {
+	i := c.shardOf(key)
+	s, limit := &c.shards[i], shardShare(capacity, i)
+	s.mu.Lock()
+	if c.gen != gen {
+		s.mu.Unlock()
+		return 0
+	}
+	if _, ok := s.index[string(key)]; ok {
+		// A concurrent miss on the same Γ got here first with the same
+		// answer.
+		s.mu.Unlock()
+		return 0
+	}
+	for len(s.slots) > limit {
+		s.remove(s.victim())
+		evicted++
+	}
+	if len(s.slots) == limit {
+		// Full: the new entry takes the victim's slot, and the hand moves
+		// past it, so it gets a whole sweep before it is examined.
+		v := s.victim()
+		delete(s.index, s.slots[v].key)
+		s.slots[v] = cacheSlot{key: string(key), est: est, err: err}
+		s.index[s.slots[v].key] = int32(v)
+		s.hand = v + 1
+		evicted++
+	} else {
+		k := string(key)
+		s.index[k] = int32(len(s.slots))
+		s.slots = append(s.slots, cacheSlot{key: k, est: est, err: err})
+	}
+	s.mu.Unlock()
+	mCacheEntries.Set(float64(c.entries.Add(int64(1 - evicted))))
 	return evicted
 }
 
-// invalidate drops every entry (the knowledge base changed) and returns
-// how many were dropped.
-func (c *gammaCache) invalidate() int {
-	c.mu.Lock()
-	dropped := len(c.entries)
-	c.entries = make(map[string]cacheEntry)
-	c.mu.Unlock()
+// victim advances the hand to the first unreferenced slot, clearing the
+// reference bits it passes, and returns that slot's index. The shard
+// must hold at least one slot.
+func (s *cacheShard) victim() int {
+	for {
+		if s.hand >= len(s.slots) {
+			s.hand = 0
+		}
+		sl := &s.slots[s.hand]
+		if !sl.ref {
+			return s.hand
+		}
+		sl.ref = false
+		s.hand++
+	}
+}
+
+// remove drops slot i, moving the last slot into its place.
+func (s *cacheShard) remove(i int) {
+	delete(s.index, s.slots[i].key)
+	last := len(s.slots) - 1
+	if i != last {
+		s.slots[i] = s.slots[last]
+		s.index[s.slots[i].key] = int32(i)
+	}
+	s.slots[last] = cacheSlot{}
+	s.slots = s.slots[:last]
+}
+
+// invalidate drops every entry and moves the cache to knowledge
+// generation gen (never backwards, so racing swaps settle on the newest),
+// and returns how many entries were dropped.
+func (c *gammaCache) invalidate(gen uint64) int {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	c.gen = max(c.gen, gen)
+	dropped := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		dropped += len(s.slots)
+		s.index = make(map[string]int32)
+		s.slots, s.hand = nil, 0
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+	mCacheEntries.Set(float64(c.entries.Add(int64(-dropped))))
 	return dropped
 }
 
-// len reports the current entry count (for tests).
-func (c *gammaCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+// len reports the current entry count.
+func (c *gammaCache) len() int { return int(c.entries.Load()) }

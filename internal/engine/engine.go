@@ -10,7 +10,9 @@
 // pure function of (knowledge, Γ), identical AP sets recur constantly
 // across windows and devices, and knowledge changes are explicit
 // (SetKnowledge / RefreshKnowledge), so the cache is invalidated exactly
-// when the knowledge base changes.
+// when the knowledge base changes. The cache is sharded, evicts one entry
+// at a time by CLOCK, and is sized from the store's device count, so the
+// Γ working set of a stable population stays resident across map frames.
 package engine
 
 import (
@@ -46,8 +48,9 @@ type Config struct {
 	WindowSec float64
 	// Workers caps snapshot parallelism; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// CacheSize caps the Γ-memoization cache entry count. 0 means the
-	// default (4096); negative disables caching.
+	// CacheSize switches the Γ-memoization cache: negative disables it;
+	// 0 (the default) sizes it from the store's device count (two entries
+	// per device seen, at least 4096). Positive values are rejected.
 	CacheSize int
 	// Tracer samples localizations into per-estimate traces and
 	// provenance records. nil disables tracing at zero cost.
@@ -126,9 +129,15 @@ type Stats struct {
 	CacheHits uint64
 	// CacheMisses is how many ran the localization algorithm.
 	CacheMisses uint64
-	// CacheEvictions is how many cache entries were dropped — by the
-	// wholesale refill at the size cap or by knowledge invalidation.
+	// CacheEvictions is how many cache entries were dropped — by CLOCK
+	// eviction from a full shard or by knowledge invalidation.
 	CacheEvictions uint64
+	// CacheEntries is how many entries the Γ cache holds now.
+	CacheEntries int
+	// CacheCapacity is the Γ cache's entry budget for the current store:
+	// two per device seen, at least 4096. Both are 0 with the cache
+	// disabled.
+	CacheCapacity int
 	// Workers is the resolved snapshot worker-pool size.
 	Workers int
 	// ObsShards is the observation store's shard count.
@@ -152,6 +161,9 @@ var logWorkersOnce sync.Once
 func New(cfg Config) (*Engine, error) {
 	if cfg.WindowSec <= 0 {
 		return nil, fmt.Errorf("engine: WindowSec must be > 0, got %v", cfg.WindowSec)
+	}
+	if cfg.CacheSize > 0 {
+		return nil, fmt.Errorf("engine: CacheSize must be 0 (sized from the store) or negative (disabled), got %d", cfg.CacheSize)
 	}
 	loc := cfg.Localizer
 	if loc == nil {
@@ -196,12 +208,8 @@ func New(cfg Config) (*Engine, error) {
 		refreshBackoff:  backoff,
 		staleAfter:      max(cfg.StaleIngestAfter, 0),
 	}
-	if cfg.CacheSize >= 0 {
-		size := cfg.CacheSize
-		if size == 0 {
-			size = defaultCacheSize
-		}
-		e.cache = newGammaCache(size)
+	if cfg.CacheSize == 0 {
+		e.cache = newGammaCache()
 	}
 	return e, nil
 }
@@ -304,7 +312,9 @@ func (e *Engine) Quarantine() QuarantineStats { return e.rejects.stats() }
 
 // ResetObservations discards all accumulated observations (a fresh store)
 // while keeping knowledge and cache: localization is a function of
-// (knowledge, Γ) only, so previously memoized Γ keys stay valid.
+// (knowledge, Γ) only, so previously memoized Γ keys stay valid. The
+// cache's capacity follows the fresh store's device count, so later
+// inserts evict it back down to the floor.
 func (e *Engine) ResetObservations() {
 	e.mu.Lock()
 	// Keep the configured shard count: a reset changes the contents, not
@@ -335,10 +345,12 @@ func (e *Engine) SetKnowledge(k core.Knowledge) {
 		return
 	}
 	e.know = k
+	// The generation moves with the knowledge, under the same lock, so a
+	// fix reads a (knowledge, generation) pair that belong together.
+	gen := e.knowGen.Add(1)
 	e.mu.Unlock()
-	e.knowGen.Add(1)
 	if e.cache != nil {
-		if dropped := e.cache.invalidate(); dropped > 0 {
+		if dropped := e.cache.invalidate(gen); dropped > 0 {
 			e.evictions.Add(uint64(dropped))
 			mCacheEvictions.Add(uint64(dropped))
 		}
@@ -449,9 +461,11 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 // locateGamma answers one localization request, through the Γ cache when
 // enabled. gamma must be in APSetWindow's canonical (ascending, deduped)
 // order; the cache key is its byte concatenation (appendGammaKey). It
-// returns the knowledge the estimate was computed against (so traced
-// callers attribute the provenance to the right base) and whether the
-// cache answered.
+// returns the knowledge the estimate was computed against and its
+// generation (so traced callers attribute the provenance to the right
+// base) and whether the cache answered. The cache is read and written
+// under that generation, so a result computed while the knowledge was
+// swapped is not stored for the new base.
 //
 // When tl and rt are both non-nil, cache misses run through
 // tl.LocateTracked so consecutive Γs of one tracked device update rt's
@@ -461,14 +475,14 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 // safe). A tracked estimate's Vertices alias rt's arena; on the cached
 // path they are detached before the put (cache entries outlive the next
 // fix), so only the cache-disabled tracked path returns an aliased slice.
-func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, hit, trackedCompute bool, err error) {
+func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, gen uint64, hit, trackedCompute bool, err error) {
 	e.fixes.Add(1)
 	mFixes.Inc()
 	if len(gamma) == 0 {
-		return core.Estimate{}, core.Knowledge{}, false, false, core.ErrNoAPs
+		return core.Estimate{}, core.Knowledge{}, e.knowGen.Load(), false, false, core.ErrNoAPs
 	}
 	e.mu.RLock()
-	know = e.know
+	know, gen, store := e.know, e.knowGen.Load(), e.store
 	e.mu.RUnlock()
 	tracked := tl != nil && rt != nil
 	if e.cache == nil {
@@ -479,15 +493,15 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *co
 		} else {
 			est, err = e.loc.Locate(know, gamma)
 		}
-		return est, know, false, tracked, err
+		return est, know, gen, false, tracked, err
 	}
 	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
 	var keyBuf [32 * len(dot11.MAC{})]byte
 	key := appendGammaKey(keyBuf[:0], gamma)
-	if est, err, ok := e.cache.get(key); ok {
+	if est, err, ok := e.cache.get(key, gen); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
-		return est, know, true, false, err
+		return est, know, gen, true, false, err
 	}
 	e.misses.Add(1)
 	mCacheMisses.Inc()
@@ -501,11 +515,11 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *co
 	} else {
 		est, err = e.loc.Locate(know, gamma)
 	}
-	if evicted := e.cache.put(key, est, err); evicted > 0 {
+	if evicted := e.cache.put(key, est, err, gen, cacheCapacity(store.DeviceCount())); evicted > 0 {
 		e.evictions.Add(uint64(evicted))
 		mCacheEvictions.Add(uint64(evicted))
 	}
-	return est, know, false, tracked, err
+	return est, know, gen, false, tracked, err
 }
 
 // fixWindow answers one localization over [start, end): the
@@ -539,7 +553,7 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 	if timed {
 		sp.mark(stageWindow)
 	}
-	est, know, hit, trackedCompute, err := e.locateGamma(buf, tl, rt)
+	est, know, gen, hit, trackedCompute, err := e.locateGamma(buf, tl, rt)
 	if timed {
 		// The middle stage is the incremental region update when the
 		// tracked path computed, plain localization otherwise (cache hits
@@ -559,7 +573,7 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 		if trackedCompute {
 			trt = rt
 		}
-		p = e.provenance(dev, buf, know, est, err, hit, start, end, trt)
+		p = e.provenance(dev, buf, know, gen, est, err, hit, start, end, trt)
 	}
 	if timed {
 		sp.mark(stageTrace)
@@ -731,11 +745,17 @@ type located struct {
 // Stats reports fix and cache counters plus the store's shard shape.
 func (e *Engine) Stats() Stats {
 	store := e.Store()
+	var entries, capacity int
+	if e.cache != nil {
+		entries, capacity = e.cache.len(), cacheCapacity(store.DeviceCount())
+	}
 	return Stats{
 		Fixes:          e.fixes.Load(),
 		CacheHits:      e.hits.Load(),
 		CacheMisses:    e.misses.Load(),
 		CacheEvictions: e.evictions.Load(),
+		CacheEntries:   entries,
+		CacheCapacity:  capacity,
 		Workers:        e.workers,
 		ObsShards:      store.ShardCount(),
 		ObsRecords:     store.Len(),

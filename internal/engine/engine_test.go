@@ -2,10 +2,10 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,6 +64,9 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("want error for missing WindowSec")
+	}
+	if _, err := New(Config{WindowSec: 30, CacheSize: 4096}); err == nil || !strings.Contains(err.Error(), "CacheSize") {
+		t.Fatalf("positive CacheSize: err = %v, want one naming CacheSize", err)
 	}
 	e := testEngine(t, Config{WindowSec: 30})
 	if e.Localizer().Name() != "m-loc" {
@@ -431,23 +434,6 @@ func TestResetObservationsKeepsShardCount(t *testing.T) {
 	}
 }
 
-func TestGammaCacheEviction(t *testing.T) {
-	c := newGammaCache(4)
-	for i := 0; i < 4; i++ {
-		c.put([]byte(fmt.Sprintf("k%d", i)), core.Estimate{K: i}, nil)
-	}
-	if c.len() != 4 {
-		t.Fatalf("len = %d", c.len())
-	}
-	c.put([]byte("overflow"), core.Estimate{}, nil)
-	if c.len() != 1 {
-		t.Fatalf("eviction kept %d entries, want wholesale refill", c.len())
-	}
-	if _, _, ok := c.get([]byte("overflow")); !ok {
-		t.Error("new entry missing after eviction")
-	}
-}
-
 func TestGammaKeyCanonical(t *testing.T) {
 	gammaKey := func(g []dot11.MAC) string { return string(appendGammaKey(nil, g)) }
 	a := []dot11.MAC{mac(0, 1), mac(0, 2)}
@@ -507,6 +493,10 @@ func TestTelemetryCountersTrackCache(t *testing.T) {
 	}
 	if got := mFixes.Value() - fixes0; got != wantFixes {
 		t.Errorf("telemetry fixes delta = %d, want %d", got, wantFixes)
+	}
+	// The entries gauge follows the last insert: the one post-swap miss.
+	if s.CacheEntries != 1 || mCacheEntries.Value() != 1 {
+		t.Errorf("cache entries = %d, gauge %v, want 1", s.CacheEntries, mCacheEntries.Value())
 	}
 }
 

@@ -61,13 +61,14 @@ func trackerArea(rt *core.RegionTracker) (float64, bool) {
 // provenance assembles the provenance record of one traced fix. The
 // expensive fields — the exact intersected area and the Theorem 2
 // quadrature — are computed only here, i.e. only for fixes the sampler
-// selected; unsampled and untraced fixes never pay for them. know is the
-// knowledge the estimate was actually computed against (not re-read, so a
-// concurrent SetKnowledge cannot misattribute the area). rt, when non-nil,
+// selected; unsampled and untraced fixes never pay for them. know and gen
+// are the knowledge the estimate was actually computed against and its
+// generation (not re-read, so a concurrent SetKnowledge cannot
+// misattribute the area or the generation). rt, when non-nil,
 // is the region tracker that computed this fix; its path/diff telemetry
 // lands in the record (callers pass nil for cache hits and untracked
 // fixes, whose estimates no tracker produced).
-func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledge,
+func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledge, gen uint64,
 	est core.Estimate, err error, hit bool, start, end float64, rt *core.RegionTracker) *trace.Provenance {
 	p := &trace.Provenance{
 		Device:       dev.String(),
@@ -77,7 +78,7 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 		WindowStart:  start,
 		WindowEnd:    end,
 		CacheHit:     hit,
-		KnowledgeGen: e.knowGen.Load(),
+		KnowledgeGen: gen,
 		Training:     e.lastTrain.Load(),
 	}
 	if p.K == 0 {

@@ -423,6 +423,11 @@ func (s *Store) Devices() []dot11.MAC {
 	return append([]dot11.MAC(nil), l.macs...)
 }
 
+// DeviceCount returns how many devices the store has seen — the length of
+// Devices — in O(1) and without a shard lock: it is the first-sighting
+// count, which moves only when a device is first seen.
+func (s *Store) DeviceCount() int { return int(s.devGen.Load()) }
+
 // ProbingDevices returns the devices observed sending probe requests.
 func (s *Store) ProbingDevices() []dot11.MAC {
 	var out []dot11.MAC

@@ -229,6 +229,39 @@ func TestDevicesCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestDeviceCount checks the O(1) device count equals len(Devices)
+// through every path that first sees a device, re-sightings, and a
+// restore from a snapshot.
+func TestDeviceCount(t *testing.T) {
+	s := NewStoreShards(4)
+	check := func(s *Store, want int) {
+		t.Helper()
+		if got, n := s.DeviceCount(), len(s.Devices()); got != want || n != want {
+			t.Fatalf("DeviceCount = %d, len(Devices) = %d, want %d", got, n, want)
+		}
+	}
+	check(s, 0)
+	s.Ingest(0, dot11.NewProbeRequest(mac(5), "", 1), false)
+	s.Ingest(1, dot11.NewProbeRequest(mac(5), "", 1), false)
+	check(s, 1)
+	s.Ingest(2, dot11.NewProbeResponse(mac(0xA1), mac(2), "", 1, 1), true)
+	s.IngestFrames([]FrameCapture{{TimeSec: 3, Frame: dot11.NewProbeRequest(mac(9), "", 1)}})
+	s.IngestBatch([]Record{
+		{TimeSec: 4, Device: mac(1), AP: mac(0xA2), Kind: KindProbeResponse},
+		{TimeSec: 5, Device: mac(1), AP: mac(0xA3), Kind: KindProbeResponse},
+	})
+	check(s, 4)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadShards(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, 4)
+}
+
 func TestAppendAPSetWindowReuseAndOrder(t *testing.T) {
 	s := NewStore()
 	dev := mac(1)

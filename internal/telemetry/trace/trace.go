@@ -67,8 +67,8 @@ type Config struct {
 	// Buffer is the finished-trace ring capacity (default 256).
 	Buffer int
 	// Devices caps the per-device latest-provenance index (default 4096).
-	// At the cap the index is wholesale-cleared and refilled, mirroring
-	// the engine's Γ-cache eviction policy.
+	// At the cap the index is wholesale-cleared and refilled: it is
+	// written only for sampled fixes, so it keeps no eviction bookkeeping.
 	Devices int
 }
 
