@@ -39,19 +39,25 @@ bench-floors:
 	sh scripts/bench_floors.sh
 
 # Short fuzzing burst over every fuzz target: the frame parser, the
-# radiotap splitter, the sharded store's record ingest, and the
-# incremental-region and M-Loc vertex-kernel differential oracles.
+# radiotap splitter, the pcap reader, the sharded store's record ingest
+# and window-query oracle, the AP snapshot and capwire codecs, the FTDC
+# decoder, and the incremental-region and M-Loc vertex-kernel
+# differential oracles.
 # Checked-in corpora under testdata/fuzz replay as plain tests; this
 # keeps mining.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRadiotap$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzFrameParse$$' -fuzztime=10s ./internal/dot11
+	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime=10s ./internal/pcap
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run xxx -fuzz 'FuzzScanAPSetWindow$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotCodec$$' -fuzztime=10s ./internal/apdb
 	$(GO) test -run xxx -fuzz 'FuzzIncrementalRegion$$' -fuzztime=30s ./internal/geom
 	$(GO) test -run xxx -fuzz 'FuzzRegionVertices$$' -fuzztime=10s ./internal/geom
 	$(GO) test -run xxx -fuzz 'FuzzCapwireDecode$$' -fuzztime=10s ./internal/capwire
+	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/telemetry/ftdc
+	$(GO) test -run xxx -fuzz 'FuzzRoundTrip$$' -fuzztime=10s ./internal/telemetry/ftdc
 
 fmt:
 	gofmt -l -w .

@@ -41,8 +41,8 @@ type CheckpointMeta struct {
 	Generation uint64 `json:"generation"`
 	// SHA256 is the hex digest of the payload bytes after this header line.
 	SHA256 string `json:"sha256"`
-	// Records is the store's record count at snapshot time, a cheap
-	// cross-check on top of the digest.
+	// Records is how many records the payload holds, a cheap cross-check
+	// on top of the digest.
 	Records int `json:"records"`
 }
 
@@ -98,7 +98,8 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 // snapshot of the store into dir, returning the file path.
 func WriteCheckpoint(dir string, generation uint64, s *Store) (string, error) {
 	var payload bytes.Buffer
-	if err := s.Save(&payload); err != nil {
+	records, err := s.save(&payload)
+	if err != nil {
 		return "", fmt.Errorf("obs: checkpoint: %w", err)
 	}
 	sum := sha256.Sum256(payload.Bytes())
@@ -106,7 +107,7 @@ func WriteCheckpoint(dir string, generation uint64, s *Store) (string, error) {
 		Format:     checkpointFormat,
 		Generation: generation,
 		SHA256:     hex.EncodeToString(sum[:]),
-		Records:    s.Len(),
+		Records:    records,
 	}
 	header, err := json.Marshal(meta)
 	if err != nil {

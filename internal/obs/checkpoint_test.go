@@ -259,3 +259,60 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 		t.Errorf("directory holds %d entries, want just the target", len(entries))
 	}
 }
+
+// Regression: WriteCheckpoint used to take the header's record count from
+// a Len call after Save, so a record ingested in between made the header
+// count records the payload did not hold, and ReadCheckpoint (and so
+// Recover) rejected the file. Every checkpoint written during concurrent
+// ingest must read back with the count it serialized.
+func TestCheckpointDuringIngest(t *testing.T) {
+	const (
+		batches  = 400
+		perBatch = 16
+	)
+	s := NewStoreShards(4)
+	dir := t.TempDir()
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			recs := make([]Record, perBatch)
+			for i := range recs {
+				recs[i] = Record{
+					TimeSec: float64(b),
+					Device:  dot11.MAC{0xDD, 0, 0, 0, byte(i), byte(b % 7)},
+					AP:      mac(byte(0xA0 + i)),
+					Kind:    KindProbeResponse,
+				}
+			}
+			s.IngestBatch(recs)
+			if b == 0 {
+				close(started)
+			}
+		}
+	}()
+	defer func() { <-done }()
+	<-started
+	for gen := uint64(1); ; gen++ {
+		select {
+		case <-done:
+			if s.Len() != batches*perBatch {
+				t.Fatalf("Len = %d, want %d", s.Len(), batches*perBatch)
+			}
+			return
+		default:
+		}
+		path, err := WriteCheckpoint(dir, gen, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, meta, err := ReadCheckpoint(path, 0)
+		if err != nil {
+			t.Fatalf("checkpoint %d written during ingest does not read back: %v", gen, err)
+		}
+		if got.Len() != meta.Records {
+			t.Fatalf("checkpoint %d: %d records loaded, header says %d", gen, got.Len(), meta.Records)
+		}
+	}
+}

@@ -112,16 +112,7 @@ func (s *Store) LinkPseudonyms(threshold float64) []PseudonymLink {
 		if links[i].Similarity != links[j].Similarity {
 			return links[i].Similarity > links[j].Similarity
 		}
-		return lessMAC(links[i].A, links[j].A)
+		return macLess(links[i].A, links[j].A)
 	})
 	return links
-}
-
-func lessMAC(a, b dot11.MAC) bool {
-	for k := 0; k < 6; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
 }

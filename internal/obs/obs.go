@@ -19,10 +19,12 @@
 package obs
 
 import (
+	"cmp"
+	"fmt"
 	"log/slog"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +33,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Kind classifies an observation.
+// Kind classifies an observation. The store packs it into 16 bits, so a
+// Kind outside 0–65535 cannot be held.
 type Kind int
+
+// maxKind is the largest Kind a record can hold.
+const maxKind = 1<<16 - 1
 
 // Observation kinds.
 const (
@@ -104,8 +110,47 @@ type shard struct {
 // time order, so the sort is usually a no-op; an out-of-order ingest just
 // clears the flag and the next window query re-sorts once.
 type deviceLog struct {
-	recs   []Record
+	recs   []rec
 	sorted bool
+}
+
+// rec is one pairwise record inside its device's log: 16 bytes, where a
+// Record is 32. The device is the log's key, so it is not repeated; key
+// packs the Kind above the AP's 48-bit address (see packKey).
+type rec struct {
+	t   float64
+	key uint64
+}
+
+// apMask selects the AP address bits of a rec key.
+const apMask = 1<<48 - 1
+
+// macKey packs a MAC big-endian into the low 48 bits of an integer, so
+// integer order is exactly the MAC's byte order.
+func macKey(m dot11.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
+// keyMAC unpacks the MAC in the low 48 bits of a key.
+func keyMAC(k uint64) dot11.MAC {
+	return dot11.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
+}
+
+// packKey builds a rec key: Kind<<48 | AP. The Kind must lie in 0–maxKind.
+func packKey(ap dot11.MAC, k Kind) uint64 { return uint64(k)<<48 | macKey(ap) }
+
+// record rebuilds the public form of one of dev's records.
+func (r rec) record(dev dot11.MAC) Record {
+	return Record{TimeSec: r.t, Device: dev, AP: keyMAC(r.key), Kind: Kind(r.key >> 48)}
+}
+
+// kindErr reports a Kind the packed record cannot hold, or nil.
+func kindErr(k Kind) error {
+	if k < 0 || k > maxKind {
+		return fmt.Errorf("kind %d outside 0–%d", k, maxKind)
+	}
+	return nil
 }
 
 // timeLess is the canonical record time order: NaN first, then ascending.
@@ -178,18 +223,18 @@ func (s *Store) shardIndex(m dot11.MAC) uint32 {
 func (s *Store) shardFor(m dot11.MAC) *shard { return s.shards[s.shardIndex(m)] }
 
 // addRecordLocked appends one pairwise record to the device index. Caller
-// holds the shard write lock.
-func (sh *shard) addRecordLocked(r Record) {
-	dl := sh.byDev[r.Device]
+// holds the shard write lock; k must lie in 0–maxKind.
+func (sh *shard) addRecordLocked(dev dot11.MAC, t float64, ap dot11.MAC, k Kind) {
+	dl := sh.byDev[dev]
 	if dl == nil {
 		dl = &deviceLog{sorted: true}
-		sh.byDev[r.Device] = dl
+		sh.byDev[dev] = dl
 	}
-	if n := len(dl.recs); n > 0 && timeLess(r.TimeSec, dl.recs[n-1].TimeSec) {
+	if n := len(dl.recs); n > 0 && timeLess(t, dl.recs[n-1].t) {
 		dl.sorted = false
 		mOutOfOrder.Inc()
 	}
-	dl.recs = append(dl.recs, r)
+	dl.recs = append(dl.recs, rec{t: t, key: packKey(ap, k)})
 	sh.nrec++
 	mRecords.Inc()
 }
@@ -240,15 +285,11 @@ func (sh *shard) applyFrameLocked(timeSec float64, f *dot11.Frame, fromAP bool) 
 	case dot11.SubtypeProbeResp:
 		sh.markSeenLocked(f.Addr1, timeSec)
 		sh.aps[f.Addr2] = true
-		sh.addRecordLocked(Record{
-			TimeSec: timeSec, Device: f.Addr1, AP: f.Addr2, Kind: KindProbeResponse,
-		})
+		sh.addRecordLocked(f.Addr1, timeSec, f.Addr2, KindProbeResponse)
 	case dot11.SubtypeAssocReq:
 		sh.markSeenLocked(f.Addr2, timeSec)
 		sh.aps[f.Addr1] = true
-		sh.addRecordLocked(Record{
-			TimeSec: timeSec, Device: f.Addr2, AP: f.Addr1, Kind: KindAssociation,
-		})
+		sh.addRecordLocked(f.Addr2, timeSec, f.Addr1, KindAssociation)
 	case dot11.SubtypeBeacon:
 		if fromAP {
 			sh.aps[f.Addr2] = true
@@ -340,9 +381,18 @@ func (s *Store) IngestFrames(batch []FrameCapture) int {
 // verbatim — Len grows by exactly len(recs) — and, like the frame paths
 // that produce records, the device is marked seen and the AP registered.
 // It returns len(recs).
+//
+// Every Kind must lie in 0–65535, the range a stored record can hold;
+// IngestBatch panics, before it stores anything, on a batch that breaks
+// this.
 func (s *Store) IngestBatch(recs []Record) int {
 	if len(recs) == 0 {
 		return 0
+	}
+	for i, r := range recs {
+		if err := kindErr(r.Kind); err != nil {
+			panic(fmt.Sprintf("obs: IngestBatch: record %d: %v", i, err))
+		}
 	}
 	defer mIngestSeconds.ObserveSince(time.Now())
 	mBatchFrames.Observe(float64(len(recs)))
@@ -358,7 +408,7 @@ func (s *Store) IngestBatch(recs []Record) int {
 			}
 			sh.markSeenLocked(r.Device, r.TimeSec)
 			sh.aps[r.AP] = true
-			sh.addRecordLocked(r)
+			sh.addRecordLocked(r.Device, r.TimeSec, r.AP, r.Kind)
 		}
 		if !first {
 			sh.recGauge.Set(float64(sh.nrec))
@@ -492,16 +542,18 @@ func (s *Store) AppendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end flo
 // whether out-of-order ingest forced a re-sort of the device log under
 // the query. It is the allocation-friendly form for hot loops: pass dst[:0]
 // of a reused buffer and no per-call allocation happens once the buffer
-// has grown.
+// has grown, as long as the window matches at most 64 records.
 //
-// The query binary-searches the device's time-sorted record log rather
-// than scanning the whole store. When out-of-order ingest has dirtied the
-// log, the re-sort and the search happen under one shard write lock, so a
-// record ingested before the query began is always in the result — there
-// is no window in which the re-sort can hide it.
+// The query binary-searches the device's time-sorted record log for start
+// and scans forward to end, rather than scanning the whole store. When
+// out-of-order ingest has dirtied the log, the re-sort and the search
+// happen under one shard write lock, so a record ingested before the
+// query began is always in the result — there is no window in which the
+// re-sort can hide it.
 func (s *Store) ScanAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
 	sh := s.shardFor(dev)
-	base := len(dst)
+	var buf [64]uint64
+	keys := buf[:0]
 	sh.mu.RLock()
 	dl := sh.byDev[dev]
 	if dl == nil {
@@ -509,52 +561,41 @@ func (s *Store) ScanAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float
 		return dst, 0, false
 	}
 	if dl.sorted {
-		dst = appendWindow(dst, dl.recs, start, end)
+		keys = appendWindow(keys, dl.recs, start, end)
 		sh.mu.RUnlock()
 	} else {
 		sh.mu.RUnlock()
 		sh.mu.Lock()
 		if dl = sh.byDev[dev]; dl != nil {
 			sh.sortDeviceLogLocked(dev, dl)
-			dst = appendWindow(dst, dl.recs, start, end)
+			keys = appendWindow(keys, dl.recs, start, end)
 			resorted = true
 		}
 		sh.mu.Unlock()
 	}
-	scanned = len(dst) - base
-	gamma := dst[base:]
-	sortMACs(gamma)
-	// Compact duplicates in place.
-	uniq := 0
-	for i, m := range gamma {
-		if i == 0 || m != gamma[uniq-1] {
-			gamma[uniq] = m
-			uniq++
+	return appendUniqueMACs(dst, keys), len(keys), resorted
+}
+
+// appendWindow appends the AP keys of the records with start ≤ t < end
+// from a canonically ordered log. NaN-timestamped records sort to the
+// front and match no window (NaN ≥ start is false for every start).
+func appendWindow(keys []uint64, recs []rec, start, end float64) []uint64 {
+	for _, r := range recs[searchTime(recs, start):] {
+		if !(r.t < end) {
+			break
 		}
+		keys = append(keys, r.key&apMask)
 	}
-	return dst[:base+uniq], scanned, resorted
+	return keys
 }
 
-// appendWindow appends the APs of the records with start ≤ t < end from a
-// canonically ordered log. NaN-timestamped records sort to the front and
-// match no window (NaN ≥ start is false for every start).
-func appendWindow(dst []dot11.MAC, recs []Record, start, end float64) []dot11.MAC {
-	lo := searchTime(recs, 0, start)
-	hi := searchTime(recs, lo, end)
-	for _, r := range recs[lo:hi] {
-		dst = append(dst, r.AP)
-	}
-	return dst
-}
-
-// searchTime returns the first index i ≥ from with recs[i].TimeSec ≥ t,
-// or len(recs): sort.Search's answer over recs[from:], without the
-// closure call per probe.
-func searchTime(recs []Record, from int, t float64) int {
-	lo, hi := from, len(recs)
+// searchTime returns the first index i with recs[i].t ≥ t, or len(recs):
+// sort.Search's answer, without the closure call per probe.
+func searchTime(recs []rec, t float64) int {
+	lo, hi := 0, len(recs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if recs[m].TimeSec >= t {
+		if recs[m].t >= t {
 			hi = m
 		} else {
 			lo = m + 1
@@ -563,14 +604,41 @@ func searchTime(recs []Record, from int, t float64) int {
 	return lo
 }
 
+// appendUniqueMACs sorts the AP keys in place and appends each distinct
+// one to dst as a MAC, in ascending order. Window sets are small, so
+// insertion sort covers the common case; larger sets take slices.Sort.
+func appendUniqueMACs(dst []dot11.MAC, keys []uint64) []dot11.MAC {
+	if len(keys) > 32 {
+		slices.Sort(keys)
+	} else {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+	}
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			dst = append(dst, keyMAC(k))
+		}
+	}
+	return dst
+}
+
 // sortDeviceLogLocked restores a device log's canonical time order after
 // out-of-order ingest. Caller holds the shard write lock.
 func (sh *shard) sortDeviceLogLocked(dev dot11.MAC, dl *deviceLog) {
 	if dl.sorted {
 		return
 	}
-	sort.SliceStable(dl.recs, func(i, j int) bool {
-		return timeLess(dl.recs[i].TimeSec, dl.recs[j].TimeSec)
+	slices.SortStableFunc(dl.recs, func(a, b rec) int {
+		switch {
+		case timeLess(a.t, b.t):
+			return -1
+		case timeLess(b.t, a.t):
+			return 1
+		}
+		return 0
 	})
 	dl.sorted = true
 	mResorts.Inc()
@@ -582,19 +650,15 @@ func (sh *shard) sortDeviceLogLocked(dev dot11.MAC, dl *deviceLog) {
 // record, over the whole history.
 func (s *Store) DeviceAPSets() map[dot11.MAC][]dot11.MAC {
 	out := make(map[dot11.MAC][]dot11.MAC)
+	var keys []uint64
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for dev, dl := range sh.byDev {
-			set := make(map[dot11.MAC]bool, len(dl.recs))
+			keys = keys[:0]
 			for _, r := range dl.recs {
-				set[r.AP] = true
+				keys = append(keys, r.key&apMask)
 			}
-			l := make([]dot11.MAC, 0, len(set))
-			for m := range set {
-				l = append(l, m)
-			}
-			sortMACs(l)
-			out[dev] = l
+			out[dev] = appendUniqueMACs(nil, keys)
 		}
 		sh.mu.RUnlock()
 	}
@@ -605,10 +669,11 @@ func (s *Store) DeviceAPSets() map[dot11.MAC][]dot11.MAC {
 // windowSec of each other — the evidence for AP-Rad's r_i + r_j ≥ d_ij
 // constraint.
 func (s *Store) CoObserved(ap1, ap2 dot11.MAC, windowSec float64) bool {
+	k1, k2 := macKey(ap1), macKey(ap2)
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, dl := range sh.byDev {
-			if deviceCoObservesLocked(dl.recs, ap1, ap2, windowSec) {
+			if deviceCoObservesLocked(dl.recs, k1, k2, windowSec) {
 				sh.mu.RUnlock()
 				return true
 			}
@@ -618,24 +683,25 @@ func (s *Store) CoObserved(ap1, ap2 dot11.MAC, windowSec float64) bool {
 	return false
 }
 
-// deviceCoObservesLocked reports whether one device's log places both APs
-// within windowSec of each other. The same-AP case degenerates to "was
-// this AP observed at all" (a record co-observes with itself at Δt = 0).
-func deviceCoObservesLocked(recs []Record, ap1, ap2 dot11.MAC, windowSec float64) bool {
-	if ap1 == ap2 {
+// deviceCoObservesLocked reports whether one device's log places both AP
+// keys within windowSec of each other. The same-AP case degenerates to
+// "was this AP observed at all" (a record co-observes with itself at
+// Δt = 0).
+func deviceCoObservesLocked(recs []rec, k1, k2 uint64, windowSec float64) bool {
+	if k1 == k2 {
 		for _, r := range recs {
-			if r.AP == ap1 {
+			if r.key&apMask == k1 {
 				return true
 			}
 		}
 		return false
 	}
 	for _, r1 := range recs {
-		if r1.AP != ap1 {
+		if r1.key&apMask != k1 {
 			continue
 		}
 		for _, r2 := range recs {
-			if r2.AP == ap2 && absf(r1.TimeSec-r2.TimeSec) <= windowSec {
+			if r2.key&apMask == k2 && absf(r1.t-r2.t) <= windowSec {
 				return true
 			}
 		}
@@ -653,7 +719,11 @@ func (s *Store) CoObservationIndex() map[dot11.MAC][]Record {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for dev, dl := range sh.byDev {
-			out[dev] = append([]Record(nil), dl.recs...)
+			l := make([]Record, len(dl.recs))
+			for i, r := range dl.recs {
+				l[i] = r.record(dev)
+			}
+			out[dev] = l
 		}
 		sh.mu.RUnlock()
 	}
@@ -667,52 +737,10 @@ func absf(x float64) float64 {
 	return x
 }
 
-// sortMACs sorts in place without allocating: sort.Slice's interface
-// boxing and reflect swapper cost three heap allocations per call, which
-// is the difference between a zero-alloc and a three-alloc window query
-// on the tracked-fix hot path. Window Γs are small, so insertion sort
-// covers the common case; larger slices take an in-place heapsort.
+// sortMACs sorts MACs in place by byte order, comparing packed keys.
 func sortMACs(ms []dot11.MAC) {
-	if len(ms) <= 32 {
-		for i := 1; i < len(ms); i++ {
-			for j := i; j > 0 && macLess(ms[j], ms[j-1]); j-- {
-				ms[j], ms[j-1] = ms[j-1], ms[j]
-			}
-		}
-		return
-	}
-	// Heapsort: build a max-heap, then repeatedly swap the root out.
-	for i := len(ms)/2 - 1; i >= 0; i-- {
-		siftDownMACs(ms, i, len(ms))
-	}
-	for end := len(ms) - 1; end > 0; end-- {
-		ms[0], ms[end] = ms[end], ms[0]
-		siftDownMACs(ms, 0, end)
-	}
+	slices.SortFunc(ms, func(a, b dot11.MAC) int { return cmp.Compare(macKey(a), macKey(b)) })
 }
 
-func siftDownMACs(ms []dot11.MAC, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && macLess(ms[child], ms[child+1]) {
-			child++
-		}
-		if !macLess(ms[root], ms[child]) {
-			return
-		}
-		ms[root], ms[child] = ms[child], ms[root]
-		root = child
-	}
-}
-
-func macLess(a, b dot11.MAC) bool {
-	for k := 0; k < 6; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
+// macLess is MAC byte order, compared as packed keys.
+func macLess(a, b dot11.MAC) bool { return macKey(a) < macKey(b) }

@@ -36,10 +36,10 @@ func lessRecord(a, b Record) bool {
 		return timeLess(a.TimeSec, b.TimeSec)
 	}
 	if a.Device != b.Device {
-		return lessMAC(a.Device, b.Device)
+		return macLess(a.Device, b.Device)
 	}
 	if a.AP != b.AP {
-		return lessMAC(a.AP, b.AP)
+		return macLess(a.AP, b.AP)
 	}
 	return a.Kind < b.Kind
 }
@@ -49,11 +49,21 @@ func lessRecord(a, b Record) bool {
 // identical observation content produces identical bytes regardless of
 // shard count or ingest order.
 func (s *Store) Save(w io.Writer) error {
+	_, err := s.save(w)
+	return err
+}
+
+// save is Save, also returning how many records it serialized: a
+// concurrent ingest can grow the store while the shards are read, so Len
+// taken before or after may not match the payload.
+func (s *Store) save(w io.Writer) (int, error) {
 	var snap snapshot
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, dl := range sh.byDev {
-			snap.Records = append(snap.Records, dl.recs...)
+		for dev, dl := range sh.byDev {
+			for _, r := range dl.recs {
+				snap.Records = append(snap.Records, r.record(dev))
+			}
 		}
 		for m, t := range sh.seen {
 			snap.Seen = append(snap.Seen, seenEntry{MAC: m, First: t})
@@ -76,17 +86,17 @@ func (s *Store) Save(w io.Writer) error {
 	}
 
 	sort.SliceStable(snap.Records, func(i, j int) bool { return lessRecord(snap.Records[i], snap.Records[j]) })
-	sort.Slice(snap.Seen, func(i, j int) bool { return lessMAC(snap.Seen[i].MAC, snap.Seen[j].MAC) })
+	sort.Slice(snap.Seen, func(i, j int) bool { return macLess(snap.Seen[i].MAC, snap.Seen[j].MAC) })
 	sortMACs(snap.Probing)
 	// APs can be registered in several shards; dedup before sorting.
 	snap.APs = dedupMACs(snap.APs)
-	sort.Slice(snap.SSIDs, func(i, j int) bool { return lessMAC(snap.SSIDs[i].MAC, snap.SSIDs[j].MAC) })
+	sort.Slice(snap.SSIDs, func(i, j int) bool { return macLess(snap.SSIDs[i].MAC, snap.SSIDs[j].MAC) })
 
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(snap); err != nil {
-		return fmt.Errorf("obs: save: %w", err)
+		return 0, fmt.Errorf("obs: save: %w", err)
 	}
-	return nil
+	return len(snap.Records), nil
 }
 
 func dedupMACs(ms []dot11.MAC) []dot11.MAC {
@@ -112,7 +122,8 @@ func Load(r io.Reader) (*Store, error) {
 // override. Snapshots with duplicate seen or probing entries are rejected:
 // a canonical Save never produces them, so a duplicate means the snapshot
 // was corrupted or hand-edited, and silently keeping one of the two
-// conflicting entries would hide the damage.
+// conflicting entries would hide the damage. So is a record whose Kind
+// lies outside 0–65535, which the store cannot hold.
 func LoadShards(r io.Reader, shards int) (*Store, error) {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -132,13 +143,17 @@ func LoadShards(r io.Reader, shards int) (*Store, error) {
 		}
 		probingMACs[m] = i
 	}
+	for i, r := range snap.Records {
+		if err := kindErr(r.Kind); err != nil {
+			return nil, fmt.Errorf("obs: load: record %d: %w", i, err)
+		}
+	}
 	s := NewStoreShards(shards)
 	// Rebuild the per-device window indexes shard by shard, without the
 	// seen/AP side effects of live ingest: the snapshot's own sets are
 	// authoritative and applied below.
-	for _, rec := range snap.Records {
-		sh := s.shardFor(rec.Device)
-		sh.addRecordLocked(rec)
+	for _, r := range snap.Records {
+		s.shardFor(r.Device).addRecordLocked(r.Device, r.TimeSec, r.AP, r.Kind)
 	}
 	for _, e := range snap.Seen {
 		s.shardFor(e.MAC).setSeenLocked(e.MAC, e.First)

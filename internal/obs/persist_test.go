@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -127,4 +129,78 @@ func TestSaveDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Error("Save output must be deterministic")
 	}
+}
+
+// A stored record packs its Kind into 16 bits, so Load refuses a snapshot
+// whose record Kind falls outside 0–65535 and names the record.
+func TestLoadRejectsOutOfRangeKind(t *testing.T) {
+	rec := func(kind int) string {
+		return fmt.Sprintf(`{"timeSec":2,"device":[0,0,0,0,0,1],"ap":[0,0,0,0,0,161],"kind":%d}`, kind)
+	}
+	snap := func(kind int) string {
+		return `{"records":[` + rec(1) + `,` + rec(kind) + `],"seen":[],"probing":[],"aps":[]}`
+	}
+	for _, kind := range []int{-1, 65536, 1 << 40} {
+		_, err := Load(strings.NewReader(snap(kind)))
+		want := fmt.Sprintf("record 1: kind %d outside 0–65535", kind)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("kind %d: err = %v, want substring %q", kind, err, want)
+		}
+	}
+	if _, err := Load(strings.NewReader(snap(65535))); err != nil {
+		t.Errorf("kind 65535: %v", err)
+	}
+}
+
+// Every declared Kind, Kind 0 and the largest storable Kind survive a
+// Save→Load→Save round trip byte for byte, and come back from the store
+// unchanged.
+func TestSaveLoadKindRoundTrip(t *testing.T) {
+	kinds := []Kind{0, KindProbeRequest, KindProbeResponse, KindAssociation, KindBeacon, maxKind}
+	var recs []Record
+	for i, k := range kinds {
+		recs = append(recs, Record{
+			TimeSec: float64(i),
+			Device:  dot11.MAC{0xFF, 0, 0, 0, 0, byte(i % 2)},
+			AP:      dot11.MAC{0xFE, 0xDC, 0xBA, 0x98, 0x76, byte(i)},
+			Kind:    k,
+		})
+	}
+	s := NewStoreShards(4)
+	s.IngestBatch(recs)
+	first := saveBytes(t, s)
+	got, err := LoadShards(bytes.NewReader(first), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second := saveBytes(t, got); !bytes.Equal(first, second) {
+		t.Fatalf("round trip changed the bytes:\n%s\n%s", first, second)
+	}
+	var back []Record
+	for _, l := range got.CoObservationIndex() {
+		back = append(back, l...)
+	}
+	sort.Slice(back, func(i, j int) bool { return back[i].TimeSec < back[j].TimeSec })
+	if !reflect.DeepEqual(back, recs) {
+		t.Fatalf("records came back as %v, want %v", back, recs)
+	}
+}
+
+// IngestBatch panics on a Kind the store cannot hold, before it stores
+// any record of the batch.
+func TestIngestBatchRejectsOutOfRangeKind(t *testing.T) {
+	s := NewStore()
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "record 1: kind 65536 outside 0–65535") {
+			t.Fatalf("panic = %v, want the out-of-range kind named", r)
+		}
+		if s.Len() != 0 || len(s.Devices()) != 0 {
+			t.Fatalf("store holds %d records, %d devices after a rejected batch", s.Len(), len(s.Devices()))
+		}
+	}()
+	s.IngestBatch([]Record{
+		{TimeSec: 1, Device: mac(1), AP: mac(0xA1), Kind: KindProbeResponse},
+		{TimeSec: 2, Device: mac(1), AP: mac(0xA2), Kind: 65536},
+	})
 }
