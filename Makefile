@@ -41,8 +41,8 @@ bench-floors:
 # Short fuzzing burst over every fuzz target: the frame parser, the
 # radiotap splitter, the pcap reader, the sharded store's record ingest
 # and window-query oracle, the AP snapshot and capwire codecs, the FTDC
-# decoder, and the incremental-region and M-Loc vertex-kernel
-# differential oracles.
+# decoder, the incremental-region and M-Loc vertex-kernel differential
+# oracles, and the /api/state encoder's encoding/json oracle.
 # Checked-in corpora under testdata/fuzz replay as plain tests; this
 # keeps mining.
 fuzz-smoke:
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzCapwireDecode$$' -fuzztime=10s ./internal/capwire
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/telemetry/ftdc
 	$(GO) test -run xxx -fuzz 'FuzzRoundTrip$$' -fuzztime=10s ./internal/telemetry/ftdc
+	$(GO) test -run xxx -fuzz 'FuzzStateJSON$$' -fuzztime=10s ./internal/mapserver
 
 fmt:
 	gofmt -l -w .

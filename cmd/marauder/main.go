@@ -477,6 +477,12 @@ func runOnce(a *attack, algo string) error {
 	return nil
 }
 
+// mapServer is the map's HTTP server: the map UI, its JSON API and, with
+// -pprof, the profiling endpoints.
+func mapServer(state *mapserver.State, c *config) *http.Server {
+	return ops.HTTPServer(mapserver.NewHandler(state, mapserver.HandlerOpts{Pprof: c.ops.Pprof}))
+}
+
 func serve(a *attack, p *ops.Process, c *config) error {
 	state := mapserver.NewState()
 	state.APsFromKnowledge(a.know)
@@ -517,7 +523,7 @@ func serve(a *attack, p *ops.Process, c *config) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mapserver.NewHandler(state, mapserver.HandlerOpts{Pprof: c.ops.Pprof})}
+	srv := mapServer(state, c)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	url := "http://" + c.addr

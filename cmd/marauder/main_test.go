@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapserver"
+	"repro/internal/ops"
 	"repro/internal/sim"
 )
 
@@ -155,6 +157,17 @@ func TestRunFailsOnBoundMetricsAddr(t *testing.T) {
 	err = run([]string{"-once", "-aps", "40", "-seed", "3", "-metrics-addr", addr})
 	if err == nil || !strings.Contains(err.Error(), addr) {
 		t.Fatalf("run error = %v, want one naming %s", err, addr)
+	}
+}
+
+// TestMapServerReadHeaderTimeout: the map port bounds header reads like
+// every command HTTP server, so a peer trickling headers cannot pin a
+// connection.
+func TestMapServerReadHeaderTimeout(t *testing.T) {
+	_, c := newFlags()
+	srv := mapServer(mapserver.NewState(), c)
+	if srv.ReadHeaderTimeout != ops.ReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("map server ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, ops.ReadHeaderTimeout)
 	}
 }
 

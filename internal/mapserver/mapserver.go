@@ -107,10 +107,15 @@ const (
 )
 
 // State is the server's current map content. Safe for concurrent use.
+//
+// The device layer is one immutable slice, sorted by MAC, swapped in
+// whole by PublishFrame; the AP layer is held as its JSON encoding, made
+// once by SetAPs. A GET /api/state takes both under the read lock and
+// encodes without holding it (see encode.go).
 type State struct {
 	mu      sync.RWMutex
-	aps     []APMarker
-	devices map[string]DeviceMarker
+	aps     apLayer
+	devices []device // never mutated once published
 	stats   func() any
 	health  func() Health
 	slo     func() any
@@ -121,14 +126,15 @@ type State struct {
 
 // NewState creates an empty map state.
 func NewState() *State {
-	return &State{devices: make(map[string]DeviceMarker)}
+	return &State{aps: encodeAPs(nil)}
 }
 
 // SetAPs replaces the AP layer.
 func (s *State) SetAPs(aps []APMarker) {
+	layer := encodeAPs(aps)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.aps = append([]APMarker(nil), aps...)
+	s.aps = layer
 }
 
 // APsFromKnowledge loads the AP layer from a localization knowledge base.
@@ -146,34 +152,13 @@ func (s *State) APsFromKnowledge(k core.Knowledge) {
 	s.SetAPs(aps)
 }
 
-// UpdateDevice publishes a device estimate; truth is optional.
-func (s *State) UpdateDevice(mac dot11.MAC, est core.Estimate, truth *geom.Point) {
-	m := DeviceMarker{
-		MAC:    mac.String(),
-		Est:    est.Pos,
-		K:      est.K,
-		Method: est.Method,
-	}
-	if truth != nil {
-		tcopy := *truth
-		m.Truth = &tcopy
-		m.HasTruth = true
-		m.ErrM = est.Pos.Dist(tcopy)
-		errorHist(est.Method).Observe(m.ErrM)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.devices[m.MAC] = m
-	mDevicesOnMap.Set(float64(len(s.devices)))
-}
-
 // PublishFrame replaces the whole device layer with one engine snapshot —
 // every device, every window, one dot on the map. truth, when non-nil,
 // supplies the true position for devices whose ground truth the caller
 // knows (simulation); it returns false for the rest.
 func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11.MAC) (geom.Point, bool)) {
 	start := time.Now()
-	devices := make(map[string]DeviceMarker, len(frame))
+	devices := make([]device, 0, len(frame))
 	// A frame's estimates almost always share one method, so the error
 	// histogram is re-resolved only when the method changes.
 	var (
@@ -181,26 +166,20 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 		errH    *telemetry.Histogram
 	)
 	for mac, est := range frame {
-		m := DeviceMarker{
-			MAC:    mac.String(),
-			Est:    est.Pos,
-			K:      est.K,
-			Method: est.Method,
-		}
+		d := device{mac: macKey(mac), est: est.Pos, k: est.K, method: est.Method}
 		if truth != nil {
 			if pos, ok := truth(mac); ok {
-				tcopy := pos
-				m.Truth = &tcopy
-				m.HasTruth = true
-				m.ErrM = est.Pos.Dist(tcopy)
+				d.truth, d.hasTruth = pos, true
+				d.errM = est.Pos.Dist(pos)
 				if errH == nil || est.Method != errAlgo {
 					errAlgo, errH = est.Method, errorHist(est.Method)
 				}
-				errH.Observe(m.ErrM)
+				errH.Observe(d.errM)
 			}
 		}
-		devices[m.MAC] = m
+		devices = append(devices, d)
 	}
+	sort.Sort(byMAC(devices))
 	s.mu.Lock()
 	s.devices = devices
 	s.mu.Unlock()
@@ -309,27 +288,6 @@ func (s *State) traceSource() *trace.Tracer {
 	return s.tracer
 }
 
-// RemoveDevice drops a device from the map.
-func (s *State) RemoveDevice(mac dot11.MAC) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.devices, mac.String())
-	mDevicesOnMap.Set(float64(len(s.devices)))
-}
-
-// snapshot copies the current state for serialization.
-func (s *State) snapshot() (aps []APMarker, devices []DeviceMarker) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	aps = append([]APMarker(nil), s.aps...)
-	devices = make([]DeviceMarker, 0, len(s.devices))
-	for _, d := range s.devices {
-		devices = append(devices, d)
-	}
-	sort.Slice(devices, func(i, j int) bool { return devices[i].MAC < devices[j].MAC })
-	return aps, devices
-}
-
 //go:embed static
 var staticFS embed.FS
 
@@ -400,11 +358,7 @@ func NewHandler(state *State, opts HandlerOpts) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/state", apiGET("/api/state", func(w http.ResponseWriter, r *http.Request) {
-		aps, devices := state.snapshot()
-		writeJSON(w, map[string]interface{}{
-			"aps":     aps,
-			"devices": devices,
-		})
+		state.serveState(w)
 	}))
 	mux.HandleFunc("/api/stats", apiGET("/api/stats", func(w http.ResponseWriter, r *http.Request) {
 		var v any = map[string]any{}

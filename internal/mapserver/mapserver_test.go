@@ -21,10 +21,28 @@ func testState() *State {
 	s.SetAPs([]APMarker{
 		{BSSID: "00:00:00:00:00:01", SSID: "a", Pos: geom.Pt(0, 0), Range: 100},
 	})
-	truth := geom.Pt(10, 10)
-	s.UpdateDevice(dot11.MAC{0xDD, 0, 0, 0, 0, 1},
-		core.Estimate{Pos: geom.Pt(13, 14), K: 3, Method: "m-loc"}, &truth)
+	s.PublishFrame(map[dot11.MAC]core.Estimate{
+		{0xDD, 0, 0, 0, 0, 1}: {Pos: geom.Pt(13, 14), K: 3, Method: "m-loc"},
+	}, func(dot11.MAC) (geom.Point, bool) { return geom.Pt(10, 10), true })
 	return s
+}
+
+// served fetches /api/state through the handler and decodes it.
+func served(t *testing.T, s *State) (aps []APMarker, devices []DeviceMarker) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	Handler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/state", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /api/state status = %d: %s", rec.Code, rec.Body)
+	}
+	var payload struct {
+		APs     []APMarker     `json:"aps"`
+		Devices []DeviceMarker `json:"devices"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload.APs, payload.Devices
 }
 
 func TestAPIState(t *testing.T) {
@@ -176,35 +194,41 @@ func TestIndexPage(t *testing.T) {
 	}
 }
 
+// TestAPsFromKnowledgeAndRemove: the AP layer loads from a knowledge
+// base, and a device leaves the map when a frame without it is
+// published.
 func TestAPsFromKnowledgeAndRemove(t *testing.T) {
 	s := NewState()
 	mac := dot11.MAC{0, 0, 0, 0, 0, 9}
 	s.APsFromKnowledge(core.NewKnowledge([]core.APInfo{
 		{BSSID: mac, Pos: geom.Pt(1, 2), MaxRange: 50},
 	}))
-	aps, _ := s.snapshot()
-	if len(aps) != 1 || aps[0].Range != 50 {
+	aps, _ := served(t, s)
+	if len(aps) != 1 || aps[0].Range != 50 || aps[0].BSSID != mac.String() {
 		t.Fatalf("aps = %+v", aps)
 	}
 	dev := dot11.MAC{1, 1, 1, 1, 1, 1}
-	s.UpdateDevice(dev, core.Estimate{Pos: geom.Pt(0, 0)}, nil)
-	if _, devices := s.snapshot(); len(devices) != 1 {
+	s.PublishFrame(map[dot11.MAC]core.Estimate{dev: {Pos: geom.Pt(0, 0)}}, nil)
+	if _, devices := served(t, s); len(devices) != 1 {
 		t.Fatal("device missing")
 	}
-	s.RemoveDevice(dev)
-	if _, devices := s.snapshot(); len(devices) != 0 {
+	s.PublishFrame(map[dot11.MAC]core.Estimate{}, nil)
+	if _, devices := served(t, s); len(devices) != 0 {
 		t.Fatal("device not removed")
 	}
 }
 
-func TestUpdateDeviceCopiesTruth(t *testing.T) {
+// TestPublishFrameCopiesTruth: the published truth is the frame's own
+// copy; changing the caller's point afterwards does not move the dot.
+func TestPublishFrameCopiesTruth(t *testing.T) {
 	s := NewState()
 	truth := geom.Pt(5, 5)
-	s.UpdateDevice(dot11.MAC{2}, core.Estimate{Pos: geom.Pt(5, 5)}, &truth)
+	s.PublishFrame(map[dot11.MAC]core.Estimate{{2}: {Pos: geom.Pt(5, 5)}},
+		func(dot11.MAC) (geom.Point, bool) { return truth, true })
 	truth.X = 999 // mutate the caller's value
-	_, devices := s.snapshot()
-	if devices[0].Truth.X != 5 {
-		t.Error("UpdateDevice must copy the truth point")
+	_, devices := served(t, s)
+	if len(devices) != 1 || devices[0].Truth == nil || devices[0].Truth.X != 5 {
+		t.Errorf("devices = %+v: PublishFrame must copy the truth point", devices)
 	}
 }
 
@@ -222,7 +246,7 @@ func TestPublishFrame(t *testing.T) {
 		}
 		return geom.Point{}, false
 	})
-	_, devices := s.snapshot()
+	_, devices := served(t, s)
 	if len(devices) != 2 {
 		t.Fatalf("frame replaced layer with %d devices, want 2", len(devices))
 	}

@@ -11,6 +11,27 @@ import (
 	"repro/internal/telemetry/ftdc"
 )
 
+// TestMetricsServerReadHeaderTimeout: the -metrics-addr listener bounds
+// header reads, so a peer trickling headers cannot pin a connection.
+func TestMetricsServerReadHeaderTimeout(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "test", Metrics)
+	if err := fs.Parse([]string{"-metrics-addr", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.metrics == nil || p.metrics.ReadHeaderTimeout != ReadHeaderTimeout {
+		t.Fatalf("metrics server = %+v, want ReadHeaderTimeout %v", p.metrics, ReadHeaderTimeout)
+	}
+	if ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", ReadHeaderTimeout)
+	}
+}
+
 // TestBackgroundShutdown drives a serving command's lifecycle in process:
 // the services start, and shutdown writes the final checkpoint and seals
 // a flight record that decodes, with the store restored on the next

@@ -11,6 +11,7 @@ import (
 	"os/signal"
 	"sync"
 	"syscall"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/flagcheck"
@@ -83,7 +84,7 @@ func (p *Process) start() error {
 		if err != nil {
 			return fmt.Errorf("-metrics-addr: %w", err)
 		}
-		p.metrics = &http.Server{Handler: telemetry.Mux(telemetry.Default(), f.Pprof)}
+		p.metrics = HTTPServer(telemetry.Mux(telemetry.Default(), f.Pprof))
 		p.metricsDone = make(chan struct{})
 		go func() {
 			defer close(p.metricsDone)
@@ -272,6 +273,17 @@ func (p *Process) profileCycle() (stop func()) {
 			fmt.Printf("profile: %d samples (run too brief for attribution), artifacts in %s\n", attr.Samples, dir)
 		}
 	}
+}
+
+// ReadHeaderTimeout bounds how long a command's HTTP servers wait for a
+// request's headers, so a peer that trickles them cannot hold a
+// connection and its goroutine open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// HTTPServer builds a command's HTTP server for h: the metrics listener
+// and a serving command's own port.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 }
 
 // StopContext returns a context cancelled on SIGINT or SIGTERM, the stop

@@ -33,6 +33,10 @@ const (
 	globalHdrLen  = 24
 	packetHdrLen  = 16
 	defaultSnapLn = 65535
+	// maxCapLen bounds a packet's capture length whatever snap length the
+	// file's header claims (libpcap's own maximum): the header is input,
+	// and the reader allocates the capture length before reading.
+	maxCapLen = 262144
 )
 
 // Format errors.
@@ -167,6 +171,10 @@ func (r *Reader) Next() (Packet, error) {
 	if capLen > r.snapLen {
 		return Packet{}, fmt.Errorf("pcap: capture length %d exceeds snap length %d",
 			capLen, r.snapLen)
+	}
+	if capLen > maxCapLen {
+		return Packet{}, fmt.Errorf("pcap: capture length %d exceeds the %d-byte maximum",
+			capLen, maxCapLen)
 	}
 	data := make([]byte, capLen)
 	if _, err := io.ReadFull(r.r, data); err != nil {

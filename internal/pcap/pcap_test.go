@@ -107,6 +107,24 @@ func TestSnapLenEnforced(t *testing.T) {
 	}
 }
 
+// TestHugeCapLenRejected: a header claiming a 4 GiB snap length does not
+// let a packet header make the reader allocate gigabytes before it finds
+// the file truncated.
+func TestHugeCapLenRejected(t *testing.T) {
+	data := make([]byte, 24+16)
+	binary.LittleEndian.PutUint32(data[0:4], 0xa1b2c3d4)
+	binary.LittleEndian.PutUint32(data[16:20], 0xffffffff)
+	binary.LittleEndian.PutUint32(data[24+8:24+12], 0xf0000000)
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Next()
+	if err == nil || errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want the capture length rejected", err)
+	}
+}
+
 func TestBigEndianRead(t *testing.T) {
 	// Hand-build a big-endian capture with one 2-byte packet.
 	var buf bytes.Buffer

@@ -78,6 +78,11 @@ func (o Objective) validate() error {
 		if o.Series == "" || o.ThresholdSeconds <= 0 {
 			return fmt.Errorf("slo: %s: latency objective needs Series and ThresholdSeconds", o.Name)
 		}
+		// The threshold is reported back in /api/slo, and JSON has no
+		// infinity: +Inf would fail every report.
+		if math.IsInf(o.ThresholdSeconds, 0) {
+			return fmt.Errorf("slo: %s: ThresholdSeconds must be finite, got %v", o.Name, o.ThresholdSeconds)
+		}
 	case KindAvailability:
 		if o.TotalSeries == "" || o.BadSeries == "" {
 			return fmt.Errorf("slo: %s: availability objective needs TotalSeries and BadSeries", o.Name)

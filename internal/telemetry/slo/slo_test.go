@@ -2,6 +2,7 @@ package slo
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +294,26 @@ func TestParseObjectiveSpec(t *testing.T) {
 		if _, err := ParseObjectiveSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestInfiniteThresholdRejected: an infinite latency threshold would be
+// accepted by the number parser, but the report carries the threshold
+// and JSON cannot encode +Inf, so every /api/slo request would fail.
+func TestInfiniteThresholdRejected(t *testing.T) {
+	for _, spec := range []string{"latency:x:lat_seconds:+Inf:0.99", "latency:x:lat_seconds:Inf:0.99"} {
+		_, err := ParseObjectiveSpec(spec)
+		if err == nil {
+			t.Fatalf("spec %q accepted", spec)
+		}
+		if !strings.Contains(err.Error(), "ThresholdSeconds") {
+			t.Errorf("spec %q: error %q does not name the threshold", spec, err)
+		}
+	}
+	_, err := New(Config{Objectives: []Objective{{
+		Name: "x", Kind: KindLatency, Target: 0.9, Series: "s", ThresholdSeconds: math.Inf(1)}}})
+	if err == nil || !strings.Contains(err.Error(), "ThresholdSeconds") {
+		t.Errorf("New with +Inf threshold: err = %v, want one naming ThresholdSeconds", err)
 	}
 }
 
