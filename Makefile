@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-engine fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke profile-smoke fuzz-smoke bench-smoke bench-floors
+.PHONY: all build vet test race bench bench-engine fmt fmt-check check metrics-smoke trace-smoke chaos-smoke agent-smoke profile-smoke fuzz-smoke bench-smoke bench-floors
 
 all: check
 
@@ -63,6 +63,11 @@ fuzz-smoke:
 fmt:
 	gofmt -l -w .
 
+# Non-writing format gate: fails, listing the files, when any file is not
+# gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # End-to-end benchmark at smoke scale: all four bench/ workloads through
 # capwire → engine → mapserver, each checked bit for bit against a
 # sequential uncached reference engine. bench/ is its own module, so the
@@ -105,5 +110,5 @@ agent-smoke:
 profile-smoke:
 	sh scripts/profile_smoke.sh
 
-# The gate CI runs: everything must pass before a merge.
-check: vet build test race bench-smoke metrics-smoke trace-smoke chaos-smoke agent-smoke profile-smoke bench-floors
+# The gate CI runs, in CI's order: everything must pass before a merge.
+check: fmt-check vet build test race bench-smoke metrics-smoke trace-smoke chaos-smoke agent-smoke profile-smoke fuzz-smoke bench-floors

@@ -54,7 +54,7 @@ func TestRegistryCardinalityBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := engine.New(engine.Config{
-		Know:      core.KnowledgeFromStore(apdb.FromWorld(w, true)),
+		Know:      core.KnowledgeFromSnapshot(apdb.FromWorld(w, true)),
 		WindowSec: 45,
 		Tracer:    tracer,
 	})

@@ -477,53 +477,56 @@ func runOnce(a *attack, algo string) error {
 	return nil
 }
 
-// mapServer is the map's HTTP server: the map UI, its JSON API and, with
-// -pprof, the profiling endpoints.
-func mapServer(state *mapserver.State, c *config) *http.Server {
-	return ops.HTTPServer(mapserver.NewHandler(state, mapserver.HandlerOpts{Pprof: c.ops.Pprof}))
+// mapServer is the map's HTTP server: the map UI, its JSON API with the
+// status providers in opts and, with -pprof, the profiling endpoints.
+func mapServer(state *mapserver.State, opts mapserver.HandlerOpts) *http.Server {
+	return ops.HTTPServer(mapserver.NewHandler(state, opts))
 }
 
 func serve(a *attack, p *ops.Process, c *config) error {
 	state := mapserver.NewState()
 	state.APsFromKnowledge(a.know)
 	state.SetTracer(a.eng.Tracer())
-	state.SetStatsSource(func() any {
-		st := a.eng.Stats()
-		return map[string]any{
-			"algo":       c.algo,
-			"engine":     st,
-			"shardLens":  a.eng.Store().ShardLens(),
-			"obsDevices": len(a.eng.Store().Devices()),
-			"trace":      a.eng.Tracer().Stats(),
-		}
-	})
 	// simNow mirrors the serve loop's simulated clock for the health
 	// endpoint, which runs on HTTP goroutines.
 	var simNow atomic.Uint64
-	state.SetHealthSource(func() mapserver.Health {
-		return a.health(math.Float64frombits(simNow.Load()))
-	})
+	opts := mapserver.HandlerOpts{
+		Pprof: c.ops.Pprof,
+		Stats: func() any {
+			st := a.eng.Stats()
+			return map[string]any{
+				"algo":       c.algo,
+				"engine":     st,
+				"shardLens":  a.eng.Store().ShardLens(),
+				"obsDevices": len(a.eng.Store().Devices()),
+				"trace":      a.eng.Tracer().Stats(),
+			}
+		},
+		Health: func() mapserver.Health {
+			return a.health(math.Float64frombits(simNow.Load()))
+		},
+	}
 	if p.SLOs != nil {
-		state.SetSLOSource(func() any { return p.SLOs.Report() })
+		opts.SLO = func() any { return p.SLOs.Report() }
 	}
 	if p.Profiler != nil {
-		state.SetProfileSource(func() any {
+		opts.Profile = func() any {
 			return map[string]any{
 				"enabled":     true,
 				"status":      p.Profiler.Status(),
 				"attribution": p.Profiler.Attribution(),
 			}
-		})
+		}
 	}
 	if a.agents != nil {
-		state.SetAgentsSource(func() any { return a.agents.Report() })
+		opts.Agents = func() any { return a.agents.Report() }
 	}
 
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
-	srv := mapServer(state, c)
+	srv := mapServer(state, opts)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	url := "http://" + c.addr

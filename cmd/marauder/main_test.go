@@ -164,8 +164,7 @@ func TestRunFailsOnBoundMetricsAddr(t *testing.T) {
 // every command HTTP server, so a peer trickling headers cannot pin a
 // connection.
 func TestMapServerReadHeaderTimeout(t *testing.T) {
-	_, c := newFlags()
-	srv := mapServer(mapserver.NewState(), c)
+	srv := mapServer(mapserver.NewState(), mapserver.HandlerOpts{})
 	if srv.ReadHeaderTimeout != ops.ReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
 		t.Fatalf("map server ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, ops.ReadHeaderTimeout)
 	}

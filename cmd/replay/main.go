@@ -113,7 +113,7 @@ func replay(c *config, p *ops.Process) (*obs.Store, error) {
 		slog.Info("demo artifacts written", "component", "replay", "pcap", c.pcap, "aps", c.aps)
 	}
 
-	var db *apdb.Store
+	var db *apdb.Snapshot
 	if c.apsSnap != "" {
 		var err error
 		db, err = apdb.LoadSnapshotFile(c.apsSnap)

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"os"
 
-	"repro/internal/apdb"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/geom"
@@ -97,10 +96,7 @@ func run(args []string) error {
 	if *out == "" {
 		return nil
 	}
-	db := apdb.New()
-	for _, in := range know.All() {
-		db.Add(apdb.Entry{BSSID: in.BSSID, Pos: in.Pos, MaxRange: in.MaxRange})
-	}
+	db := know.Snapshot()
 	f, err := os.Create(*out)
 	if err != nil {
 		return err

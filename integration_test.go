@@ -107,7 +107,7 @@ func TestEndToEndAttackPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	know := core.KnowledgeFromStore(db)
+	know := core.KnowledgeFromSnapshot(db)
 
 	// 4. Hand the late-arriving knowledge to the engine (invalidating its
 	// Γ cache) and track with M-Loc; errors must be campus-attack grade.

@@ -14,42 +14,41 @@ import (
 func mac(i byte) dot11.MAC { return dot11.MAC{0, 0, 0, 0, 0, i} }
 
 func TestAddGetLen(t *testing.T) {
-	db := New()
-	if db.Len() != 0 {
-		t.Error("new db not empty")
+	if n := FromEntries(nil).Len(); n != 0 {
+		t.Errorf("empty snapshot has %d entries", n)
 	}
 	e := Entry{BSSID: mac(1), SSID: "a", Pos: geom.Pt(1, 2), MaxRange: 100}
-	db.Add(e)
+	replaced := e
+	replaced.SSID = "b"
+	db := FromEntries([]Entry{e, replaced})
+	if db.Len() != 1 {
+		t.Error("a repeated BSSID should replace, not add")
+	}
 	got, ok := db.Get(mac(1))
-	if !ok || got != e {
+	if !ok || got != replaced {
 		t.Errorf("Get = %v, %v", got, ok)
 	}
 	if _, ok := db.Get(mac(9)); ok {
 		t.Error("missing entry found")
 	}
-	// Replace.
-	e.SSID = "b"
-	db.Add(e)
-	if db.Len() != 1 {
-		t.Error("Add should replace")
-	}
 }
 
 func TestAllSorted(t *testing.T) {
-	db := New()
+	var entries []Entry
 	for _, b := range []byte{5, 1, 3} {
-		db.Add(Entry{BSSID: mac(b)})
+		entries = append(entries, Entry{BSSID: mac(b)})
 	}
-	all := db.All()
+	all := FromEntries(entries).All()
 	if len(all) != 3 || all[0].BSSID != mac(1) || all[2].BSSID != mac(5) {
 		t.Errorf("All = %v", all)
 	}
 }
 
 func TestWithin(t *testing.T) {
-	db := New()
-	db.Add(Entry{BSSID: mac(1), Pos: geom.Pt(0, 0)})
-	db.Add(Entry{BSSID: mac(2), Pos: geom.Pt(100, 0)})
+	db := FromEntries([]Entry{
+		{BSSID: mac(1), Pos: geom.Pt(0, 0)},
+		{BSSID: mac(2), Pos: geom.Pt(100, 0)},
+	})
 	got := db.Within(geom.Pt(0, 0), 50)
 	if len(got) != 1 || got[0].BSSID != mac(1) {
 		t.Errorf("Within = %v", got)
@@ -88,9 +87,10 @@ func TestFromWorld(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	proj := geo.NewProjection(geo.LatLon{Lat: 42.6555, Lon: -71.3254})
-	db := New()
-	db.Add(Entry{BSSID: mac(1), SSID: "north", Pos: geom.Pt(100, 200), MaxRange: 80})
-	db.Add(Entry{BSSID: mac(2), SSID: "with,comma", Pos: geom.Pt(-300, 50)})
+	db := FromEntries([]Entry{
+		{BSSID: mac(1), SSID: "north", Pos: geom.Pt(100, 200), MaxRange: 80},
+		{BSSID: mac(2), SSID: "with,comma", Pos: geom.Pt(-300, 50)},
+	})
 	var buf bytes.Buffer
 	if err := db.ExportCSV(&buf, proj); err != nil {
 		t.Fatal(err)

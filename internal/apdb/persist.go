@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/dot11"
 	"repro/internal/geom"
 )
 
@@ -110,17 +109,13 @@ func (s *Snapshot) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// WriteSnapshot serializes the store's current snapshot.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	return s.Snapshot().WriteSnapshot(w)
-}
-
-// ReadSnapshot parses a binary snapshot written by WriteSnapshot into a
-// fresh store, verifying the magic, version, section lengths, and SHA-256
-// trailer. Corrupt input is rejected with an error, never a panic. The
-// hash covers exactly the consumed header and sections, computed as they
-// are read.
-func ReadSnapshot(r io.Reader) (*Store, error) {
+// ReadSnapshot parses a binary snapshot written by WriteSnapshot,
+// verifying the magic, version, section lengths, and SHA-256 trailer.
+// Corrupt input is rejected with an error, never a panic. The hash covers
+// exactly the consumed header and sections, computed as they are read.
+// The decoded entries go through FromEntries, so a file with unsorted or
+// repeated BSSIDs loads sorted, with the last of each BSSID winning.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	h := sha256.New()
 	br := bufio.NewReader(r)
 	var head [8 + 4 + 8 + 8]byte
@@ -191,60 +186,26 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("apdb: snapshot checksum mismatch")
 	}
 
-	s := New()
-	s.bssid = bssid
-	s.ssid = make([]string, n)
+	entries := make([]Entry, n)
 	off := 0
-	for i := 0; i < n; i++ {
+	for i := range entries {
+		e := &entries[i]
+		copy(e.BSSID[:], bssid[i*6:])
 		l := int(binary.LittleEndian.Uint32(lensRaw[i*4:]))
-		s.ssid[i] = string(ssidRaw[off : off+l])
+		e.SSID = string(ssidRaw[off : off+l])
 		off += l
-	}
-	s.pos = make([]geom.Point, n)
-	for i := 0; i < n; i++ {
-		s.pos[i] = geom.Point{
+		e.Pos = geom.Point{
 			X: math.Float64frombits(binary.LittleEndian.Uint64(posRaw[i*16:])),
 			Y: math.Float64frombits(binary.LittleEndian.Uint64(posRaw[i*16+8:])),
 		}
+		e.MaxRange = math.Float64frombits(binary.LittleEndian.Uint64(rngRaw[i*8:]))
 	}
-	s.rng = make([]float64, n)
-	for i := 0; i < n; i++ {
-		s.rng[i] = math.Float64frombits(binary.LittleEndian.Uint64(rngRaw[i*8:]))
-	}
-	for i := 0; i < n; i++ {
-		var m dot11.MAC
-		copy(m[:], s.bssid[i*6:])
-		if prev, dup := s.slot[m]; dup {
-			// Last occurrence wins, matching Add's replace semantics.
-			s.ssid[prev], s.pos[prev], s.rng[prev] = s.ssid[i], s.pos[i], s.rng[i]
-			continue
-		}
-		s.slot[m] = int32(i)
-	}
-	if len(s.slot) != n {
-		// Duplicate BSSIDs in the file collapsed: rebuild compacted.
-		entries := make([]Entry, 0, len(s.slot))
-		seen := make(map[dot11.MAC]bool, len(s.slot))
-		for i := 0; i < n; i++ {
-			var m dot11.MAC
-			copy(m[:], s.bssid[i*6:])
-			if seen[m] {
-				continue
-			}
-			seen[m] = true
-			j := int(s.slot[m])
-			entries = append(entries, Entry{BSSID: m, SSID: s.ssid[j], Pos: s.pos[j], MaxRange: s.rng[j]})
-		}
-		return FromEntries(entries), nil
-	}
-	s.dirty.Store(true)
-	return s, nil
+	return FromEntries(entries), nil
 }
 
-// SaveSnapshotFile writes the store's snapshot to path atomically
-// (write-temp, fsync, rename, dir-fsync) so a crash never leaves a torn
-// file behind.
-func (s *Store) SaveSnapshotFile(path string) error {
+// SaveSnapshotFile writes the snapshot to path atomically (write-temp,
+// fsync, rename, dir-fsync) so a crash never leaves a torn file behind.
+func (s *Snapshot) SaveSnapshotFile(path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".apdb-snap-*")
 	if err != nil {
@@ -272,8 +233,8 @@ func (s *Store) SaveSnapshotFile(path string) error {
 	return nil
 }
 
-// LoadSnapshotFile reads a store from a binary snapshot file.
-func LoadSnapshotFile(path string) (*Store, error) {
+// LoadSnapshotFile reads a snapshot from a binary snapshot file.
+func LoadSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("apdb: load snapshot: %w", err)

@@ -17,7 +17,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Entry{BSSID: mac64(1 << 40), SSID: "eduroam", Pos: geom.Pt(-1e6, 1e6), MaxRange: 0.25},
 		Entry{BSSID: mac64(2 << 40), SSID: "büro-ap £€", Pos: geom.Pt(0, 0)},
 	)
-	want := FromEntries(entries).Snapshot()
+	want := FromEntries(entries)
 
 	var buf bytes.Buffer
 	if err := want.WriteSnapshot(&buf); err != nil {
@@ -27,10 +27,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Snapshot().Equal(want) {
+	if !got.Equal(want) {
 		t.Fatal("round trip changed the snapshot contents")
 	}
-	// The reloaded store answers spatial queries like the original.
+	// The reloaded snapshot answers spatial queries like the original.
 	p := geom.Pt(100, -100)
 	if a, b := want.Within(p, 300), got.Within(p, 300); len(a) != len(b) {
 		t.Fatalf("Within after reload: %d vs %d entries", len(b), len(a))
@@ -39,7 +39,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotRoundTripEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteSnapshot(&buf); err != nil {
+	if err := FromEntries(nil).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshot(&buf)
@@ -62,7 +62,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Snapshot().Equal(s.Snapshot()) {
+	if !got.Equal(s) {
 		t.Fatal("file round trip changed the snapshot contents")
 	}
 	if _, err := LoadSnapshotFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
@@ -99,15 +99,17 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestSnapshotReadDuplicateBSSIDs: a handcrafted file with repeated
-// BSSIDs must load with Add's last-wins semantics, one slot per MAC.
+// BSSIDs must load with FromEntries' last-wins semantics, one slot per
+// MAC.
 func TestSnapshotReadDuplicateBSSIDs(t *testing.T) {
-	s := New()
-	s.Add(Entry{BSSID: mac64(5), Pos: geom.Pt(1, 1), MaxRange: 10})
-	s.Add(Entry{BSSID: mac64(6), Pos: geom.Pt(2, 2), MaxRange: 20})
-	sn := s.Snapshot()
+	sn := FromEntries([]Entry{
+		{BSSID: mac64(5), Pos: geom.Pt(1, 1), MaxRange: 10},
+		{BSSID: mac64(6), Pos: geom.Pt(2, 2), MaxRange: 20},
+	})
 	// Duplicate the first entry's BSSID by rewriting the second slot's
-	// packed bytes, then re-checksum by rewriting through a fresh store:
-	// easier to just build the duplicate-carrying snapshot by hand.
+	// packed bytes, then re-checksum by rewriting through a fresh
+	// snapshot: easier to just build the duplicate-carrying snapshot by
+	// hand.
 	dup := &Snapshot{
 		bssid: append(append([]byte(nil), sn.bssid[:6]...), sn.bssid[:6]...),
 		ssid:  []string{"a", "b"},
@@ -131,6 +133,41 @@ func TestSnapshotReadDuplicateBSSIDs(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadUnsortedBSSIDs: a valid file whose BSSID section is
+// out of order (not something WriteSnapshot produces, but the format
+// does not forbid it) must load sorted, so binary-search lookups find
+// every entry.
+func TestSnapshotReadUnsortedBSSIDs(t *testing.T) {
+	var bssid []byte
+	for _, id := range []uint64{9, 2, 5} {
+		m := mac64(id)
+		bssid = append(bssid, m[:]...)
+	}
+	unsorted := &Snapshot{
+		bssid: bssid,
+		ssid:  []string{"nine", "two", "five"},
+		pos:   []geom.Point{geom.Pt(9, 9), geom.Pt(2, 2), geom.Pt(5, 5)},
+		rng:   []float64{90, 20, 50},
+	}
+	var buf bytes.Buffer
+	if err := unsorted.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FromEntries(unsorted.All())
+	if !got.Equal(want) {
+		t.Fatalf("unsorted file loaded as %+v, want %+v", got.All(), want.All())
+	}
+	for _, e := range unsorted.All() {
+		if g, ok := got.Get(e.BSSID); !ok || g != e {
+			t.Errorf("Get(%v) = %+v, %v; want %+v", e.BSSID, g, ok, e)
+		}
+	}
+}
+
 // FuzzSnapshotCodec feeds arbitrary bytes to the reader (must never
 // panic, and anything it accepts must re-encode losslessly) and checks
 // the round trip for generated stores.
@@ -147,12 +184,11 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(append([]byte(nil), trunc...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadSnapshot(bytes.NewReader(data))
+		sn, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return // rejected, fine — just must not panic
 		}
 		// Accepted input: re-encoding and re-reading must be stable.
-		sn := s.Snapshot()
 		var buf bytes.Buffer
 		if err := sn.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
@@ -161,7 +197,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of re-encoded snapshot failed: %v", err)
 		}
-		if !again.Snapshot().Equal(sn) {
+		if !again.Equal(sn) {
 			t.Fatal("re-encoded snapshot is not equal to the accepted one")
 		}
 		// Spatial queries over accepted data must not panic, even for

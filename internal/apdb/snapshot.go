@@ -9,10 +9,10 @@ import (
 	"repro/internal/geom"
 )
 
-// Snapshot is an immutable, BSSID-sorted struct-of-arrays view of a Store
-// at one instant. Every query method is safe for unsynchronized concurrent
-// use; the spatial index is built lazily on the first spatial query and
-// shared by all of them.
+// Snapshot is the AP database: an immutable, BSSID-sorted
+// struct-of-arrays table built by FromEntries. Every query method is safe
+// for unsynchronized concurrent use; the spatial index is built lazily on
+// the first spatial query and shared by all of them.
 //
 // Identity lookups (Slot, Get, CandidatesFor) binary-search the packed
 // BSSID array — O(log n) on 6-byte keys, no per-snapshot hash map to
@@ -30,7 +30,7 @@ type Snapshot struct {
 	grid     *grid
 }
 
-// emptySnapshot backs nil-store views (e.g. a zero core.Knowledge).
+// emptySnapshot backs empty views (e.g. a zero core.Knowledge).
 var emptySnapshot = &Snapshot{}
 
 // EmptySnapshot returns the shared empty snapshot (epoch 0).
@@ -84,10 +84,6 @@ func (s *Snapshot) MACAt(i int) dot11.MAC {
 // PosAt returns the position at slot i.
 func (s *Snapshot) PosAt(i int) geom.Point { return s.pos[i] }
 
-// RangeAt returns the maximum transmission distance at slot i (0 means
-// unknown).
-func (s *Snapshot) RangeAt(i int) float64 { return s.rng[i] }
-
 // EntryAt materializes the entry at slot i.
 func (s *Snapshot) EntryAt(i int) Entry {
 	return Entry{BSSID: s.MACAt(i), SSID: s.ssid[i], Pos: s.pos[i], MaxRange: s.rng[i]}
@@ -136,7 +132,7 @@ func (s *Snapshot) Equal(o *Snapshot) bool {
 // the snapshot to dst and returns it — the candidate-disc lookup M-Loc
 // and AP-Rad intersect. Each AP uses its own MaxRange, or fallbackRange
 // when unknown; fallbackRange ≤ 0 skips range-less APs. Cost is
-// O(|Γ| log n) regardless of the store size.
+// O(|Γ| log n) regardless of the snapshot size.
 func (s *Snapshot) CandidatesFor(dst []geom.Circle, gamma []dot11.MAC, fallbackRange float64) []geom.Circle {
 	for _, m := range gamma {
 		i, ok := s.Slot(m)

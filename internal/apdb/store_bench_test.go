@@ -11,15 +11,15 @@ import (
 	"repro/internal/geom"
 )
 
-// Benchmarks for the SoA store's query paths. The Linear/Grid pair is
+// Benchmarks for the SoA snapshot's build and query paths. The Linear/Grid pair is
 // the PR 6 regression benchmark: the seed sorted the whole table on
 // every Within call; the grid must stay sublinear as the AP population
 // grows from a campus (255) through a district (1e5) to a metro (1e6).
 
-// benchStore builds an n-AP store spread over an area sized for a
-// roughly constant ~100 APs/km² urban density, so the grid cell
-// population stays realistic at every n.
-func benchStore(n int) *Store {
+// benchEntries draws n APs spread over an area sized for a roughly
+// constant ~100 APs/km² urban density, so the grid cell population stays
+// realistic at every n.
+func benchEntries(n int) []Entry {
 	rng := rand.New(rand.NewSource(int64(n)))
 	side := math.Sqrt(float64(n) / 100.0 * 1e6) // meters
 	entries := make([]Entry, n)
@@ -30,8 +30,11 @@ func benchStore(n int) *Store {
 			MaxRange: 50 + rng.Float64()*100,
 		}
 	}
-	return FromEntries(entries)
+	return entries
 }
+
+// benchStore builds the snapshot of benchEntries(n).
+func benchStore(n int) *Snapshot { return FromEntries(benchEntries(n)) }
 
 var benchSizes = []int{255, 100_000, 1_000_000}
 
@@ -43,7 +46,7 @@ var sinkEntries []Entry
 func BenchmarkWithinLinear(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			sn := benchStore(n).Snapshot()
+			sn := benchStore(n)
 			side := math.Sqrt(float64(n) / 100.0 * 1e6)
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
@@ -60,7 +63,7 @@ func BenchmarkWithinLinear(b *testing.B) {
 func BenchmarkWithinGrid(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			sn := benchStore(n).Snapshot()
+			sn := benchStore(n)
 			side := math.Sqrt(float64(n) / 100.0 * 1e6)
 			sn.Within(geom.Pt(0, 0), 1) // build the index outside the timer
 			rng := rand.New(rand.NewSource(1))
@@ -88,46 +91,31 @@ func BenchmarkCandidatesFor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkDiscs = s.CandidatesFor(gamma, 100)
+		sinkDiscs = s.CandidatesFor(nil, gamma, 100)
 	}
 }
 
 var sinkSnap *Snapshot
 
-// BenchmarkSnapshotPublish measures the copy-on-write slow path: one Add
-// invalidates, the next Snapshot call re-sorts and republishes.
-func BenchmarkSnapshotPublish(b *testing.B) {
+// BenchmarkFromEntries is the one construction path: sort, last-wins
+// compaction and the struct-of-arrays copy, from a campus to a district.
+func BenchmarkFromEntries(b *testing.B) {
 	for _, n := range []int{255, 100_000} {
 		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			s := benchStore(n)
-			e := Entry{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 100}
+			entries := benchEntries(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.MaxRange = float64(i%100) + 1
-				s.Add(e)
-				sinkSnap = s.Snapshot()
+				sinkSnap = FromEntries(entries)
 			}
 		})
-	}
-}
-
-// BenchmarkSnapshotCached is the fast path: a clean store hands out the
-// published pointer with no copying.
-func BenchmarkSnapshotCached(b *testing.B) {
-	s := benchStore(100_000)
-	s.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkSnap = s.Snapshot()
 	}
 }
 
 var sinkErr error
 
 func BenchmarkSnapshotEncode(b *testing.B) {
-	sn := benchStore(100_000).Snapshot()
+	sn := benchStore(100_000)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package apdb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,7 +48,7 @@ func randomEntries(n int, rng *rand.Rand) []Entry {
 func TestSnapshotWithinMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sn := FromEntries(randomEntries(300, rng)).Snapshot()
+		sn := FromEntries(randomEntries(300, rng))
 		for trial := 0; trial < 30; trial++ {
 			p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
 			dist := rng.Float64() * 400
@@ -78,7 +79,7 @@ func TestSnapshotNonFinitePositions(t *testing.T) {
 		{BSSID: mac64(2), Pos: geom.Pt(math.NaN(), 5)},
 		{BSSID: mac64(3), Pos: geom.Pt(10, math.Inf(1))},
 		{BSSID: mac64(4), Pos: geom.Pt(3, 4)},
-	}).Snapshot()
+	})
 	got := sn.Within(geom.Pt(0, 0), 6)
 	want := sn.ScanWithin(geom.Pt(0, 0), 6)
 	if len(got) != len(want) || len(got) != 2 {
@@ -89,44 +90,76 @@ func TestSnapshotNonFinitePositions(t *testing.T) {
 	}
 }
 
-// TestSnapshotCopyOnWrite: a published snapshot is immutable — later Adds
-// publish a successor with a fresh epoch and leave the old view intact.
-func TestSnapshotCopyOnWrite(t *testing.T) {
-	s := New()
-	s.Add(Entry{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 10})
-	first := s.Snapshot()
-	if first.Len() != 1 {
-		t.Fatalf("first snapshot len = %d", first.Len())
+// TestFromEntries pins the one construction path: the output is in
+// BSSID order whatever the input order, the last entry of a repeated
+// BSSID wins wherever the repeats sit, and every call stamps a fresh,
+// strictly larger epoch.
+func TestFromEntries(t *testing.T) {
+	entries := []Entry{
+		{BSSID: mac64(7), SSID: "first", MaxRange: 1},
+		{BSSID: mac64(3), Pos: geom.Pt(3, 3)},
+		{BSSID: mac64(7), SSID: "middle", MaxRange: 2},
+		{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 10},
+		{BSSID: mac64(5)},
+		{BSSID: mac64(1), Pos: geom.Pt(9, 9), MaxRange: 99},
+		{BSSID: mac64(7), SSID: "last", MaxRange: 3},
 	}
-	if again := s.Snapshot(); again != first {
-		t.Error("clean store must return the cached snapshot pointer")
+	input := append([]Entry(nil), entries...)
+	sn := FromEntries(entries)
+	if !slices.Equal(entries, input) {
+		t.Fatal("FromEntries modified its input")
+	}
+	want := []Entry{
+		{BSSID: mac64(1), Pos: geom.Pt(9, 9), MaxRange: 99},
+		{BSSID: mac64(3), Pos: geom.Pt(3, 3)},
+		{BSSID: mac64(5)},
+		{BSSID: mac64(7), SSID: "last", MaxRange: 3},
+	}
+	if got := sn.All(); !slices.Equal(got, want) {
+		t.Fatalf("All = %+v, want %+v", got, want)
+	}
+	for i, e := range want {
+		if slot, ok := sn.Slot(e.BSSID); !ok || slot != i {
+			t.Errorf("Slot(%v) = %d, %v; want %d", e.BSSID, slot, ok, i)
+		}
 	}
 
-	s.Add(Entry{BSSID: mac64(2), Pos: geom.Pt(2, 2), MaxRange: 20})
-	s.Add(Entry{BSSID: mac64(1), Pos: geom.Pt(9, 9), MaxRange: 99}) // replace
-	second := s.Snapshot()
-	if second == first {
-		t.Fatal("mutation must publish a new snapshot")
+	// Shuffled inputs give the same table; the last duplicate in input
+	// order wins wherever it lands.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		shuffled := randomEntries(200, rng)
+		last := make(map[dot11.MAC]Entry)
+		for _, e := range shuffled {
+			last[e.BSSID] = e
+		}
+		got := FromEntries(shuffled).All()
+		if len(got) != len(last) {
+			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(last))
+		}
+		for i, e := range got {
+			if i > 0 && macKey(got[i-1].BSSID[:]) >= macKey(e.BSSID[:]) {
+				t.Fatalf("trial %d: slot %d out of BSSID order", trial, i)
+			}
+			if last[e.BSSID] != e {
+				t.Fatalf("trial %d: %v holds %+v, want the last entry %+v", trial, e.BSSID, e, last[e.BSSID])
+			}
+		}
 	}
-	if second.Epoch() == first.Epoch() {
-		t.Fatal("distinct snapshots must carry distinct epochs")
+
+	prev := sn.Epoch()
+	for i := 0; i < 5; i++ {
+		again := FromEntries(entries)
+		if again.Epoch() <= prev {
+			t.Fatalf("epoch %d after %d: want strictly larger", again.Epoch(), prev)
+		}
+		if !again.Equal(sn) {
+			t.Fatal("same input must build equal snapshots")
+		}
+		prev = again.Epoch()
 	}
-	if second.Epoch() < first.Epoch() {
-		t.Fatal("epochs must be monotonic")
-	}
-	// The old view still answers with the old data.
-	if e, ok := first.Get(mac64(1)); !ok || e.Pos != geom.Pt(1, 1) || e.MaxRange != 10 {
-		t.Fatalf("first snapshot mutated: %+v", e)
-	}
-	if _, ok := first.Get(mac64(2)); ok {
-		t.Fatal("first snapshot sees a later Add")
-	}
-	// The new view has the replace applied, still one slot per BSSID.
-	if second.Len() != 2 {
-		t.Fatalf("second snapshot len = %d", second.Len())
-	}
-	if e, _ := second.Get(mac64(1)); e.MaxRange != 99 {
-		t.Fatalf("replace not applied: %+v", e)
+	if FromEntries(nil).Epoch() <= prev || EmptySnapshot().Epoch() != 0 {
+		t.Fatal("an empty build must still stamp a fresh epoch; only the shared empty snapshot has epoch 0")
 	}
 }
 
@@ -134,22 +167,22 @@ func TestSnapshotEqual(t *testing.T) {
 	a := FromEntries([]Entry{
 		{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 10},
 		{BSSID: mac64(2), Pos: geom.Pt(2, 2)},
-	}).Snapshot()
+	})
 	b := FromEntries([]Entry{ // same content, different insertion order
 		{BSSID: mac64(2), Pos: geom.Pt(2, 2)},
 		{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 10},
-	}).Snapshot()
+	})
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Error("content-equal snapshots must compare equal")
 	}
 	c := FromEntries([]Entry{
 		{BSSID: mac64(1), Pos: geom.Pt(1, 1), MaxRange: 11},
 		{BSSID: mac64(2), Pos: geom.Pt(2, 2)},
-	}).Snapshot()
+	})
 	if a.Equal(c) {
 		t.Error("differing MaxRange must compare unequal")
 	}
-	if !EmptySnapshot().Equal(New().Snapshot()) {
+	if !EmptySnapshot().Equal(FromEntries(nil)) {
 		t.Error("empty snapshots must compare equal")
 	}
 }
@@ -165,68 +198,66 @@ func TestCandidatesFor(t *testing.T) {
 	})
 	gamma := []dot11.MAC{mac64(3), mac64(9), mac64(1), mac64(2)}
 
-	discs := s.CandidatesFor(gamma, 0)
+	discs := s.CandidatesFor(nil, gamma, 0)
 	if len(discs) != 2 || discs[0].R != 70 || discs[1].R != 50 {
 		t.Fatalf("no-fallback discs = %+v", discs)
 	}
-	discs = s.CandidatesFor(gamma, 30)
+	discs = s.CandidatesFor(nil, gamma, 30)
 	if len(discs) != 3 || discs[0].R != 70 || discs[1].R != 50 || discs[2].R != 30 {
 		t.Fatalf("fallback discs = %+v", discs)
 	}
-	if got := s.CandidatesFor(nil, 30); len(got) != 0 {
+	if got := s.CandidatesFor(nil, nil, 30); len(got) != 0 {
 		t.Fatalf("empty gamma discs = %+v", got)
 	}
 }
 
-// TestConcurrentAddAndQuery drives ingest and queries in parallel; run
-// under -race this pins the reader/writer isolation of the COW design.
-func TestConcurrentAddAndQuery(t *testing.T) {
-	s := New()
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
+// TestConcurrentQueries runs every query path against one snapshot from
+// several goroutines at once; run under -race this pins that queries need
+// no lock, and that the lazily built grid is published safely to all of
+// them.
+func TestConcurrentQueries(t *testing.T) {
+	entries := make([]Entry, 0, 4*500)
 	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < 500; i++ {
-				s.Add(Entry{
-					BSSID:    mac64(uint64(w*1000 + i)),
-					Pos:      geom.Pt(float64(i%100)*10, float64(w)*100),
-					MaxRange: 100,
-				})
-			}
-		}(w)
+		for i := 0; i < 500; i++ {
+			entries = append(entries, Entry{
+				BSSID:    mac64(uint64(w*1000 + i)),
+				Pos:      geom.Pt(float64(i%100)*10, float64(w)*100),
+				MaxRange: 100,
+			})
+		}
 	}
-	for r := 0; r < 4; r++ {
+	sn := FromEntries(entries)
+	want := sn.ScanWithin(geom.Pt(100, 100), 200)
+	var readers sync.WaitGroup
+	for r := 0; r < 8; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for {
-				select {
-				case <-stop:
+			for i := 0; i < 200; i++ {
+				if got := sn.Within(geom.Pt(100, 100), 200); len(got) != len(want) {
+					t.Errorf("Within = %d entries, want %d", len(got), len(want))
 					return
-				default:
 				}
-				sn := s.Snapshot()
-				sn.Within(geom.Pt(100, 100), 200)
-				sn.Nearest(geom.Pt(0, 0))
-				s.CandidatesFor([]dot11.MAC{mac64(1), mac64(1001)}, 50)
+				if near, ok := sn.Nearest(geom.Pt(0, 0)); !ok || near.Pos != geom.Pt(0, 0) {
+					t.Errorf("Nearest = %+v, %v", near, ok)
+					return
+				}
+				if discs := sn.CandidatesFor(nil, []dot11.MAC{mac64(1), mac64(1001)}, 50); len(discs) != 2 {
+					t.Errorf("CandidatesFor = %+v", discs)
+					return
+				}
 			}
 		}()
 	}
-	writers.Wait()
-	close(stop)
 	readers.Wait()
-	if n := s.Len(); n != 4*500 {
-		t.Fatalf("store len = %d, want %d", n, 4*500)
+	if n := sn.Len(); n != 4*500 {
+		t.Fatalf("snapshot len = %d, want %d", n, 4*500)
 	}
 }
 
-// TestStoreQueryEdgeCases pins the Store's query surface at its edges:
-// out-of-range radii, an empty store, Nearest against a brute-force
-// scan, and Adds made after earlier queries, which every query path must
-// see rather than a snapshot cached by the warm-up. (A Get miss is
-// TestGridIndexGet's.)
+// TestStoreQueryEdgeCases pins the snapshot's query surface at its
+// edges: out-of-range radii, an empty snapshot, and Nearest against a
+// brute-force scan. (A Get miss is TestGridIndexGet's.)
 func TestStoreQueryEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -245,7 +276,7 @@ func TestStoreQueryEdgeCases(t *testing.T) {
 			}
 		}},
 		{"nearest_empty", func(t *testing.T) {
-			if e, ok := New().Nearest(geom.Pt(0, 0)); ok {
+			if e, ok := FromEntries(nil).Nearest(geom.Pt(0, 0)); ok {
 				t.Fatalf("empty Nearest = %+v, want !ok", e)
 			}
 		}},
@@ -265,55 +296,35 @@ func TestStoreQueryEdgeCases(t *testing.T) {
 				}
 			}
 		}},
-		{"adds_after_queries_visible", func(t *testing.T) {
-			s, _ := randomStore(50, 6)
-			s.Within(geom.Pt(0, 0), 100)
-			s.Nearest(geom.Pt(5000, 5000))
-			late := Entry{BSSID: mac64(200), Pos: geom.Pt(5000, 5000), MaxRange: 80}
-			s.Add(late)
-			if s.Len() != 51 {
-				t.Fatalf("Len after Add = %d, want 51", s.Len())
-			}
-			if got, ok := s.Get(late.BSSID); !ok || got != late {
-				t.Fatalf("Get after Add = %+v, %v", got, ok)
-			}
-			if within := s.Within(geom.Pt(5000, 5000), 10); len(within) != 1 || within[0].BSSID != late.BSSID {
-				t.Fatalf("Within after Add = %+v, want the late AP", within)
-			}
-			if near, ok := s.Nearest(geom.Pt(4990, 5010)); !ok || near.BSSID != late.BSSID {
-				t.Fatalf("Nearest after Add = %+v, want the late AP", near)
-			}
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, c.run)
 	}
 }
 
-// randomStore fills a store with n APs at uniform positions in a 2 km
+// randomStore builds a snapshot of n APs at uniform positions in a 2 km
 // square, BSSIDs 0..n-1.
-func randomStore(n int, seed int64) (*Store, *rand.Rand) {
+func randomStore(n int, seed int64) (*Snapshot, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
-	s := New()
-	for i := 0; i < n; i++ {
-		s.Add(Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)})
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)}
 	}
-	return s, rng
+	return FromEntries(entries), rng
 }
 
-// TestGridIndexMatchesLinearScan checks the live Store's grid-indexed
-// Within against the snapshot's exported linear scan, so the grid is
-// compared with ground truth rather than with itself.
+// TestGridIndexMatchesLinearScan checks the grid-indexed Within against
+// the exported linear scan, so the grid is compared with ground truth
+// rather than with itself.
 func TestGridIndexMatchesLinearScan(t *testing.T) {
 	s, rng := randomStore(200, 1)
 	if s.Len() != 200 {
 		t.Fatalf("indexed %d", s.Len())
 	}
-	sn := s.Snapshot()
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Pt(rng.Float64()*2200-1100, rng.Float64()*2200-1100)
 		dist := rng.Float64() * 500
-		want := sn.ScanWithin(p, dist)
+		want := s.ScanWithin(p, dist)
 		got := s.Within(p, dist)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: grid %d vs linear %d entries", trial, len(got), len(want))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -520,6 +521,60 @@ func TestStaleAgentFlipsHealth(t *testing.T) {
 	reasons := srv.HealthReasons(time.Millisecond)
 	if len(reasons) == 0 {
 		t.Fatal("silent agent not reported")
+	}
+}
+
+// TestHealthReasonsStaleOff: staleAfter <= 0 turns the silence check
+// off (the -ingest-stale-after default), however long an agent has been
+// quiet, while an accounting mismatch is still always reported.
+func TestHealthReasonsStaleOff(t *testing.T) {
+	sink := newCountingSink()
+	srv, addr := startServer(t, ServerConfig{Ingest: sink.ingest})
+	c := fastClient(t, addr, "quiet-agent", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Send(ctx, uniqueCaptures(0x71, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	// Once the server has seen the close, no heartbeat can refresh
+	// lastSeen behind the backdating below.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if a := srv.Agents(); len(a) == 1 && !a[0].Connected {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never saw the agent disconnect")
+		}
+	}
+
+	// Backdate the agent's last traffic well past any default threshold.
+	srv.mu.Lock()
+	st := srv.agents["quiet-agent"]
+	srv.mu.Unlock()
+	st.mu.Lock()
+	st.lastSeen = time.Now().Add(-time.Hour)
+	st.mu.Unlock()
+	for _, off := range []time.Duration{0, -time.Second} {
+		if reasons := srv.HealthReasons(off); len(reasons) != 0 {
+			t.Fatalf("HealthReasons(%v) = %v, want none: the silence check is off", off, reasons)
+		}
+	}
+	if reasons := srv.HealthReasons(time.Minute); len(reasons) != 1 || !strings.Contains(reasons[0], "silent") {
+		t.Fatalf("HealthReasons(1m) = %v, want one silence reason", reasons)
+	}
+
+	// Force an accounting mismatch: a received frame that was neither
+	// ingested, quarantined nor deduplicated.
+	st.mu.Lock()
+	st.framesRx++
+	st.mu.Unlock()
+	reasons := srv.HealthReasons(0)
+	if len(reasons) != 1 || !strings.Contains(reasons[0], "accounting mismatch") {
+		t.Fatalf("HealthReasons(0) = %v, want only the accounting mismatch", reasons)
 	}
 }
 

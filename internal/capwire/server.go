@@ -446,20 +446,18 @@ func (s *Server) Report() Report {
 	return Report{Enabled: true, Agents: s.Agents(), Totals: s.Totals()}
 }
 
-// HealthReasons lists agents that have gone silent: no traffic for
-// longer than staleAfter (<= 0 means 30s). Fed into /api/health so a
-// dead remote capture path degrades the deployment.
+// HealthReasons lists agents whose exactly-once accounting does not add
+// up, always, and agents that have gone silent: no traffic for longer
+// than staleAfter. staleAfter <= 0 turns the silence check off. Fed into
+// /api/health so a dead remote capture path degrades the deployment.
 func (s *Server) HealthReasons(staleAfter time.Duration) []string {
-	if staleAfter <= 0 {
-		staleAfter = 30 * time.Second
-	}
 	var reasons []string
 	for _, a := range s.Agents() {
 		if !a.AccountingOk {
 			reasons = append(reasons, fmt.Sprintf("agent %s accounting mismatch", a.ID))
 		}
-		if math.IsNaN(a.LastSeenAgeSec) {
-			continue // seeded from a cursor file, never seen this run
+		if staleAfter <= 0 || math.IsNaN(a.LastSeenAgeSec) {
+			continue // silence check off, or seeded from a cursor file and never seen this run
 		}
 		if a.LastSeenAgeSec > staleAfter.Seconds() {
 			state := "connected"

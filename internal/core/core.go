@@ -34,8 +34,8 @@ import (
 type APInfo = apdb.Entry
 
 // Knowledge is the per-attack AP knowledge base (external knowledge, or
-// the output of AP-Rad / AP-Loc training): an immutable view over an
-// apdb.Snapshot, the struct-of-arrays store behind apdb, core and the
+// the output of AP-Rad / AP-Loc training): a view over an apdb.Snapshot,
+// the immutable struct-of-arrays AP table behind apdb, core and the
 // engine. The zero value is an empty knowledge base. Copying a Knowledge
 // copies a pointer; the underlying snapshot never changes.
 type Knowledge struct {
@@ -45,19 +45,10 @@ type Knowledge struct {
 // NewKnowledge builds a Knowledge base from a list of APInfo (later
 // duplicates replace earlier ones).
 func NewKnowledge(infos []APInfo) Knowledge {
-	return KnowledgeFromStore(apdb.FromEntries(infos))
+	return KnowledgeFromSnapshot(apdb.FromEntries(infos))
 }
 
-// KnowledgeFromStore is a view of the store's current snapshot. Later
-// store mutations publish new snapshots and do not affect the view.
-func KnowledgeFromStore(s *apdb.Store) Knowledge {
-	if s == nil {
-		return Knowledge{}
-	}
-	return Knowledge{snap: s.Snapshot()}
-}
-
-// KnowledgeFromSnapshot wraps an already-published snapshot.
+// KnowledgeFromSnapshot wraps an already-built snapshot.
 func KnowledgeFromSnapshot(sn *apdb.Snapshot) Knowledge {
 	return Knowledge{snap: sn}
 }

@@ -50,9 +50,6 @@ func (rt *RegionTracker) LastPath() string { return rt.lastPath }
 // removed relative to the previous Γ (the full disc count for a rebuild).
 func (rt *RegionTracker) LastDiff() int { return rt.lastAdded + rt.lastRemoved }
 
-// Invalidate forces the next MLocTracked call to rebuild from scratch.
-func (rt *RegionTracker) Invalidate() { rt.valid = false }
-
 // RegionArea returns the area of the intersection region the most recent
 // MLocTracked call worked on, served from the live incremental state —
 // the same value RegionArea(know, gamma) would recompute from scratch for

@@ -47,23 +47,22 @@ func trainBase() core.Knowledge {
 }
 
 func TestRefreshRetriesThenSucceeds(t *testing.T) {
-	fails, calls := 2, 0
+	fails, calls := refreshAttempts-1, 0
 	eng, err := New(Config{
 		Know: trainBase(), WindowSec: 10,
-		Localizer:       flakyTrainer{failLeft: &fails, calls: &calls},
-		RefreshAttempts: 3, RefreshBackoff: -1,
+		Localizer: flakyTrainer{failLeft: &fails, calls: &calls},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RefreshKnowledge(); err != nil {
-		t.Fatalf("refresh should succeed on the third attempt: %v", err)
+		t.Fatalf("refresh should succeed on the last attempt: %v", err)
 	}
-	if calls != 3 {
-		t.Errorf("training ran %d times, want 3", calls)
+	if calls != refreshAttempts {
+		t.Errorf("training ran %d times, want %d", calls, refreshAttempts)
 	}
 	h := eng.Health()
-	if !h.Healthy || h.RefreshRetries != 2 || h.ConsecutiveRefreshFailures != 0 || !h.TrainedOnce {
+	if !h.Healthy || h.RefreshRetries != refreshAttempts-1 || h.ConsecutiveRefreshFailures != 0 || !h.TrainedOnce {
 		t.Errorf("health after recovered refresh = %+v", h)
 	}
 }
@@ -72,8 +71,7 @@ func TestRefreshColdStartFailurePropagates(t *testing.T) {
 	fails, calls := 100, 0
 	eng, err := New(Config{
 		Know: trainBase(), WindowSec: 10,
-		Localizer:       flakyTrainer{failLeft: &fails, calls: &calls},
-		RefreshAttempts: 2, RefreshBackoff: -1,
+		Localizer: flakyTrainer{failLeft: &fails, calls: &calls},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +79,8 @@ func TestRefreshColdStartFailurePropagates(t *testing.T) {
 	if err := eng.RefreshKnowledge(); err == nil {
 		t.Fatal("cold-start refresh with no last-known-good must error")
 	}
-	if calls != 2 {
-		t.Errorf("training ran %d times, want 2 (RefreshAttempts)", calls)
+	if calls != refreshAttempts {
+		t.Errorf("training ran %d times, want %d (refreshAttempts)", calls, refreshAttempts)
 	}
 	h := eng.Health()
 	if h.Healthy || h.ConsecutiveRefreshFailures != 1 || h.TrainedOnce {
@@ -94,8 +92,7 @@ func TestRefreshFallsBackToLastKnownGood(t *testing.T) {
 	fails, calls := 0, 0
 	eng, err := New(Config{
 		Know: trainBase(), WindowSec: 10,
-		Localizer:       flakyTrainer{failLeft: &fails, calls: &calls},
-		RefreshAttempts: 2, RefreshBackoff: -1,
+		Localizer: flakyTrainer{failLeft: &fails, calls: &calls},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +138,10 @@ func TestRefreshFallsBackToLastKnownGood(t *testing.T) {
 }
 
 func TestRefreshBackoffSleeps(t *testing.T) {
-	fails, calls := 2, 0
+	fails, calls := refreshAttempts-1, 0
 	eng, err := New(Config{
 		Know: trainBase(), WindowSec: 10,
-		Localizer:       flakyTrainer{failLeft: &fails, calls: &calls},
-		RefreshAttempts: 3, RefreshBackoff: 10 * time.Millisecond,
+		Localizer: flakyTrainer{failLeft: &fails, calls: &calls},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +150,13 @@ func TestRefreshBackoffSleeps(t *testing.T) {
 	if err := eng.RefreshKnowledge(); err != nil {
 		t.Fatal(err)
 	}
-	// Two retries: 10ms + 20ms of backoff.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("elapsed %v, want >= 30ms of exponential backoff", elapsed)
+	// Retry i (from 1) sleeps refreshBackoff·2^(i-1): 25ms + 50ms.
+	var want time.Duration
+	for i := 1; i < refreshAttempts; i++ {
+		want += refreshBackoff << (i - 1)
+	}
+	if elapsed := time.Since(start); elapsed < want {
+		t.Errorf("elapsed %v, want >= %v of exponential backoff", elapsed, want)
 	}
 }
 

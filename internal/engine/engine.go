@@ -55,12 +55,6 @@ type Config struct {
 	// Tracer samples localizations into per-estimate traces and
 	// provenance records. nil disables tracing at zero cost.
 	Tracer *trace.Tracer
-	// RefreshAttempts caps how many times one RefreshKnowledge call tries
-	// the training run before giving up; 0 means the default (3).
-	RefreshAttempts int
-	// RefreshBackoff is the first retry's delay, doubled per further
-	// attempt; 0 means the default (25ms), negative disables the sleep.
-	RefreshBackoff time.Duration
 	// StaleIngestAfter flags a capture source (the local sniffer fleet or
 	// a remote capwire agent) as stale in Health when it has delivered
 	// nothing for this long after having delivered at least once — so a
@@ -92,10 +86,6 @@ type Engine struct {
 	srcMu      sync.Mutex
 	sources    map[string]*sourceState
 	staleAfter time.Duration
-
-	// refreshAttempts/refreshBackoff bound RefreshKnowledge's retry loop.
-	refreshAttempts int
-	refreshBackoff  time.Duration
 
 	fixes     atomic.Uint64
 	hits      atomic.Uint64
@@ -186,27 +176,15 @@ func New(cfg Config) (*Engine, error) {
 			"gomaxprocs", runtime.GOMAXPROCS(0),
 			"algo", loc.Name())
 	})
-	attempts := cfg.RefreshAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	backoff := cfg.RefreshBackoff
-	if backoff == 0 {
-		backoff = 25 * time.Millisecond
-	} else if backoff < 0 {
-		backoff = 0
-	}
 	e := &Engine{
-		loc:             loc,
-		windowSec:       cfg.WindowSec,
-		workers:         workers,
-		store:           store,
-		base:            cfg.Know,
-		know:            cfg.Know,
-		tracer:          cfg.Tracer,
-		refreshAttempts: attempts,
-		refreshBackoff:  backoff,
-		staleAfter:      max(cfg.StaleIngestAfter, 0),
+		loc:        loc,
+		windowSec:  cfg.WindowSec,
+		workers:    workers,
+		store:      store,
+		base:       cfg.Know,
+		know:       cfg.Know,
+		tracer:     cfg.Tracer,
+		staleAfter: max(cfg.StaleIngestAfter, 0),
 	}
 	if cfg.CacheSize == 0 {
 		e.cache = newGammaCache()
@@ -220,10 +198,6 @@ func (e *Engine) Localizer() core.Localizer { return e.loc }
 // Tracer returns the engine's tracer (nil when tracing is disabled), so
 // front-ends can serve its ring dump and per-device explanations.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
-
-// LastTraining returns the provenance of the most recent RefreshKnowledge
-// run, or nil before the first one (and for untrained algorithms).
-func (e *Engine) LastTraining() *trace.TrainingInfo { return e.lastTrain.Load() }
 
 // Store returns the observation store the engine ingests into. The store
 // is safe for concurrent use, so callers may also feed or query it
@@ -357,13 +331,21 @@ func (e *Engine) SetKnowledge(k core.Knowledge) {
 	}
 }
 
+// RefreshKnowledge's retry loop: refreshAttempts training runs at most,
+// the first retry after refreshBackoff, each further one after twice the
+// delay before it.
+const (
+	refreshAttempts = 3
+	refreshBackoff  = 25 * time.Millisecond
+)
+
 // RefreshKnowledge re-trains the working knowledge from everything
 // observed so far when the algorithm learns from observations (AP-Rad
 // estimates radii, AP-Loc estimates positions too). For algorithms that
 // take knowledge as given it is a no-op.
 //
-// A failed training run no longer wedges the pipeline: the run is retried
-// up to Config.RefreshAttempts times with exponential backoff, and once
+// A failed training run no longer wedges the pipeline: the run is tried
+// up to refreshAttempts times with exponential backoff, and once
 // any training run has ever succeeded, exhausting the retries degrades to
 // the last-known-good knowledge (returning nil, counted in Health as a
 // fallback) instead of surfacing the error. Before the first success
@@ -374,13 +356,11 @@ func (e *Engine) RefreshKnowledge() error {
 		return nil
 	}
 	var err error
-	for attempt := 0; attempt < e.refreshAttempts; attempt++ {
+	for attempt := 0; attempt < refreshAttempts; attempt++ {
 		if attempt > 0 {
 			e.refreshRetry.Add(1)
 			mRefreshRetries.Inc()
-			if e.refreshBackoff > 0 {
-				time.Sleep(e.refreshBackoff << (attempt - 1))
-			}
+			time.Sleep(refreshBackoff << (attempt - 1))
 		}
 		if err = e.refreshOnce(trainer); err == nil {
 			e.trainedOnce.Store(true)
@@ -395,7 +375,7 @@ func (e *Engine) RefreshKnowledge() error {
 		slog.Warn("knowledge refresh failed; keeping last-known-good knowledge",
 			"component", "engine",
 			"algo", e.loc.Name(),
-			"attempts", e.refreshAttempts,
+			"attempts", refreshAttempts,
 			"gen", e.knowGen.Load(),
 			"err", err)
 		return nil

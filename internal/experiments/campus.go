@@ -93,7 +93,7 @@ func (r *CampusRun) ScanObservations() ([][]dot11.MAC, []geom.Point) {
 
 // worldKnowledge snapshots a world's APs as attacker knowledge.
 func worldKnowledge(w *sim.World, includeRange bool) core.Knowledge {
-	return core.KnowledgeFromStore(apdb.FromWorld(w, includeRange))
+	return core.KnowledgeFromSnapshot(apdb.FromWorld(w, includeRange))
 }
 
 // RunCampus executes the full attack pipeline on a synthetic campus: AP

@@ -19,16 +19,14 @@ func TestAPIAgentsDisabledByDefault(t *testing.T) {
 }
 
 func TestAPIAgentsServesSource(t *testing.T) {
-	state := NewState()
-	state.SetAgentsSource(func() any {
+	srv := httptest.NewServer(NewHandler(NewState(), HandlerOpts{Agents: func() any {
 		return map[string]any{
 			"enabled": true,
 			"agents": []map[string]any{
 				{"id": "lab-1", "connected": true, "cursor": 41, "resumes": 1},
 			},
 		}
-	})
-	srv := httptest.NewServer(Handler(state))
+	}}))
 	defer srv.Close()
 	var got struct {
 		Enabled bool `json:"enabled"`

@@ -34,11 +34,9 @@ func TestAPIHealthDefaultsHealthy(t *testing.T) {
 }
 
 func TestAPIHealthDegraded(t *testing.T) {
-	state := NewState()
 	cur := Health{Status: StatusDegraded, Reasons: []string{"knowledge refresh failing"},
 		Detail: map[string]any{"consecutiveRefreshFailures": 3}}
-	state.SetHealthSource(func() Health { return cur })
-	srv := httptest.NewServer(Handler(state))
+	srv := httptest.NewServer(NewHandler(NewState(), HandlerOpts{Health: func() Health { return cur }}))
 	defer srv.Close()
 
 	code, h := getHealth(t, srv.URL)

@@ -116,11 +116,6 @@ type State struct {
 	mu      sync.RWMutex
 	aps     apLayer
 	devices []device // never mutated once published
-	stats   func() any
-	health  func() Health
-	slo     func() any
-	profile func() any
-	agents  func() any
 	tracer  *trace.Tracer
 }
 
@@ -193,85 +188,6 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 	}
 }
 
-// SetStatsSource installs the provider behind /api/stats — typically a
-// closure over engine.Stats plus the observation store's shard shape, so
-// the map UI and scripts can read pipeline health without scraping
-// Prometheus text. The value must be JSON-serializable.
-func (s *State) SetStatsSource(src func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = src
-}
-
-func (s *State) statsSource() func() any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stats
-}
-
-// SetHealthSource installs the provider behind /api/health — typically a
-// closure composing engine.Health with the sniffer card states and the
-// checkpointer. With no source installed the endpoint reports healthy:
-// a pipeline with no health provider has nothing to degrade.
-func (s *State) SetHealthSource(src func() Health) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.health = src
-}
-
-func (s *State) healthSource() func() Health {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.health
-}
-
-// SetSLOSource installs the provider behind /api/slo — typically a
-// closure over slo.Tracker.Report. With no source installed the endpoint
-// reports SLO tracking disabled. The value must be JSON-serializable.
-func (s *State) SetSLOSource(src func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slo = src
-}
-
-func (s *State) sloSource() func() any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.slo
-}
-
-// SetProfileSource installs the provider behind /api/profile — typically
-// a closure composing prof.Profiler.Status and Attribution. With no
-// source installed the endpoint reports profiling disabled.
-func (s *State) SetProfileSource(src func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.profile = src
-}
-
-func (s *State) profileSource() func() any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.profile
-}
-
-// SetAgentsSource installs the provider behind /api/agents — typically a
-// closure over capwire.Server.Report, giving per-agent liveness, lag,
-// cursor, and resume/dedup accounting. With no source installed the
-// endpoint reports the distributed capture plane disabled. The value must
-// be JSON-serializable.
-func (s *State) SetAgentsSource(src func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.agents = src
-}
-
-func (s *State) agentsSource() func() any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.agents
-}
-
 // SetTracer installs the pipeline tracer behind /api/trace (recent-trace
 // ring dump) and /api/explain (latest per-device estimate provenance), and
 // lets PublishFrame record its publish span. nil (the default) leaves the
@@ -291,7 +207,10 @@ func (s *State) traceSource() *trace.Tracer {
 //go:embed static
 var staticFS embed.FS
 
-// HandlerOpts configures the map server's HTTP surface.
+// HandlerOpts configures the map server's HTTP surface. The providers
+// behind the status endpoints are fixed when the handler is built; each
+// is called once per request, on the request's goroutine, and a nil
+// provider serves that endpoint's disabled (or healthy) default.
 type HandlerOpts struct {
 	// Registry is the metrics registry exposed at /metrics and
 	// /debug/vars; nil uses the process-wide default registry.
@@ -300,6 +219,30 @@ type HandlerOpts struct {
 	// profiling endpoints can stall the serving goroutine and leak
 	// internals, so the display port only gets them when asked).
 	Pprof bool
+	// Stats is the provider behind /api/stats — typically a closure over
+	// engine.Stats plus the observation store's shard shape, so the map
+	// UI and scripts can read pipeline health without scraping
+	// Prometheus text. The value must be JSON-serializable; nil serves {}.
+	Stats func() any
+	// Health is the provider behind /api/health — typically a closure
+	// composing engine.Health with the sniffer card states and the
+	// checkpointer. A degraded report is served with status 503. nil
+	// reports healthy: a pipeline with no health provider has nothing to
+	// degrade.
+	Health func() Health
+	// SLO is the provider behind /api/slo — typically a closure over
+	// slo.Tracker.Report, served as {"enabled":true,"slo":...}. The value
+	// must be JSON-serializable; nil reports SLO tracking disabled.
+	SLO func() any
+	// Profile is the provider behind /api/profile — typically a closure
+	// composing prof.Profiler.Status and Attribution. nil reports
+	// profiling disabled.
+	Profile func() any
+	// Agents is the provider behind /api/agents — typically a closure over
+	// capwire.Server.Report, giving per-agent liveness, lag, cursor, and
+	// resume/dedup accounting. The value must be JSON-serializable; nil
+	// reports the distributed capture plane disabled.
+	Agents func() any
 }
 
 // instrument wraps a route handler with the per-route request counter and
@@ -339,6 +282,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// serveProvider serves a status provider's value as JSON, or
+// {"enabled":false} when there is no provider.
+func serveProvider(src func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if src == nil {
+			writeJSON(w, map[string]any{"enabled": false})
+			return
+		}
+		writeJSON(w, src())
+	}
+}
+
 // Handler returns the HTTP handler for the map UI and API, with the
 // default telemetry endpoints and no pprof.
 func Handler(state *State) http.Handler {
@@ -348,9 +303,10 @@ func Handler(state *State) http.Handler {
 // NewHandler returns the HTTP handler for the map UI, the JSON API and
 // the observability endpoints: /metrics (Prometheus text format) and
 // /debug/vars (expvar-style JSON) always, /debug/pprof/ when opted in.
-// When a tracer is installed via State.SetTracer, /api/trace dumps the
-// recent-trace ring and /api/explain?device=MAC serves the device's
-// latest estimate provenance.
+// /api/stats, /api/health, /api/slo, /api/profile and /api/agents serve
+// opts' providers. When a tracer is installed via State.SetTracer,
+// /api/trace dumps the recent-trace ring and /api/explain?device=MAC
+// serves the device's latest estimate provenance.
 func NewHandler(state *State, opts HandlerOpts) http.Handler {
 	reg := opts.Registry
 	if reg == nil {
@@ -362,15 +318,15 @@ func NewHandler(state *State, opts HandlerOpts) http.Handler {
 	}))
 	mux.HandleFunc("/api/stats", apiGET("/api/stats", func(w http.ResponseWriter, r *http.Request) {
 		var v any = map[string]any{}
-		if src := state.statsSource(); src != nil {
-			v = src()
+		if opts.Stats != nil {
+			v = opts.Stats()
 		}
 		writeJSON(w, v)
 	}))
 	mux.HandleFunc("/api/health", apiGET("/api/health", func(w http.ResponseWriter, r *http.Request) {
 		h := Health{Status: StatusHealthy}
-		if src := state.healthSource(); src != nil {
-			h = src()
+		if opts.Health != nil {
+			h = opts.Health()
 		}
 		if !h.Healthy() {
 			// Headers are frozen at WriteHeader: set the type first.
@@ -380,29 +336,14 @@ func NewHandler(state *State, opts HandlerOpts) http.Handler {
 		writeJSON(w, h)
 	}))
 	mux.HandleFunc("/api/slo", apiGET("/api/slo", func(w http.ResponseWriter, r *http.Request) {
-		src := state.sloSource()
-		if src == nil {
+		if opts.SLO == nil {
 			writeJSON(w, map[string]any{"enabled": false})
 			return
 		}
-		writeJSON(w, map[string]any{"enabled": true, "slo": src()})
+		writeJSON(w, map[string]any{"enabled": true, "slo": opts.SLO()})
 	}))
-	mux.HandleFunc("/api/profile", apiGET("/api/profile", func(w http.ResponseWriter, r *http.Request) {
-		src := state.profileSource()
-		if src == nil {
-			writeJSON(w, map[string]any{"enabled": false})
-			return
-		}
-		writeJSON(w, src())
-	}))
-	mux.HandleFunc("/api/agents", apiGET("/api/agents", func(w http.ResponseWriter, r *http.Request) {
-		src := state.agentsSource()
-		if src == nil {
-			writeJSON(w, map[string]any{"enabled": false})
-			return
-		}
-		writeJSON(w, src())
-	}))
+	mux.HandleFunc("/api/profile", apiGET("/api/profile", serveProvider(opts.Profile)))
+	mux.HandleFunc("/api/agents", apiGET("/api/agents", serveProvider(opts.Agents)))
 	mux.HandleFunc("/api/trace", apiGET("/api/trace", func(w http.ResponseWriter, r *http.Request) {
 		t := state.traceSource()
 		n := 50

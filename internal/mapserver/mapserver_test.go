@@ -138,10 +138,11 @@ func TestAPIStats(t *testing.T) {
 		t.Fatalf("empty-source body = %q, want {}", body)
 	}
 
-	state.SetStatsSource(func() any {
+	withStats := httptest.NewServer(NewHandler(state, HandlerOpts{Stats: func() any {
 		return map[string]any{"obsShards": 4, "obsRecords": 17}
-	})
-	res, err = http.Get(srv.URL + "/api/stats")
+	}}))
+	defer withStats.Close()
+	res, err = http.Get(withStats.URL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

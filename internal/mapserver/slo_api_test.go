@@ -43,11 +43,9 @@ func TestAPISLODisabledByDefault(t *testing.T) {
 }
 
 func TestAPIProfileServesSource(t *testing.T) {
-	state := NewState()
-	state.SetProfileSource(func() any {
+	srv := httptest.NewServer(NewHandler(NewState(), HandlerOpts{Profile: func() any {
 		return map[string]any{"enabled": true, "topFunctions": []string{"hot.func"}}
-	})
-	srv := httptest.NewServer(Handler(state))
+	}}))
 	defer srv.Close()
 	var got map[string]any
 	if code := getJSON(t, srv.URL+"/api/profile", &got); code != http.StatusOK {
@@ -80,18 +78,19 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state := NewState()
-	state.SetSLOSource(func() any { return tracker.Report() })
-	// The health source folds tracker reasons the way cmd/marauder does.
-	state.SetHealthSource(func() Health {
-		h := Health{Status: StatusHealthy}
-		if rs := tracker.HealthReasons(); len(rs) > 0 {
-			h.Status = StatusDegraded
-			h.Reasons = rs
-		}
-		return h
-	})
-	srv := httptest.NewServer(Handler(state))
+	srv := httptest.NewServer(NewHandler(NewState(), HandlerOpts{
+		SLO: func() any { return tracker.Report() },
+		// The health provider folds tracker reasons the way cmd/marauder
+		// does.
+		Health: func() Health {
+			h := Health{Status: StatusHealthy}
+			if rs := tracker.HealthReasons(); len(rs) > 0 {
+				h.Status = StatusDegraded
+				h.Reasons = rs
+			}
+			return h
+		},
+	}))
 	defer srv.Close()
 
 	sloState := func() string {

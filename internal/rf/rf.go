@@ -180,13 +180,6 @@ type Transmitter struct {
 // EIRPDBm returns the effective isotropic radiated power.
 func (t Transmitter) EIRPDBm() float64 { return t.PowerDBm + t.AntennaGainDBi }
 
-// ReceivedPowerDBm returns the signal power at the chain's NIC input for a
-// transmitter at distance distM under the given propagation model:
-// P_rx = P_tx + G_tx + G_rx − L(d) + G_blocks.
-func ReceivedPowerDBm(tx Transmitter, rx Chain, distM float64, model PathLoss) float64 {
-	return tx.EIRPDBm() + rx.AntennaGainDBi - model.LossDB(distM, tx.FreqHz) + rx.GainDB()
-}
-
 // SNRDB returns the signal-to-noise ratio at the demodulator for the given
 // distance and propagation model. Because amplification boosts signal and
 // noise alike, SNR uses the antenna-referred signal power against the
