@@ -31,10 +31,9 @@ bench:
 bench-engine:
 	$(GO) test -run xxx -bench BenchmarkEngineSnapshot .
 
-# The two absolute micro-benchmark floors the end-to-end benchmark does
-# not enforce: the grid-indexed AP store must beat the linear scan >= 50x
-# at 1e6 APs, and the incremental region kernel must beat the full
-# per-fix recompute >= 5x on the churn workload (best of 5 rounds each).
+# The absolute micro-benchmark floor the end-to-end benchmark does not
+# enforce: the incremental region kernel must beat the full per-fix
+# recompute >= 5x on the churn workload (best of 5 rounds).
 bench-floors:
 	sh scripts/bench_floors.sh
 

@@ -510,14 +510,14 @@ func churnWorld(nAPs, k int) (core.Knowledge, [][]dot11.MAC, *obs.Store, dot11.M
 // tracked-device churn pattern — Γ of k discs sliding ±1 AP per fix, the
 // cache-hostile workload the kernel exists for. The kernel pair measures
 // the full per-fix region payload of a traced tracked fix — the position
-// estimate plus the intersected area that finishFix records for every
+// estimate plus the intersected area that provenance records for every
 // sampled fix — on both paths: incremental (core.MLocTracked diffing one
 // reused Region, area served from the same live region) versus full
 // recompute (core.MLoc plus core.RegionArea re-intersecting all k discs).
 // scripts/bench_floors.sh enforces the ≥5× speedup floor on exactly this
-// pair. The engine pair runs the same contrast end to end through Track
-// with caching disabled, where shared per-fix overhead (window queries,
-// trace plumbing) dilutes but must not erase the win.
+// pair. The engine arm runs the same churn end to end through Track with
+// caching disabled; every engine fix, Track's included, is a plain
+// Localizer.Locate, so it has one path.
 func BenchmarkTrackChurn(b *testing.B) {
 	const nAPs, k = 40, 8
 	know, gammas, store, dev := churnWorld(nAPs, k)
@@ -566,9 +566,9 @@ func BenchmarkTrackChurn(b *testing.B) {
 	})
 
 	endSec := float64(len(gammas)-1) * 30
-	trackLoop := func(b *testing.B, loc core.Localizer) {
+	b.Run("engine", func(b *testing.B) {
 		eng, err := engine.New(engine.Config{
-			Know: know, Store: store, Localizer: loc,
+			Know: know, Store: store, Localizer: core.MLocalizer{},
 			WindowSec: 30, Workers: 1, CacheSize: -1,
 		})
 		if err != nil {
@@ -586,13 +586,5 @@ func BenchmarkTrackChurn(b *testing.B) {
 			b.Fatalf("%d track points, want %d", len(pts), len(gammas))
 		}
 		b.ReportMetric(float64(len(pts)), "fixes/track")
-	}
-	b.Run("engine/path=incremental", func(b *testing.B) {
-		trackLoop(b, core.MLocalizer{})
-	})
-	b.Run("engine/path=full", func(b *testing.B) {
-		// The func adapter hides MLocalizer's tracked capability, pinning
-		// the engine to the from-scratch path.
-		trackLoop(b, core.LocalizerFunc{Method: "m-loc", Func: core.MLoc})
 	})
 }

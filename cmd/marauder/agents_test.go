@@ -2,13 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/capwire"
+	"repro/internal/dot11"
+	"repro/internal/mapserver"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
 )
@@ -143,4 +151,114 @@ func TestAgentIngestFlowsToEngineHealth(t *testing.T) {
 		t.Fatal("health detail missing agents totals")
 	}
 
+}
+
+// freeAddr returns a loopback address with a port that was free a moment
+// ago.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// TestSilentAgentHealthReasonOnce drives the serving command: an agent
+// that delivers one batch and disconnects must, past -ingest-stale-after,
+// degrade /api/health with exactly one reason naming it. Silence is the
+// engine's per-source rule for every capture source; the agent plane
+// adds no second report of the same fact.
+func TestSilentAgentHealthReasonOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serves the map and the agent plane")
+	}
+	mapAddr, agentAddr := freeAddr(t), freeAddr(t)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", mapAddr, "-agents-listen", agentAddr,
+			"-local-capture=false", "-ingest-stale-after", "300ms",
+			"-aps", "40", "-log-level", "error"})
+	}()
+	serving := false
+	t.Cleanup(func() {
+		select {
+		case <-done:
+			return // run already returned; the test reported it
+		default:
+		}
+		if serving {
+			// run's stop signal: the serving loop shuts down gracefully.
+			// Sent only while it serves, so its handler is installed.
+			if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("run: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("run did not stop")
+		}
+	})
+
+	c, err := capwire.NewClient(capwire.ClientConfig{
+		Addr: agentAddr, AgentID: "lab-7",
+		HeartbeatEvery: 20 * time.Millisecond,
+		BackoffMin:     5 * time.Millisecond, BackoffMax: 40 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	frame := dot11.NewProbeRequest(dot11.MAC{0x02, 0, 0, 0, 0, 7}, "net", 1)
+	if err := c.Send(ctx, []sniffer.Capture{{TimeSec: 1, Frame: frame, Channel: 6, CardChannel: 6, SNRDB: 20, LiveMask: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	var h mapserver.Health
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		select {
+		case err := <-done:
+			done <- err
+			t.Fatalf("run returned early: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health never degraded; last report %+v", h)
+		}
+		resp, err := http.Get("http://" + mapAddr + "/api/health")
+		if err != nil {
+			continue
+		}
+		serving = true
+		h = mapserver.Health{}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.Healthy() {
+			break
+		}
+	}
+	var about []string
+	for _, r := range h.Reasons {
+		if strings.Contains(r, "lab-7") {
+			about = append(about, r)
+		}
+	}
+	if len(about) != 1 || !strings.Contains(about[0], `capture source "agent:lab-7" silent`) {
+		t.Fatalf("reasons naming the silent agent = %q, want exactly the engine's capture-source reason (all reasons: %q)",
+			about, h.Reasons)
+	}
 }

@@ -93,9 +93,6 @@ type attack struct {
 	// agents is the capwire server for remote capture agents; nil when
 	// -agents-listen is unset.
 	agents *capwire.Server
-	// agentStale is the -ingest-stale-after threshold shared by the
-	// engine's per-source check and the agents' liveness reasons.
-	agentStale time.Duration
 	// localCapture mirrors -local-capture: false turns the in-process
 	// sniffer fleet off so remote agents are the only capture source.
 	localCapture bool
@@ -263,10 +260,11 @@ func (a *attack) health(tSec float64) mapserver.Health {
 		h.Status = mapserver.StatusDegraded
 		h.Reasons = append(h.Reasons, rs...)
 	}
-	// Remote capture agents: accounting mismatches always degrade;
-	// silence degrades past -ingest-stale-after.
+	// Remote capture agents: accounting mismatches degrade. A silent
+	// agent is a silent capture source, which the engine's check above
+	// already reports past -ingest-stale-after.
 	if a.agents != nil {
-		if rs := a.agents.HealthReasons(a.agentStale); len(rs) > 0 {
+		if rs := a.agents.HealthReasons(); len(rs) > 0 {
 			h.Status = mapserver.StatusDegraded
 			h.Reasons = append(h.Reasons, rs...)
 		}
@@ -343,7 +341,6 @@ func run(args []string) error {
 		return err
 	}
 	a.localCapture = c.localCapture
-	a.agentStale = c.staleAfter
 
 	if c.agentsListen != "" {
 		capSrv, err := listenAgents(a, c.agentsListen)

@@ -133,7 +133,7 @@ func replay(c *config, p *ops.Process) (*obs.Store, error) {
 		}
 	}
 	if c.saveApsSnap != "" {
-		if err := db.SaveSnapshotFile(c.saveApsSnap); err != nil {
+		if err := obs.WriteFileAtomic(c.saveApsSnap, db.WriteSnapshot); err != nil {
 			return nil, err
 		}
 		slog.Info("AP snapshot saved", "component", "replay", "path", c.saveApsSnap, "aps", db.Len())

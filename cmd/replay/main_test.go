@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/apdb"
 )
 
 func TestRunDemoRoundTrip(t *testing.T) {
@@ -42,6 +44,36 @@ func TestRunDemoRoundTrip(t *testing.T) {
 		if err := run([]string{"-pcap", pcapPath, "-aps", apsPath, "-algo", "aprad"}); err != nil {
 			t.Fatalf("aprad: %v", err)
 		}
+	}
+}
+
+// TestSaveAPSnapshotRoundTrip: -save-aps-snap writes a binary AP
+// snapshot that loads back, leaves no temporary file beside it, and
+// replays through -aps-snap in place of the CSV.
+func TestSaveAPSnapshotRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	pcapPath := filepath.Join(dir, "cap.pcap")
+	apsPath := filepath.Join(dir, "aps.csv")
+	snapPath := filepath.Join(dir, "aps.snap")
+	if err := run([]string{"-demo", "-pcap", pcapPath, "-aps", apsPath, "-save-aps-snap", snapPath}); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := apdb.LoadSnapshotFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Len() == 0 {
+		t.Fatal("saved AP snapshot is empty")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("directory holds %d files, want cap.pcap, aps.csv and aps.snap only", len(entries))
+	}
+	if err := run([]string{"-pcap", pcapPath, "-aps-snap", snapPath, "-algo", "centroid"}); err != nil {
+		t.Fatalf("replay from the saved snapshot: %v", err)
 	}
 }
 

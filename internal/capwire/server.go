@@ -447,25 +447,14 @@ func (s *Server) Report() Report {
 }
 
 // HealthReasons lists agents whose exactly-once accounting does not add
-// up, always, and agents that have gone silent: no traffic for longer
-// than staleAfter. staleAfter <= 0 turns the silence check off. Fed into
-// /api/health so a dead remote capture path degrades the deployment.
-func (s *Server) HealthReasons(staleAfter time.Duration) []string {
+// up. Fed into /api/health. An agent's silence is not judged here: the
+// engine's per-source check (-ingest-stale-after) covers every capture
+// source, remote agents included.
+func (s *Server) HealthReasons() []string {
 	var reasons []string
 	for _, a := range s.Agents() {
 		if !a.AccountingOk {
 			reasons = append(reasons, fmt.Sprintf("agent %s accounting mismatch", a.ID))
-		}
-		if staleAfter <= 0 || math.IsNaN(a.LastSeenAgeSec) {
-			continue // silence check off, or seeded from a cursor file and never seen this run
-		}
-		if a.LastSeenAgeSec > staleAfter.Seconds() {
-			state := "connected"
-			if !a.Connected {
-				state = "disconnected"
-			}
-			reasons = append(reasons, fmt.Sprintf(
-				"agent %s silent for %.0fs (%s)", a.ID, a.LastSeenAgeSec, state))
 		}
 	}
 	return reasons

@@ -7,13 +7,17 @@ import (
 	"repro/internal/geom"
 )
 
-// RegionTracker carries the per-tracked-device incremental intersection
-// state across fixes: the live geom.Region, the Γ it was built from, and
-// the knowledge epoch it is valid against. The engine keeps one tracker
-// per Track call; MLocTracked diffs each new Γ against the tracker's own
-// previous one and updates the region incrementally, falling back to a
-// full rebuild when the knowledge changed, the diff is large, or Γ is not
-// in canonical order.
+// RegionTracker carries incremental intersection state across the fixes
+// of one device: the live geom.Region, the Γ it was built from, and the
+// knowledge epoch it is valid against. MLocTracked diffs each new Γ
+// against the tracker's own previous one and updates the region
+// incrementally, falling back to a full rebuild when the knowledge
+// changed, the diff is large, or Γ is not in canonical order.
+//
+// The engine does not use it: every engine fix, Track's included, is a
+// plain Localizer.Locate on Γ, which measured faster end to end. The
+// kernel stays for the bench module's per-layer probe and the
+// BenchmarkTrackChurn/kernel floor.
 //
 // A RegionTracker is not safe for concurrent use. The zero value is
 // ready to use.
@@ -33,7 +37,7 @@ type RegionTracker struct {
 	areaOK      bool // region state matches the most recent call's Γ
 }
 
-// Tracked-fix provenance values for Provenance.RegionPath.
+// Values of RegionTracker.LastPath.
 const (
 	// RegionPathFull marks a fix that rebuilt (or bypassed) the region
 	// from scratch.
@@ -85,7 +89,7 @@ func rebuildThreshold(k int) int { return (k + 1) / 2 }
 //
 // The returned Estimate's Vertices slice aliases rt's internal arena and
 // is valid only until the next call on rt; callers that retain estimates
-// must copy it (the engine's Track materializes into a per-call arena).
+// must copy it.
 //
 // A nil rt degrades to plain MLoc.
 func MLocTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, error) {
@@ -259,21 +263,4 @@ func (rt *RegionTracker) applyDiff(keys []uint64, discs []geom.Circle) {
 	// caller stored the incoming slice in rt.kbuf already, and discs in
 	// rt.cbuf, so only the roles flip.
 	rt.keys, rt.kbuf = keys, rt.keys
-}
-
-// TrackedLocalizer is a Localizer that can serve fixes through a
-// RegionTracker, reusing intersection state across a tracked device's
-// consecutive Γs. The engine's Track detects it and threads one tracker
-// through the trajectory.
-type TrackedLocalizer interface {
-	Localizer
-	// LocateTracked is Locate with incremental region reuse; it must
-	// return the same estimate Locate would. The returned Estimate's
-	// Vertices may alias rt's arena (valid until the next call on rt).
-	LocateTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, error)
-}
-
-// LocateTracked implements TrackedLocalizer.
-func (MLocalizer) LocateTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, error) {
-	return MLocTracked(k, gamma, rt)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/dot11"
@@ -200,31 +199,5 @@ func TestMLocTrackedZeroAllocsSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(300, fix); avg != 0 {
 		t.Fatalf("steady-state tracked fix allocates %.2f times per fix, want 0", avg)
-	}
-}
-
-// TestMLocalizerImplementsTrackedLocalizer pins the interface wiring the
-// engine relies on: MLocalizer upgrades, the func adapter does not.
-func TestMLocalizerImplementsTrackedLocalizer(t *testing.T) {
-	var l Localizer = MLocalizer{}
-	if _, ok := l.(TrackedLocalizer); !ok {
-		t.Fatal("MLocalizer does not implement TrackedLocalizer")
-	}
-	l = LocalizerFunc{Method: "m-loc", Func: MLoc}
-	if _, ok := l.(TrackedLocalizer); ok {
-		t.Fatal("LocalizerFunc unexpectedly implements TrackedLocalizer")
-	}
-	// And the tracked entry point agrees with Locate.
-	know := trackKnowledge(8)
-	gamma := []dot11.MAC{mac(2), mac(3), mac(4)}
-	var rt RegionTracker
-	want, _ := MLocalizer{}.Locate(know, gamma)
-	got, err := MLocalizer{}.LocateTracked(know, gamma, &rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEstimate(t, got, want, 0)
-	if math.IsNaN(got.Pos.X) {
-		t.Fatal("NaN position")
 	}
 }

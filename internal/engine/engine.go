@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dot11"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry/trace"
@@ -446,34 +445,20 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 // base) and whether the cache answered. The cache is read and written
 // under that generation, so a result computed while the knowledge was
 // swapped is not stored for the new base.
-//
-// When tl and rt are both non-nil, cache misses run through
-// tl.LocateTracked so consecutive Γs of one tracked device update rt's
-// intersection region instead of rebuilding it. The trackedCompute result
-// reports whether that path ran — false on cache hits, which never advance
-// rt (the tracker diffs against its own previous Γ, so skipping windows is
-// safe). A tracked estimate's Vertices alias rt's arena; on the cached
-// path they are detached before the put (cache entries outlive the next
-// fix), so only the cache-disabled tracked path returns an aliased slice.
-func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, gen uint64, hit, trackedCompute bool, err error) {
+func (e *Engine) locateGamma(gamma []dot11.MAC) (est core.Estimate, know core.Knowledge, gen uint64, hit bool, err error) {
 	e.fixes.Add(1)
 	mFixes.Inc()
 	if len(gamma) == 0 {
-		return core.Estimate{}, core.Knowledge{}, e.knowGen.Load(), false, false, core.ErrNoAPs
+		return core.Estimate{}, core.Knowledge{}, e.knowGen.Load(), false, core.ErrNoAPs
 	}
 	e.mu.RLock()
 	know, gen, store := e.know, e.knowGen.Load(), e.store
 	e.mu.RUnlock()
-	tracked := tl != nil && rt != nil
 	if e.cache == nil {
 		e.misses.Add(1)
 		mCacheMisses.Inc()
-		if tracked {
-			est, err = tl.LocateTracked(know, gamma, rt)
-		} else {
-			est, err = e.loc.Locate(know, gamma)
-		}
-		return est, know, gen, false, tracked, err
+		est, err = e.loc.Locate(know, gamma)
+		return est, know, gen, false, err
 	}
 	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
 	var keyBuf [32 * len(dot11.MAC{})]byte
@@ -481,25 +466,16 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *co
 	if est, err, ok := e.cache.get(key, gen); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
-		return est, know, gen, true, false, err
+		return est, know, gen, true, err
 	}
 	e.misses.Add(1)
 	mCacheMisses.Inc()
-	if tracked {
-		est, err = tl.LocateTracked(know, gamma, rt)
-		if len(est.Vertices) > 0 {
-			// The tracked estimate aliases rt's vertex arena, which the
-			// next fix overwrites; detach before the cache put.
-			est.Vertices = append([]geom.Point(nil), est.Vertices...)
-		}
-	} else {
-		est, err = e.loc.Locate(know, gamma)
-	}
+	est, err = e.loc.Locate(know, gamma)
 	if evicted := e.cache.put(key, est, err, gen, cacheCapacity(store.DeviceCount())); evicted > 0 {
 		e.evictions.Add(uint64(evicted))
 		mCacheEvictions.Add(uint64(evicted))
 	}
-	return est, know, gen, false, tracked, err
+	return est, know, gen, false, err
 }
 
 // fixWindow answers one localization over [start, end): the
@@ -508,15 +484,6 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tl core.TrackedLocalizer, rt *co
 // buf[:0] in loops); the possibly-grown buffer is returned for reuse.
 // With tracing disabled the only cost over the raw path is one nil check.
 func (e *Engine) fixWindow(buf []dot11.MAC, dev dot11.MAC, start, end float64) ([]dot11.MAC, core.Estimate, error) {
-	buf, est, _, err := e.fixWindowTracked(buf, dev, start, end, nil, nil)
-	return buf, est, err
-}
-
-// fixWindowTracked is fixWindow with an optional region tracker (see
-// locateGamma). aliased reports that the returned estimate's Vertices
-// alias rt's internal arena and are valid only until the next fix through
-// rt; callers that retain estimates must copy them.
-func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end float64, tl core.TrackedLocalizer, rt *core.RegionTracker) ([]dot11.MAC, core.Estimate, bool, error) {
 	var tr *trace.Trace
 	if e.tracer != nil {
 		tr = e.tracer.Start(trace.KindFix, dev.String())
@@ -533,27 +500,14 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 	if timed {
 		sp.mark(stageWindow)
 	}
-	est, know, gen, hit, trackedCompute, err := e.locateGamma(buf, tl, rt)
+	est, know, gen, hit, err := e.locateGamma(buf)
 	if timed {
-		// The middle stage is the incremental region update when the
-		// tracked path computed, plain localization otherwise (cache hits
-		// included — a hit's lookup time is localization cost).
-		if trackedCompute {
-			sp.mark(stageRegion)
-		} else {
-			sp.mark(stageLocalize)
-		}
+		// A cache hit's lookup time is localization cost too.
+		sp.mark(stageLocalize)
 	}
 	var p *trace.Provenance
 	if tr != nil {
-		// Provenance reads the tracker's path/diff only for fixes the
-		// tracked path actually computed; cache hits and untracked fixes
-		// pass nil.
-		var trt *core.RegionTracker
-		if trackedCompute {
-			trt = rt
-		}
-		p = e.provenance(dev, buf, know, gen, est, err, hit, start, end, trt)
+		p = e.provenance(dev, buf, know, gen, est, err, hit, start, end)
 	}
 	if timed {
 		sp.mark(stageTrace)
@@ -565,7 +519,7 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 	if err != nil && !errors.Is(err, core.ErrNoAPs) {
 		mFixErrors.Inc()
 	}
-	return buf, est, trackedCompute && e.cache == nil, err
+	return buf, est, err
 }
 
 // Fix estimates the device's position from the observations in the window
@@ -584,22 +538,12 @@ func (e *Engine) FixRange(dev dot11.MAC, start, end float64) (core.Estimate, err
 // Track produces fixes for the device every stepSec over [startSec,
 // endSec]; windows without observations or with failing localization are
 // skipped. Steps are computed as startSec + i·stepSec (no float
-// accumulation drift).
+// accumulation drift). Each step is an ordinary fix: every localizer
+// computes a position from Γ alone, so nothing carries over between
+// steps.
 func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core.TrackPoint, error) {
 	if stepSec <= 0 {
 		return nil, fmt.Errorf("engine: Track needs stepSec > 0")
-	}
-	// A tracked-capable localizer gets one region tracker for the whole
-	// trajectory: consecutive windows share most of their Γ, so each fix
-	// diffs the previous intersection region instead of rebuilding it.
-	var (
-		tl    core.TrackedLocalizer
-		rt    *core.RegionTracker
-		arena []geom.Point
-	)
-	if t, ok := e.loc.(core.TrackedLocalizer); ok {
-		tl = t
-		rt = new(core.RegionTracker)
 	}
 	var out []core.TrackPoint
 	var buf []dot11.MAC
@@ -609,19 +553,10 @@ func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core
 			break
 		}
 		var est core.Estimate
-		var aliased bool
 		var err error
-		buf, est, aliased, err = e.fixWindowTracked(buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2, tl, rt)
+		buf, est, err = e.fixWindow(buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2)
 		if err != nil {
 			continue
-		}
-		if aliased && len(est.Vertices) > 0 {
-			// The estimate's vertices alias rt's arena, which the next fix
-			// overwrites; materialize into a per-trajectory arena. Earlier
-			// points keep their (full-capacity) slices across regrowth.
-			n := len(arena)
-			arena = append(arena, est.Vertices...)
-			est.Vertices = arena[n:len(arena):len(arena)]
 		}
 		out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
 	}

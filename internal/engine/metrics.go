@@ -55,7 +55,7 @@ var (
 
 // Per-stage wall-time histograms for the fix/ingest hot paths, so the
 // engine-level cost breakdown is a /metrics scrape away. Fix-path stages
-// (window_assembly, localize, region_update, trace_record) and
+// (window_assembly, localize, trace_record) and
 // marauder_fix_seconds are fed from one fixSpan per timed fix — the same
 // clock reads a traced fix's spans and provenance report. Batch-level
 // stages (store_scan, ingest) are timed on every occurrence.
@@ -99,49 +99,43 @@ type stage uint8
 const (
 	stageWindow stage = iota
 	stageLocalize
-	stageRegion
 	stageTrace
 	numFixStages
 )
 
-var stageNames = [numFixStages]string{"window_assembly", "localize", "region_update", "trace_record"}
+var stageNames = [numFixStages]string{"window_assembly", "localize", "trace_record"}
 
 // fixSpan is one timed fix's clock reads: the start and the end of each
-// stage in order (window assembly, localize or region update, trace
-// record). It lives on the fix path's stack, and every consumer — the
-// stage and fix histograms, the trace's spans, Provenance.StagesMs and
-// TotalMs — reads these timestamps, so they agree to the nanosecond.
+// stage (window assembly, localize, trace record). It lives on the fix
+// path's stack, and every consumer — the stage and fix histograms, the
+// trace's spans, Provenance.StagesMs and TotalMs — reads these
+// timestamps, so they agree to the nanosecond.
 type fixSpan struct {
-	start  time.Time
-	n      int
-	stages [3]stage
-	ends   [3]time.Time
+	start time.Time
+	ends  [numFixStages]time.Time
 }
 
-// mark ends the next stage now.
-func (f *fixSpan) mark(s stage) {
-	f.stages[f.n], f.ends[f.n] = s, time.Now()
-	f.n++
-}
+// mark ends stage s now.
+func (f *fixSpan) mark(s stage) { f.ends[s] = time.Now() }
 
-// bounds returns stage i's start and end: it begins where the previous
+// bounds returns stage s's start and end: it begins where the previous
 // stage ended.
-func (f *fixSpan) bounds(i int) (from, to time.Time) {
+func (f *fixSpan) bounds(s stage) (from, to time.Time) {
 	from = f.start
-	if i > 0 {
-		from = f.ends[i-1]
+	if s > 0 {
+		from = f.ends[s-1]
 	}
-	return from, f.ends[i]
+	return from, f.ends[s]
 }
 
 // total is the whole fix's wall time.
-func (f *fixSpan) total() time.Duration { return f.ends[f.n-1].Sub(f.start) }
+func (f *fixSpan) total() time.Duration { return f.ends[numFixStages-1].Sub(f.start) }
 
 // observe feeds the stage histograms and marauder_fix_seconds.
 func (f *fixSpan) observe() {
-	for i := range f.n {
-		from, to := f.bounds(i)
-		mFixStage[f.stages[i]].Observe(to.Sub(from).Seconds())
+	for s := range numFixStages {
+		from, to := f.bounds(s)
+		mFixStage[s].Observe(to.Sub(from).Seconds())
 	}
 	mFixSeconds.Observe(f.total().Seconds())
 }

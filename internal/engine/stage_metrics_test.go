@@ -67,19 +67,14 @@ func TestStageHistogramsObserveEveryFixWhenSampled(t *testing.T) {
 	if got := stageDelta(before, after, "fix"); got != n {
 		t.Errorf("marauder_fix_seconds observations = %d, want %d", got, n)
 	}
-	// Untracked fixes must not observe the region_update stage.
-	if got := stageDelta(before, after, `stage="region_update"`); got != 0 {
-		t.Errorf("region_update observed %d times on untracked fixes", got)
-	}
 }
 
-func TestStageHistogramsTrackedPathUsesRegionUpdate(t *testing.T) {
+// TestStageHistogramsTrackStepsUseLocalize: a Track step is an ordinary
+// fix, so every step is timed under window_assembly, localize and
+// trace_record.
+func TestStageHistogramsTrackStepsUseLocalize(t *testing.T) {
 	k, store, devs := gridWorld(40, 2)
-	// Cache disabled so every Track step runs the tracked compute path.
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: everyFix(t), CacheSize: -1})
-	if _, ok := e.Localizer().(core.TrackedLocalizer); !ok {
-		t.Skip("default localizer is not tracked")
-	}
 	before := stageCounts()
 	pts, err := e.Track(devs[0], 40, 60, 10)
 	if err != nil {
@@ -89,8 +84,12 @@ func TestStageHistogramsTrackedPathUsesRegionUpdate(t *testing.T) {
 		t.Fatal("track produced no points")
 	}
 	after := stageCounts()
-	if got := stageDelta(before, after, `stage="region_update"`); got == 0 {
-		t.Error("tracked fixes never observed region_update")
+	// Every step is timed, located or not: 40, 50 and 60.
+	const steps = 3
+	for _, stage := range []string{`stage="window_assembly"`, `stage="localize"`, `stage="trace_record"`} {
+		if got := stageDelta(before, after, stage); got != steps {
+			t.Errorf("%s observations = %d, want %d", stage, got, steps)
+		}
 	}
 }
 
@@ -126,15 +125,12 @@ func TestStageSamplingDefaultsAndDisable(t *testing.T) {
 // TestFixSpanFeedsEveryConsumer: one traced fix's stage histograms, fix
 // histogram, trace spans and provenance read the same clock reads. Each
 // stage's marauder_stage_seconds sum moves by exactly StagesMs[stage]/1e3
-// and marauder_fix_seconds by TotalMs/1e3; a tracked, uncached Track step
-// reports region_update in both places.
+// and marauder_fix_seconds by TotalMs/1e3; an uncached Track step reports
+// localize in both places, like any other fix.
 func TestFixSpanFeedsEveryConsumer(t *testing.T) {
 	k, store, devs := gridWorld(40, 2)
 	tracer := everyFix(t)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: tracer, CacheSize: -1})
-	if _, ok := e.Localizer().(core.TrackedLocalizer); !ok {
-		t.Fatal("default localizer is not tracked")
-	}
 	check := func(name string, fix func() error, mid string) {
 		t.Helper()
 		before := stageSamples()
@@ -186,7 +182,7 @@ func TestFixSpanFeedsEveryConsumer(t *testing.T) {
 			err = fmt.Errorf("%d points, want 1", len(pts))
 		}
 		return err
-	}, "region_update")
+	}, "localize")
 }
 
 func TestSnapshotObservesStoreScanStage(t *testing.T) {

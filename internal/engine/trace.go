@@ -50,26 +50,15 @@ func meanRange(k core.Knowledge, gamma []dot11.MAC) float64 {
 	return sum / float64(n)
 }
 
-// trackerArea unwraps RegionTracker.RegionArea behind a nil check.
-func trackerArea(rt *core.RegionTracker) (float64, bool) {
-	if rt == nil {
-		return 0, false
-	}
-	return rt.RegionArea()
-}
-
 // provenance assembles the provenance record of one traced fix. The
 // expensive fields — the exact intersected area and the Theorem 2
 // quadrature — are computed only here, i.e. only for fixes the sampler
 // selected; unsampled and untraced fixes never pay for them. know and gen
 // are the knowledge the estimate was actually computed against and its
 // generation (not re-read, so a concurrent SetKnowledge cannot
-// misattribute the area or the generation). rt, when non-nil,
-// is the region tracker that computed this fix; its path/diff telemetry
-// lands in the record (callers pass nil for cache hits and untracked
-// fixes, whose estimates no tracker produced).
+// misattribute the area or the generation).
 func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledge, gen uint64,
-	est core.Estimate, err error, hit bool, start, end float64, rt *core.RegionTracker) *trace.Provenance {
+	est core.Estimate, err error, hit bool, start, end float64) *trace.Provenance {
 	p := &trace.Provenance{
 		Device:       dev.String(),
 		Algorithm:    e.loc.Name(),
@@ -84,10 +73,6 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 	if p.K == 0 {
 		p.K = len(gamma)
 	}
-	if rt != nil {
-		p.RegionPath = rt.LastPath()
-		p.RegionDiff = rt.LastDiff()
-	}
 	if err != nil {
 		p.Err = err.Error()
 	} else {
@@ -97,16 +82,7 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 	}
 	if len(gamma) > 0 {
 		p.MeanRadiusM = meanRange(know, gamma)
-		// Tracked fixes already hold the live intersection region; serve
-		// the area from it instead of re-intersecting all |Γ| discs from
-		// scratch — on churny tracked workloads the full recompute would
-		// dominate the whole fix. Untracked fixes (and tracked calls that
-		// bypassed the region) pay the full computation as before.
-		if area, ok := trackerArea(rt); ok {
-			p.IntersectedAreaM2 = area
-		} else {
-			p.IntersectedAreaM2 = core.RegionArea(know, gamma)
-		}
+		p.IntersectedAreaM2 = core.RegionArea(know, gamma)
 		p.Theorem2AreaM2 = theorem2Area(p.K, p.MeanRadiusM)
 	}
 	return p
@@ -118,11 +94,11 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 // records the window matched, |Γ| and whether the query re-sorted the
 // device log; the middle stage carries the cache-hit flag.
 func fileFix(tr *trace.Trace, sp *fixSpan, p *trace.Provenance, scanned int, resorted bool) {
-	spans := make([]trace.Span, sp.n)
-	p.StagesMs = make(map[string]float64, sp.n)
-	for i := range spans {
+	spans := make([]trace.Span, numFixStages)
+	p.StagesMs = make(map[string]float64, numFixStages)
+	for i := range numFixStages {
 		from, to := sp.bounds(i)
-		name := stageNames[sp.stages[i]]
+		name := stageNames[i]
 		spans[i] = trace.Span{
 			Name:    name,
 			StartUS: from.Sub(sp.start).Microseconds(),

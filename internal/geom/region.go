@@ -6,12 +6,12 @@ import "math"
 // incrementally: Add and Remove reclassify only the pairs involving the
 // changed disc instead of rebuilding the O(k²) structure from scratch,
 // and the steady state allocates nothing (removed circles' neighbor
-// records are recycled). It is the engine's per-tracked-device hot path:
-// a device's communicable set Γ changes by ±1–2 APs per step, so almost
-// all pair state survives between fixes.
+// records are recycled). It serves core.MLocTracked: a tracked device's
+// communicable set Γ changes by ±1–2 APs per step, so almost all pair
+// state survives between fixes.
 //
 // Every circle carries a caller-assigned uint64 key that fixes a total
-// order (the engine uses big-endian MAC bytes, so ascending key is
+// order (core.MLocTracked uses big-endian MAC bytes, so ascending key is
 // ascending MAC). The canonical order makes Area and AppendVertices
 // reproduce the from-scratch IntersectionArea / RegionVertices answers on
 // the same key-sorted disc slice: AppendVertices bit-exactly (same
@@ -341,7 +341,7 @@ func flip(rel uint8) uint8 {
 // hypot fallback — so the defining circles are tested only when nothing
 // else excludes (any excluder is a valid witness, so scan order never
 // changes the alive/dead answer). The main scan runs from the highest
-// key down: under the engine's sliding-Γ churn high keys are the most
+// key down: under a tracked device's sliding-Γ churn high keys are the most
 // recently added discs, so witnesses picked here survive the longest
 // before a Remove forces re-adjudication. (A middle-out scan — picking
 // witnesses that outlive slides in either direction — measured slower:
@@ -408,7 +408,7 @@ func (r *Region) aliveInsert(k1, k2 uint64, idx uint8, p Point) {
 }
 
 // Add inserts disc c under key. Keys must be unique; Add panics on a
-// duplicate so engine bugs surface instead of corrupting counters.
+// duplicate so caller bugs surface instead of corrupting counters.
 func (r *Region) Add(key uint64, c Circle) {
 	at := r.find(key)
 	if at < len(r.circles) && r.circles[at].key == key {

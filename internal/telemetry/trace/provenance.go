@@ -34,14 +34,6 @@ type Provenance struct {
 	// VertexCount is |Δ|, the disc-intersection vertex count (M-Loc
 	// family; 0 for the baselines).
 	VertexCount int `json:"vertexCount"`
-	// RegionPath reports how a tracked fix computed its intersection
-	// region: "incremental" (the previous window's region diffed by the Γ
-	// delta) or "full" (rebuilt from scratch or served by the plain
-	// algorithm). Empty for untracked fixes and cache hits.
-	RegionPath string `json:"regionPath,omitempty"`
-	// RegionDiff is the Γ delta (adds plus removes) a tracked fix applied;
-	// equals k on a full rebuild.
-	RegionDiff int `json:"regionDiff,omitempty"`
 	// IntersectedAreaM2 is the exact area of Γ's disc-intersection region
 	// — the paper's CA metric for this very estimate.
 	IntersectedAreaM2 float64 `json:"intersectedAreaM2"`
@@ -59,8 +51,8 @@ type Provenance struct {
 	// / AP-Loc); nil for untrained algorithms.
 	Training *TrainingInfo `json:"training,omitempty"`
 	// StagesMs is wall time per fix stage, in milliseconds, keyed by the
-	// marauder_stage_seconds label: window_assembly, then localize or
-	// region_update, then trace_record. The same clock reads feed those
+	// marauder_stage_seconds label: window_assembly, localize, then
+	// trace_record. The same clock reads feed those
 	// histograms, so StagesMs[s]/1e3 is exactly what stage s observed.
 	StagesMs map[string]float64 `json:"stagesMs"`
 	// TotalMs is the whole fix's wall time, in milliseconds — the

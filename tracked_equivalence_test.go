@@ -1,14 +1,10 @@
 package repro
 
-// Tracked-trajectory equivalence suite: drives engine.Track — the path
-// that threads one core.RegionTracker through a device's consecutive
-// windows — over the deterministic campus for all five localization
-// algorithms, and requires the trajectory to be bit-identical to fixing
-// every window independently with the plain per-window algorithm. For
-// M-Loc this is the end-to-end differential oracle of the incremental
-// intersection kernel (the engine path takes it; the reference path
-// cannot); for the other four it pins that the Track plumbing changed
-// nothing for untracked localizers.
+// Tracked-trajectory equivalence suite: drives engine.Track over the
+// deterministic campus for all five localization algorithms, traced, and
+// requires the trajectory to be bit-identical to fixing every window
+// independently with the plain per-window algorithm: the engine's window,
+// trace and Track plumbing must change no estimate.
 
 import (
 	"testing"
@@ -24,9 +20,7 @@ func TestTrackedTrajectoryEquivalence(t *testing.T) {
 	}
 	ew := buildEquivWorld(t)
 	// 45 s windows stepped every 15 s: consecutive windows overlap, so the
-	// victim's Γ slides a few APs per step and the m-loc case runs mostly
-	// on the incremental path (a 60 s step would turn over more than half
-	// of Γ each fix and the tracker would — correctly — always rebuild).
+	// victim's Γ slides a few APs per step.
 	const (
 		windowSec = 45.0
 		stepSec   = 15.0
@@ -49,8 +43,7 @@ func TestTrackedTrajectoryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Caching disabled: every fix must run the algorithm, so the
-			// m-loc case exercises the incremental path on every step.
+			// Caching disabled: every fix must run the algorithm.
 			e, err := engine.New(engine.Config{
 				Know:      tc.know,
 				Store:     ew.store,
@@ -106,27 +99,6 @@ func TestTrackedTrajectoryEquivalence(t *testing.T) {
 					if g.Est.Vertices[v] != w.Est.Vertices[v] {
 						t.Fatalf("point %d vertex %d: %v, want %v", i, v, g.Est.Vertices[v], w.Est.Vertices[v])
 					}
-				}
-			}
-
-			// The m-loc engine must actually have used the incremental
-			// kernel — a silent full-recompute fallback on every window
-			// would pass the equality check while voiding the speedup.
-			if tc.name == "m-loc" {
-				incremental, full := 0, 0
-				for _, rec := range tracer.Recent(0) {
-					if p := rec.Provenance; p != nil {
-						switch p.RegionPath {
-						case core.RegionPathIncremental:
-							incremental++
-						case core.RegionPathFull:
-							full++
-						}
-					}
-				}
-				if incremental == 0 || incremental <= full {
-					t.Fatalf("incremental path served %d fixes vs %d full; overlapping windows should mostly diff",
-						incremental, full)
 				}
 			}
 		})
