@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -20,6 +21,38 @@ import (
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
 )
+
+// TestAgentServerCloseIsCleanStop closes a serving agent server: the
+// listener error Close causes is a clean stop, so nothing is logged at
+// ERROR.
+func TestAgentServerCloseIsCleanStop(t *testing.T) {
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelError})))
+	defer slog.SetDefault(prev)
+	srv, err := capwire.NewServer(capwire.ServerConfig{
+		Ingest: func(string, []sniffer.Capture) int { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		serveAgents(srv, lis)
+		close(served)
+	}()
+	// Close before Serve has taken the listener makes Serve return the
+	// same error, so the check does not depend on the interleaving.
+	srv.Close()
+	<-served
+	if logs.Len() > 0 {
+		t.Fatalf("closing the agent server logged an error:\n%s", logs.String())
+	}
+}
 
 // TestRunRejectsDanglingFlags: a flag that only tunes a feature the
 // command line never enabled must fail loudly, naming both flags.

@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -419,11 +418,7 @@ func listenAgents(a *attack, addr string) (*capwire.Server, error) {
 		capSrv.Close()
 		return nil, err
 	}
-	go func() {
-		if err := capSrv.Serve(lis); err != nil {
-			slog.Error("agent server failed", "component", "marauder", "err", err)
-		}
-	}()
+	go serveAgents(capSrv, lis)
 	a.agents = capSrv
 	if cursorPath != "" {
 		a.ops.Checkpointer.AfterCheckpoint = func(gen uint64) {
@@ -435,6 +430,15 @@ func listenAgents(a *attack, addr string) (*capwire.Server, error) {
 	slog.Info("capture agent plane listening", "component", "marauder",
 		"addr", lis.Addr().String(), "localCapture", a.localCapture)
 	return capSrv, nil
+}
+
+// serveAgents runs the agent server on lis until it stops. Close makes
+// Serve return the closed listener's error: that is a clean stop, and
+// only any other error is logged.
+func serveAgents(srv *capwire.Server, lis net.Listener) {
+	if err := srv.Serve(lis); err != nil && !errors.Is(err, net.ErrClosed) {
+		slog.Error("agent server failed", "component", "marauder", "err", err)
+	}
 }
 
 // runOnce captures the victim's whole route, localizes it and prints
@@ -526,10 +530,7 @@ func serve(a *attack, p *ops.Process, c *config) error {
 	srv := mapServer(state, opts)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	url := "http://" + c.addr
-	if strings.HasPrefix(c.addr, ":") {
-		url = "http://localhost" + c.addr
-	}
+	url := mapserver.URL(c.addr)
 	victim, route := a.campus.Victim.MAC, a.campus.Route
 	slog.Info("the Marauder's map is live",
 		"component", "marauder", "url", url, "algo", c.algo,

@@ -122,7 +122,7 @@ func run(serveAddr string) error {
 		}
 		return geom.Point{}, false
 	})
-	fmt.Printf("map at http://localhost%s — ctrl-C to stop\n", serveAddr)
+	fmt.Printf("map at %s — ctrl-C to stop\n", mapserver.URL(serveAddr))
 	// ReadHeaderTimeout bounds header reads, so a client trickling
 	// headers cannot hold a connection open indefinitely.
 	srv := &http.Server{Addr: serveAddr, Handler: mapserver.Handler(state), ReadHeaderTimeout: 10 * time.Second}

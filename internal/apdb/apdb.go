@@ -71,7 +71,7 @@ func FromEntries(entries []Entry) *Snapshot {
 	}
 	order := make([]keyed, len(entries))
 	for i := range entries {
-		order[i] = keyed{macKey(entries[i].BSSID[:]), i}
+		order[i] = keyed{entries[i].BSSID.Key(), i}
 	}
 	slices.SortStableFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	n := 0

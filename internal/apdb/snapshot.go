@@ -38,30 +38,22 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // Len returns the number of entries.
 func (s *Snapshot) Len() int { return len(s.rng) }
 
-// macKey packs 6 BSSID bytes into a uint64 whose numeric order matches
-// the byte-lexicographic order of the packed array.
-func macKey(b []byte) uint64 {
-	_ = b[5]
-	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 |
-		uint64(b[3])<<16 | uint64(b[4])<<8 | uint64(b[5])
-}
-
 // Slot returns the array index of a BSSID via binary search over the
 // packed key array. Hand-rolled on 48-bit integer keys: this sits on the
 // M-Loc hot path (one probe per Γ member per fix), where a closure-based
 // search over byte slices costs a measurable share of the frame.
 func (s *Snapshot) Slot(bssid dot11.MAC) (int, bool) {
-	want := macKey(bssid[:])
+	want := bssid.Key()
 	lo, hi := 0, len(s.rng)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if macKey(s.bssid[mid*6:]) < want {
+		if dot11.MAC(s.bssid[mid*6:]).Key() < want {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(s.rng) && macKey(s.bssid[lo*6:]) == want {
+	if lo < len(s.rng) && dot11.MAC(s.bssid[lo*6:]).Key() == want {
 		return lo, true
 	}
 	return 0, false

@@ -115,7 +115,7 @@ func TestFromEntries(t *testing.T) {
 			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(last))
 		}
 		for i, e := range got {
-			if i > 0 && macKey(got[i-1].BSSID[:]) >= macKey(e.BSSID[:]) {
+			if i > 0 && got[i-1].BSSID.Key() >= e.BSSID.Key() {
 				t.Fatalf("trial %d: slot %d out of BSSID order", trial, i)
 			}
 			if last[e.BSSID] != e {

@@ -68,14 +68,6 @@ func (rt *RegionTracker) RegionArea() (float64, bool) {
 	return rt.region.Area(), true
 }
 
-// macKey is the canonical total order on AP identities: the big-endian
-// integer value of the MAC, so ascending key is ascending MAC and a
-// canonical (sorted, deduplicated) Γ yields a key-sorted disc sequence.
-func macKey(m dot11.MAC) uint64 {
-	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
-		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
-}
-
 // rebuildThreshold: rebuild from scratch when more than half of the new
 // Γ changed — at that point the diff work approaches the rebuild work.
 func rebuildThreshold(k int) int { return (k + 1) / 2 }
@@ -114,7 +106,7 @@ func MLocTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, e
 	canonical := true
 	oi := 0 // merge cursor into rt.keys
 	for _, m := range gamma {
-		key := macKey(m)
+		key := m.Key()
 		if n := len(keys); n > 0 && keys[n-1] >= key {
 			canonical = false
 			break
@@ -165,7 +157,7 @@ func MLocTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, e
 		// them — they were resolved at this same epoch).
 		for i := range discs {
 			if discs[i].R == 0 {
-				e, _ := sn.Get(keyMAC(keys[i]))
+				e, _ := sn.Get(dot11.MACFromKey(keys[i]))
 				discs[i] = geom.Circle{C: e.Pos, R: e.MaxRange}
 			}
 		}
@@ -186,12 +178,6 @@ func MLocTracked(k Knowledge, gamma []dot11.MAC, rt *RegionTracker) (Estimate, e
 		return Estimate{}, err
 	}
 	return Estimate{Pos: c, Vertices: rt.vbuf, K: rt.region.Len(), Method: "m-loc"}, nil
-}
-
-// keyMAC inverts macKey.
-func keyMAC(key uint64) dot11.MAC {
-	return dot11.MAC{byte(key >> 40), byte(key >> 32), byte(key >> 24),
-		byte(key >> 16), byte(key >> 8), byte(key)}
 }
 
 // rebuild resets the region to exactly the given key/disc sequence.

@@ -36,6 +36,19 @@ func (m MAC) String() string {
 	return string(b[:])
 }
 
+// Key is the address as a big-endian 48-bit integer. Key order is the
+// canonical MAC order: byte order, and so also the order of the
+// fixed-width String forms.
+func (m MAC) Key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
+// MACFromKey inverts Key. Bits above the low 48 are ignored.
+func MACFromKey(k uint64) MAC {
+	return MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
+}
+
 // ParseMAC parses a colon-separated MAC address.
 func ParseMAC(s string) (MAC, error) {
 	var m MAC

@@ -26,14 +26,11 @@ const (
 func cacheCapacity(devices int) int { return max(cacheFloor, cachePerDevice*devices) }
 
 // gammaCache memoizes localization results by canonicalized Γ key.
-// Localization is a pure function of (knowledge, Γ), and every entry
-// belongs to one knowledge generation: the engine invalidates the cache
-// when the knowledge base is swapped, and get and put take the
-// generation their caller's knowledge belongs to, so an estimate is never
-// served for, or stored under, a generation it was not computed against.
-// Failures are cached too — a Γ whose discs leave an empty region fails
-// identically (and expensively, through radius inflation) every time it
-// recurs.
+// Localization is a pure function of (knowledge, Γ), and a cache belongs
+// to one knowledge base: it lives in the engine view beside that
+// knowledge, and a knowledge change brings a fresh cache. Failures are
+// cached too — a Γ whose discs leave an empty region fails identically
+// (and expensively, through radius inflation) every time it recurs.
 //
 // The cache is split into cacheShards shards by a maphash of the key,
 // each with its own lock, so concurrent hits on different keys rarely
@@ -44,10 +41,6 @@ func cacheCapacity(devices int) int { return max(cacheFloor, cachePerDevice*devi
 // over its share evicts on insert until it is back under.
 type gammaCache struct {
 	seed maphash.Seed
-	// gen is the knowledge generation the entries belong to. It is written
-	// only with every shard locked, so reading it under any one shard's
-	// lock sees it consistent with that shard's contents.
-	gen uint64
 	// entries is the total entry count, kept for Stats and the entries
 	// gauge so neither walks the shards.
 	entries atomic.Int64
@@ -107,14 +100,12 @@ func shardShare(capacity, i int) int {
 	return max(n, 1)
 }
 
-// get looks key up for a caller whose knowledge is generation gen, and
-// marks a found entry referenced. A cache still holding another
-// generation's entries answers nothing.
-func (c *gammaCache) get(key []byte, gen uint64) (core.Estimate, error, bool) {
+// get looks key up and marks a found entry referenced.
+func (c *gammaCache) get(key []byte) (core.Estimate, error, bool) {
 	s := &c.shards[c.shardOf(key)]
 	s.mu.Lock()
 	i, ok := s.index[string(key)]
-	if !ok || c.gen != gen {
+	if !ok {
 		s.mu.Unlock()
 		return core.Estimate{}, nil, false
 	}
@@ -127,18 +118,12 @@ func (c *gammaCache) get(key []byte, gen uint64) (core.Estimate, error, bool) {
 	return est, err, true
 }
 
-// put stores a result computed against knowledge generation gen, in a
-// cache of capacity entries, and returns how many entries it evicted to
-// make room. A result of a generation the cache no longer (or does not
-// yet) hold is dropped: the knowledge changed while it was computed.
-func (c *gammaCache) put(key []byte, est core.Estimate, err error, gen uint64, capacity int) (evicted int) {
+// put stores a result in a cache of capacity entries and returns how
+// many entries it evicted to make room.
+func (c *gammaCache) put(key []byte, est core.Estimate, err error, capacity int) (evicted int) {
 	i := c.shardOf(key)
 	s, limit := &c.shards[i], shardShare(capacity, i)
 	s.mu.Lock()
-	if c.gen != gen {
-		s.mu.Unlock()
-		return 0
-	}
 	if _, ok := s.index[string(key)]; ok {
 		// A concurrent miss on the same Γ got here first with the same
 		// answer.
@@ -195,28 +180,6 @@ func (s *cacheShard) remove(i int) {
 	}
 	s.slots[last] = cacheSlot{}
 	s.slots = s.slots[:last]
-}
-
-// invalidate drops every entry and moves the cache to knowledge
-// generation gen (never backwards, so racing swaps settle on the newest),
-// and returns how many entries were dropped.
-func (c *gammaCache) invalidate(gen uint64) int {
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-	}
-	c.gen = max(c.gen, gen)
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		dropped += len(s.slots)
-		s.index = make(map[string]int32)
-		s.slots, s.hand = nil, 0
-	}
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
-	}
-	mCacheEntries.Set(float64(c.entries.Add(int64(-dropped))))
-	return dropped
 }
 
 // len reports the current entry count.

@@ -9,10 +9,14 @@
 // The engine memoizes estimates by canonicalized Γ: localization is a
 // pure function of (knowledge, Γ), identical AP sets recur constantly
 // across windows and devices, and knowledge changes are explicit
-// (SetKnowledge / RefreshKnowledge), so the cache is invalidated exactly
-// when the knowledge base changes. The cache is sharded, evicts one entry
-// at a time by CLOCK, and is sized from the store's device count, so the
-// Γ working set of a stable population stays resident across map frames.
+// (SetKnowledge / RefreshKnowledge). Everything a fix reads — store,
+// knowledge, its generation, the training record and the Γ cache — is one
+// immutable view, loaded once per fix, track or map frame; a knowledge
+// change publishes a view with a fresh cache, so a cached estimate is only
+// ever served for the knowledge it was computed against. The cache is
+// sharded, evicts one entry at a time by CLOCK, and is sized from the
+// store's device count, so the Γ working set of a stable population stays
+// resident across map frames.
 package engine
 
 import (
@@ -69,13 +73,13 @@ type Engine struct {
 	windowSec float64
 	workers   int
 
-	mu    sync.RWMutex
-	store *obs.Store
-	base  core.Knowledge // immutable training base
-	know  core.Knowledge // active working knowledge
-
-	cache  *gammaCache
+	base   core.Knowledge // immutable training base
 	tracer *trace.Tracer
+
+	// view is the state fixes read; writeMu serializes the writers that
+	// publish its successors (SetKnowledge, ResetObservations, refresh).
+	view    atomic.Pointer[view]
+	writeMu sync.Mutex
 
 	// rejects is the bounded quarantine for corrupt/undecodable captures.
 	rejects quarantine
@@ -101,12 +105,24 @@ type Engine struct {
 	refreshRetry  atomic.Uint64
 	refreshFail   atomic.Uint64 // consecutive failed RefreshKnowledge calls
 	refreshFellBk atomic.Uint64
+}
 
-	// knowGen counts knowledge-base swaps; every estimate's provenance
-	// carries the generation it was computed against.
-	knowGen atomic.Uint64
-	// lastTrain is the provenance of the latest RefreshKnowledge run.
-	lastTrain atomic.Pointer[trace.TrainingInfo]
+// view is one consistent state of the engine: a fix reads its window from
+// store and localizes against know through cache, and its provenance
+// names gen and training. A published view is never modified; a change
+// publishes a copy. know and cache change together — a knowledge change
+// brings a fresh, empty cache — so a result computed against the old
+// knowledge can only land in the old cache, which no later fix reads.
+type view struct {
+	store *obs.Store
+	know  core.Knowledge
+	// gen counts knowledge changes since construction.
+	gen uint64
+	// training is the provenance of the latest RefreshKnowledge run (nil
+	// before the first).
+	training *trace.TrainingInfo
+	// cache memoizes localizations against know; nil when disabled.
+	cache *gammaCache
 }
 
 // Stats counts engine work since construction.
@@ -119,7 +135,8 @@ type Stats struct {
 	// CacheMisses is how many ran the localization algorithm.
 	CacheMisses uint64
 	// CacheEvictions is how many cache entries were dropped — by CLOCK
-	// eviction from a full shard or by knowledge invalidation.
+	// eviction from a full shard or with a cache a knowledge change
+	// retired.
 	CacheEvictions uint64
 	// CacheEntries is how many entries the Γ cache holds now.
 	CacheEntries int
@@ -179,15 +196,15 @@ func New(cfg Config) (*Engine, error) {
 		loc:        loc,
 		windowSec:  cfg.WindowSec,
 		workers:    workers,
-		store:      store,
 		base:       cfg.Know,
-		know:       cfg.Know,
 		tracer:     cfg.Tracer,
 		staleAfter: max(cfg.StaleIngestAfter, 0),
 	}
+	v := &view{store: store, know: cfg.Know}
 	if cfg.CacheSize == 0 {
-		e.cache = newGammaCache()
+		v.cache = newGammaCache()
 	}
+	e.view.Store(v)
 	return e, nil
 }
 
@@ -201,11 +218,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // Store returns the observation store the engine ingests into. The store
 // is safe for concurrent use, so callers may also feed or query it
 // directly.
-func (e *Engine) Store() *obs.Store {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.store
-}
+func (e *Engine) Store() *obs.Store { return e.view.Load().store }
 
 // Ingest feeds one captured frame into the observation store.
 func (e *Engine) Ingest(timeSec float64, f *dot11.Frame, fromAP bool) {
@@ -289,45 +302,50 @@ func (e *Engine) Quarantine() QuarantineStats { return e.rejects.stats() }
 // cache's capacity follows the fresh store's device count, so later
 // inserts evict it back down to the floor.
 func (e *Engine) ResetObservations() {
-	e.mu.Lock()
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	v := *e.view.Load()
 	// Keep the configured shard count: a reset changes the contents, not
 	// the store's concurrency shape.
-	e.store = obs.NewStoreShards(e.store.ShardCount())
-	e.mu.Unlock()
+	v.store = obs.NewStoreShards(v.store.ShardCount())
+	e.view.Store(&v)
 }
 
 // Knowledge returns the active working knowledge base.
-func (e *Engine) Knowledge() core.Knowledge {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.know
+func (e *Engine) Knowledge() core.Knowledge { return e.view.Load().know }
+
+// SetKnowledge swaps in a new working knowledge base with a fresh Γ
+// cache, keeping the current training record. The swap is exact: when the
+// new base holds the same entries as the current one — the common case of
+// a retrain over unchanged observations — nothing changed that a cached
+// estimate could depend on, so the generation and the cache are kept. The
+// snapshot-epoch fast path makes the unchanged check O(1) when the base is
+// literally the same snapshot, falling back to a content comparison
+// otherwise.
+func (e *Engine) SetKnowledge(k core.Knowledge) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	e.view.Store(e.withKnowledge(k))
 }
 
-// SetKnowledge swaps in a new working knowledge base and invalidates the
-// Γ cache. Invalidation is exact: when the new base holds the same entries
-// as the current one — the common case of a retrain over unchanged
-// observations — nothing changed that a cached estimate could depend on,
-// so the generation is kept and the cache survives. The snapshot-epoch
-// fast path makes the unchanged check O(1) when the base is literally the
-// same snapshot, falling back to a content comparison otherwise.
-func (e *Engine) SetKnowledge(k core.Knowledge) {
-	e.mu.Lock()
-	if k.Epoch() == e.know.Epoch() || k.Equal(e.know) {
-		e.know = k
-		e.mu.Unlock()
-		return
-	}
-	e.know = k
-	// The generation moves with the knowledge, under the same lock, so a
-	// fix reads a (knowledge, generation) pair that belong together.
-	gen := e.knowGen.Add(1)
-	e.mu.Unlock()
-	if e.cache != nil {
-		if dropped := e.cache.invalidate(gen); dropped > 0 {
-			e.evictions.Add(uint64(dropped))
-			mCacheEvictions.Add(uint64(dropped))
+// withKnowledge returns the current view with knowledge k: with the next
+// generation and a fresh cache when k differs from the current knowledge.
+// The retired cache's entries count as evictions. The caller holds
+// writeMu and publishes the result.
+func (e *Engine) withKnowledge(k core.Knowledge) *view {
+	v := *e.view.Load()
+	if k.Epoch() != v.know.Epoch() && !k.Equal(v.know) {
+		v.gen++
+		if v.cache != nil {
+			dropped := uint64(v.cache.len())
+			e.evictions.Add(dropped)
+			mCacheEvictions.Add(dropped)
+			mCacheEntries.Set(0)
+			v.cache = newGammaCache()
 		}
 	}
+	v.know = k
+	return &v
 }
 
 // RefreshKnowledge's retry loop: refreshAttempts training runs at most,
@@ -375,7 +393,7 @@ func (e *Engine) RefreshKnowledge() error {
 			"component", "engine",
 			"algo", e.loc.Name(),
 			"attempts", refreshAttempts,
-			"gen", e.knowGen.Load(),
+			"gen", e.view.Load().gen,
 			"err", err)
 		return nil
 	}
@@ -385,10 +403,7 @@ func (e *Engine) RefreshKnowledge() error {
 // refreshOnce runs one training attempt end to end.
 func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 	start := time.Now()
-	e.mu.RLock()
-	base := e.base
-	store := e.store
-	e.mu.RUnlock()
+	store := e.Store()
 	var (
 		trained   core.Knowledge
 		diag      core.TrainDiag
@@ -396,29 +411,31 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 		err       error
 	)
 	if dt, ok := trainer.(core.DiagnosedTrainer); ok {
-		trained, diag, err = dt.TrainDiagnosed(base, store.DeviceAPSets())
+		trained, diag, err = dt.TrainDiagnosed(e.base, store.DeviceAPSets())
 		diagnosed = true
 	} else {
-		trained, err = trainer.Train(base, store.DeviceAPSets())
+		trained, err = trainer.Train(e.base, store.DeviceAPSets())
 	}
 	if err != nil {
 		e.traceRefresh(start, time.Since(start), map[string]any{"err": err.Error()})
 		return fmt.Errorf("engine: refresh knowledge: %w", err)
 	}
-	e.SetKnowledge(trained)
-	dur := time.Since(start)
-	info := &trace.TrainingInfo{
-		Algorithm:  e.loc.Name(),
-		Gen:        e.knowGen.Load(),
-		DurationMs: dur.Seconds() * 1e3,
-	}
+	info := &trace.TrainingInfo{Algorithm: e.loc.Name()}
 	if diagnosed {
 		info.Constraints = diag.Constraints
 		info.LPIterations = diag.LPIterations
 		info.LowerBoundViolations = diag.LowerBoundViolations
 		info.Objective = diag.Objective
 	}
-	e.lastTrain.Store(info)
+	// The trained knowledge and its record are published as one view, so
+	// info.Gen is the generation fixes against that knowledge report.
+	e.writeMu.Lock()
+	v := e.withKnowledge(trained)
+	dur := time.Since(start)
+	info.Gen, info.DurationMs = v.gen, dur.Seconds()*1e3
+	v.training = info
+	e.view.Store(v)
+	e.writeMu.Unlock()
 	mRefreshes.Inc()
 	mRefreshSeconds.Observe(dur.Seconds())
 	e.traceRefresh(start, dur, map[string]any{
@@ -437,53 +454,46 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 		trace.Span{Name: "knowledge", DurUS: dur.Microseconds(), Attrs: attrs})
 }
 
-// locateGamma answers one localization request, through the Γ cache when
-// enabled. gamma must be in APSetWindow's canonical (ascending, deduped)
-// order; the cache key is its byte concatenation (appendGammaKey). It
-// returns the knowledge the estimate was computed against and its
-// generation (so traced callers attribute the provenance to the right
-// base) and whether the cache answered. The cache is read and written
-// under that generation, so a result computed while the knowledge was
-// swapped is not stored for the new base.
-func (e *Engine) locateGamma(gamma []dot11.MAC) (est core.Estimate, know core.Knowledge, gen uint64, hit bool, err error) {
+// locateGamma answers one localization request against v's knowledge,
+// through v's Γ cache when enabled, and reports whether the cache
+// answered. gamma must be in APSetWindow's canonical (ascending, deduped)
+// order; the cache key is its byte concatenation (appendGammaKey).
+func (e *Engine) locateGamma(v *view, gamma []dot11.MAC) (est core.Estimate, hit bool, err error) {
 	e.fixes.Add(1)
 	mFixes.Inc()
 	if len(gamma) == 0 {
-		return core.Estimate{}, core.Knowledge{}, e.knowGen.Load(), false, core.ErrNoAPs
+		return core.Estimate{}, false, core.ErrNoAPs
 	}
-	e.mu.RLock()
-	know, gen, store := e.know, e.knowGen.Load(), e.store
-	e.mu.RUnlock()
-	if e.cache == nil {
+	if v.cache == nil {
 		e.misses.Add(1)
 		mCacheMisses.Inc()
-		est, err = e.loc.Locate(know, gamma)
-		return est, know, gen, false, err
+		est, err = e.loc.Locate(v.know, gamma)
+		return est, false, err
 	}
 	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
 	var keyBuf [32 * len(dot11.MAC{})]byte
 	key := appendGammaKey(keyBuf[:0], gamma)
-	if est, err, ok := e.cache.get(key, gen); ok {
+	if est, err, ok := v.cache.get(key); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
-		return est, know, gen, true, err
+		return est, true, err
 	}
 	e.misses.Add(1)
 	mCacheMisses.Inc()
-	est, err = e.loc.Locate(know, gamma)
-	if evicted := e.cache.put(key, est, err, gen, cacheCapacity(store.DeviceCount())); evicted > 0 {
+	est, err = e.loc.Locate(v.know, gamma)
+	if evicted := v.cache.put(key, est, err, cacheCapacity(v.store.DeviceCount())); evicted > 0 {
 		e.evictions.Add(uint64(evicted))
 		mCacheEvictions.Add(uint64(evicted))
 	}
-	return est, know, gen, false, err
+	return est, false, err
 }
 
-// fixWindow answers one localization over [start, end): the
+// fixWindow answers one localization over [start, end) from view v: the
 // window_assembly → localize → trace_record chain shared by Fix, FixRange,
 // Track and the snapshot workers. buf is the reusable Γ buffer (pass
 // buf[:0] in loops); the possibly-grown buffer is returned for reuse.
 // With tracing disabled the only cost over the raw path is one nil check.
-func (e *Engine) fixWindow(buf []dot11.MAC, dev dot11.MAC, start, end float64) ([]dot11.MAC, core.Estimate, error) {
+func (e *Engine) fixWindow(v *view, buf []dot11.MAC, dev dot11.MAC, start, end float64) ([]dot11.MAC, core.Estimate, error) {
 	var tr *trace.Trace
 	if e.tracer != nil {
 		tr = e.tracer.Start(trace.KindFix, dev.String())
@@ -496,18 +506,18 @@ func (e *Engine) fixWindow(buf []dot11.MAC, dev dot11.MAC, start, end float64) (
 	if timed {
 		sp.start = time.Now()
 	}
-	buf, scanned, resorted := e.Store().ScanAPSetWindow(buf, dev, start, end)
+	buf, scanned, resorted := v.store.ScanAPSetWindow(buf, dev, start, end)
 	if timed {
 		sp.mark(stageWindow)
 	}
-	est, know, gen, hit, err := e.locateGamma(buf)
+	est, hit, err := e.locateGamma(v, buf)
 	if timed {
 		// A cache hit's lookup time is localization cost too.
 		sp.mark(stageLocalize)
 	}
 	var p *trace.Provenance
 	if tr != nil {
-		p = e.provenance(dev, buf, know, gen, est, err, hit, start, end)
+		p = e.provenance(v, dev, buf, est, err, hit, start, end)
 	}
 	if timed {
 		sp.mark(stageTrace)
@@ -531,7 +541,7 @@ func (e *Engine) Fix(dev dot11.MAC, timeSec float64) (core.Estimate, error) {
 // FixRange estimates the device's position from the observations with
 // start ≤ t < end.
 func (e *Engine) FixRange(dev dot11.MAC, start, end float64) (core.Estimate, error) {
-	_, est, err := e.fixWindow(nil, dev, start, end)
+	_, est, err := e.fixWindow(e.view.Load(), nil, dev, start, end)
 	return est, err
 }
 
@@ -540,11 +550,12 @@ func (e *Engine) FixRange(dev dot11.MAC, start, end float64) (core.Estimate, err
 // skipped. Steps are computed as startSec + i·stepSec (no float
 // accumulation drift). Each step is an ordinary fix: every localizer
 // computes a position from Γ alone, so nothing carries over between
-// steps.
+// steps. Every step reads the same view.
 func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core.TrackPoint, error) {
 	if stepSec <= 0 {
 		return nil, fmt.Errorf("engine: Track needs stepSec > 0")
 	}
+	v := e.view.Load()
 	var out []core.TrackPoint
 	var buf []dot11.MAC
 	for i := 0; ; i++ {
@@ -554,7 +565,7 @@ func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core
 		}
 		var est core.Estimate
 		var err error
-		buf, est, err = e.fixWindow(buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2)
+		buf, est, err = e.fixWindow(v, buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2)
 		if err != nil {
 			continue
 		}
@@ -578,16 +589,17 @@ func (e *Engine) Snapshot(timeSec float64) map[dot11.MAC]core.Estimate {
 // cursor and collect their located estimates privately; the collections
 // are merged into the result map once every worker is done. The map holds
 // one estimate per device whatever the interleaving, so the result is
-// identical to localizing sequentially.
+// identical to localizing sequentially. The whole frame reads one view: a
+// concurrent knowledge swap or reset takes effect from the next frame.
 func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	began := time.Now()
 	defer func() {
 		mSnapshots.Inc()
 		mSnapshotSeconds.ObserveSince(began)
 	}()
-	store := e.Store()
+	v := e.view.Load()
 	scanStart := time.Now()
-	devs := store.Devices()
+	devs := v.store.Devices()
 	mStageScan.ObserveSince(scanStart)
 	workers := min(e.workers, (len(devs)+snapshotChunk-1)/snapshotChunk)
 	if workers <= 1 {
@@ -596,7 +608,7 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 		for _, dev := range devs {
 			var est core.Estimate
 			var err error
-			buf, est, err = e.fixWindow(buf[:0], dev, start, end)
+			buf, est, err = e.fixWindow(v, buf[:0], dev, start, end)
 			if err == nil {
 				out[dev] = est
 			}
@@ -623,7 +635,7 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 				for _, dev := range devs[lo:min(hi, len(devs))] {
 					var est core.Estimate
 					var err error
-					buf, est, err = e.fixWindow(buf[:0], dev, start, end)
+					buf, est, err = e.fixWindow(v, buf[:0], dev, start, end)
 					if err == nil {
 						mine = append(mine, located{dev, est})
 					}
@@ -659,10 +671,10 @@ type located struct {
 
 // Stats reports fix and cache counters plus the store's shard shape.
 func (e *Engine) Stats() Stats {
-	store := e.Store()
+	v := e.view.Load()
 	var entries, capacity int
-	if e.cache != nil {
-		entries, capacity = e.cache.len(), cacheCapacity(store.DeviceCount())
+	if v.cache != nil {
+		entries, capacity = v.cache.len(), cacheCapacity(v.store.DeviceCount())
 	}
 	return Stats{
 		Fixes:          e.fixes.Load(),
@@ -672,9 +684,9 @@ func (e *Engine) Stats() Stats {
 		CacheEntries:   entries,
 		CacheCapacity:  capacity,
 		Workers:        e.workers,
-		ObsShards:      store.ShardCount(),
-		ObsRecords:     store.Len(),
-		KnowledgeGen:   e.knowGen.Load(),
+		ObsShards:      v.store.ShardCount(),
+		ObsRecords:     v.store.Len(),
+		KnowledgeGen:   v.gen,
 		Quarantined:    e.rejects.stats().Total,
 	}
 }
@@ -691,7 +703,7 @@ func (e *Engine) Health() Health {
 		RefreshRetries:             e.refreshRetry.Load(),
 		RefreshFallbacks:           e.refreshFellBk.Load(),
 		ConsecutiveRefreshFailures: e.refreshFail.Load(),
-		KnowledgeGen:               e.knowGen.Load(),
+		KnowledgeGen:               e.view.Load().gen,
 		TrainedOnce:                e.trainedOnce.Load(),
 	}
 	if _, trains := e.loc.(core.KnowledgeTrainer); !trains {

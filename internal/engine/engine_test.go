@@ -52,6 +52,16 @@ func gridWorld(nAPs, nDevs int) (core.Knowledge, *obs.Store, []dot11.MAC) {
 	return k, store, devs
 }
 
+// shiftedKnowledge is k with every AP moved 500 m east: the same Γ then
+// localizes elsewhere.
+func shiftedKnowledge(k core.Knowledge) core.Knowledge {
+	aps := k.All()
+	for i := range aps {
+		aps[i].Pos = geom.Pt(aps[i].Pos.X+500, aps[i].Pos.Y)
+	}
+	return core.NewKnowledge(aps)
+}
+
 func testEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(cfg)
@@ -176,6 +186,79 @@ func TestParallelSnapshotDuringIngest(t *testing.T) {
 	}
 }
 
+// TestConcurrentSwapsResetsAndFixes runs SetKnowledge, ResetObservations,
+// Snapshot and Fix at once (run it under -race). Afterwards no more fixes
+// hit or missed than were answered (empty windows do neither), every
+// cache entry ever dropped or held came from a miss, each knowledge change moved the generation once, and a fix on the
+// final view equals a fresh Locate against the final knowledge.
+func TestConcurrentSwapsResetsAndFixes(t *testing.T) {
+	k, store, devs := gridWorld(60, 16)
+	bases := [2]core.Knowledge{k, shiftedKnowledge(k)}
+	gamma := store.APSetWindow(devs[0], 35, 65)
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 2})
+	const swaps, rounds = 40, 200
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= swaps; i++ {
+			e.SetKnowledge(bases[i%2])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < swaps; i++ {
+			e.ResetObservations()
+			for j, ap := range gamma {
+				e.Ingest(50, dot11.NewProbeResponse(ap, devs[0], "", 1, uint16(j+1)), true)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds/10; i++ {
+			e.Snapshot(50)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			_, err := e.Fix(devs[i%len(devs)], 50)
+			if err != nil && !errors.Is(err, core.ErrNoAPs) {
+				t.Errorf("fix: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	s := e.Stats()
+	if s.Fixes < rounds || s.CacheHits+s.CacheMisses > s.Fixes || s.CacheMisses == 0 {
+		t.Errorf("fixes %d, hits %d + misses %d", s.Fixes, s.CacheHits, s.CacheMisses)
+	}
+	if s.CacheEvictions+uint64(s.CacheEntries) > s.CacheMisses {
+		t.Errorf("evictions %d + entries %d exceed the %d misses that filled the cache",
+			s.CacheEvictions, s.CacheEntries, s.CacheMisses)
+	}
+	if s.KnowledgeGen != swaps {
+		t.Errorf("KnowledgeGen %d after %d knowledge changes", s.KnowledgeGen, swaps)
+	}
+	if s.ObsShards != store.ShardCount() {
+		t.Errorf("%d store shards after resets, want %d", s.ObsShards, store.ShardCount())
+	}
+	got, err := e.Fix(devs[0], 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MLocalizer{}.Locate(bases[swaps%2], gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fix on the final view = %v, want the final knowledge's %v", got.Pos, want.Pos)
+	}
+}
+
 // TestCachedFixZeroAllocs pins the Γ-cache key in its stack buffer: a fix
 // answered by the cache, on a reused Γ buffer as the snapshot workers and
 // Track run it, allocates nothing.
@@ -185,7 +268,7 @@ func TestCachedFixZeroAllocs(t *testing.T) {
 	var buf []dot11.MAC
 	fix := func() {
 		var err error
-		if buf, _, err = e.fixWindow(buf[:0], devs[0], 35, 65); err != nil {
+		if buf, _, err = e.fixWindow(e.view.Load(), buf[:0], devs[0], 35, 65); err != nil {
 			t.Fatal(err)
 		}
 	}

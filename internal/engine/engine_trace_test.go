@@ -274,6 +274,49 @@ func TestProvenanceKnowledgeGen(t *testing.T) {
 	}
 }
 
+// TestSnapshotFrameOneKnowledge swaps the knowledge while the first fix
+// of a sequential map frame is inside Locate. The frame reads one view:
+// every device's provenance carries the generation the frame started on,
+// and the frame equals an uncached frame against the starting knowledge.
+// The next frame reads the new knowledge.
+func TestSnapshotFrameOneKnowledge(t *testing.T) {
+	k, store, _ := gridWorld(60, 8)
+	devs := store.Devices()
+	loc := &gatedLocalizer{entered: make(chan struct{}), release: make(chan struct{})}
+	tracer := testTracer(t, trace.Config{})
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 1, Localizer: loc, Tracer: tracer})
+	loc.armed.Store(true)
+	frame := make(chan map[dot11.MAC]core.Estimate, 1)
+	go func() { frame <- e.Snapshot(50) }()
+	<-loc.entered
+	newBase := shiftedKnowledge(k)
+	e.SetKnowledge(newBase)
+	close(loc.release)
+	got := <-frame
+
+	for _, dev := range devs {
+		p, ok := tracer.Explain(dev.String())
+		if !ok {
+			t.Fatalf("device %v has no provenance", dev)
+		}
+		if p.KnowledgeGen != 0 {
+			t.Errorf("device %v: KnowledgeGen %d in a frame that started on generation 0", dev, p.KnowledgeGen)
+		}
+	}
+	ref := func(know core.Knowledge) map[dot11.MAC]core.Estimate {
+		return testEngine(t, Config{Know: know, Store: store, WindowSec: 30, Workers: 1, CacheSize: -1}).Snapshot(50)
+	}
+	if want := ref(k); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame across the swap (%d devices) differs from the starting knowledge's frame (%d)", len(got), len(want))
+	}
+	if got, want := e.Snapshot(50), ref(newBase); !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame after the swap (%d devices) differs from the new knowledge's frame (%d)", len(got), len(want))
+	}
+	if p, _ := tracer.Explain(devs[0].String()); p.KnowledgeGen != 1 {
+		t.Errorf("frame after the swap reports KnowledgeGen %d, want 1", p.KnowledgeGen)
+	}
+}
+
 // TestTheorem2AreaScaling: the memoized unit-radius quadrature must scale
 // as r² (Theorem 2's closed form) and agree across repeated calls.
 func TestTheorem2AreaScaling(t *testing.T) {

@@ -35,10 +35,10 @@ var (
 		"Fixes that ran the localization algorithm.", nil)
 	mCacheEvictions = telemetry.Default().Counter(
 		"marauder_engine_cache_evictions_total",
-		"Γ-cache entries dropped by CLOCK eviction from a full shard or by knowledge invalidation.", nil)
+		"Γ-cache entries dropped by CLOCK eviction from a full shard or with a cache a knowledge change retired.", nil)
 	mCacheEntries = telemetry.Default().Gauge(
 		"marauder_engine_cache_entries",
-		"Entries the Γ-memoization cache holds (last engine to insert, evict or invalidate wins).", nil)
+		"Entries the Γ-memoization cache holds (last engine to insert, evict or change knowledge wins).", nil)
 	mRefreshes = telemetry.Default().Counter(
 		"marauder_engine_knowledge_refresh_total",
 		"Knowledge re-training runs (RefreshKnowledge on a trained algorithm).", nil)

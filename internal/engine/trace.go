@@ -53,11 +53,10 @@ func meanRange(k core.Knowledge, gamma []dot11.MAC) float64 {
 // provenance assembles the provenance record of one traced fix. The
 // expensive fields — the exact intersected area and the Theorem 2
 // quadrature — are computed only here, i.e. only for fixes the sampler
-// selected; unsampled and untraced fixes never pay for them. know and gen
-// are the knowledge the estimate was actually computed against and its
-// generation (not re-read, so a concurrent SetKnowledge cannot
-// misattribute the area or the generation).
-func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledge, gen uint64,
+// selected; unsampled and untraced fixes never pay for them. v is the view
+// the estimate was computed from, so a concurrent SetKnowledge cannot
+// misattribute the area, the generation or the training record.
+func (e *Engine) provenance(v *view, dev dot11.MAC, gamma []dot11.MAC,
 	est core.Estimate, err error, hit bool, start, end float64) *trace.Provenance {
 	p := &trace.Provenance{
 		Device:       dev.String(),
@@ -67,8 +66,8 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 		WindowStart:  start,
 		WindowEnd:    end,
 		CacheHit:     hit,
-		KnowledgeGen: gen,
-		Training:     e.lastTrain.Load(),
+		KnowledgeGen: v.gen,
+		Training:     v.training,
 	}
 	if p.K == 0 {
 		p.K = len(gamma)
@@ -81,8 +80,8 @@ func (e *Engine) provenance(dev dot11.MAC, gamma []dot11.MAC, know core.Knowledg
 		p.VertexCount = len(est.Vertices)
 	}
 	if len(gamma) > 0 {
-		p.MeanRadiusM = meanRange(know, gamma)
-		p.IntersectedAreaM2 = core.RegionArea(know, gamma)
+		p.MeanRadiusM = meanRange(v.know, gamma)
+		p.IntersectedAreaM2 = core.RegionArea(v.know, gamma)
 		p.Theorem2AreaM2 = theorem2Area(p.K, p.MeanRadiusM)
 	}
 	return p

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"unicode/utf8"
 
-	"repro/internal/dot11"
 	"repro/internal/geom"
 )
 
@@ -43,11 +42,6 @@ type byMAC []device
 func (d byMAC) Len() int           { return len(d) }
 func (d byMAC) Less(i, j int) bool { return d[i].mac < d[j].mac }
 func (d byMAC) Swap(i, j int)      { d[i], d[j] = d[j], d[i] }
-
-func macKey(m dot11.MAC) uint64 {
-	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
-		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
-}
 
 // apLayer is the AP layer as the JSON value of "aps", encoded once per
 // SetAPs; err is the error encoding it met, if any.

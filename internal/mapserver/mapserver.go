@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -134,7 +135,7 @@ func (s *State) SetAPs(aps []APMarker) {
 
 // APsFromKnowledge loads the AP layer from a localization knowledge base.
 func (s *State) APsFromKnowledge(k core.Knowledge) {
-	all := k.All() // BSSID-sorted, matching the marker ordering below
+	all := k.All() // BSSID order is the markers' order: String is fixed-width hex
 	aps := make([]APMarker, 0, len(all))
 	for _, in := range all {
 		aps = append(aps, APMarker{
@@ -143,7 +144,6 @@ func (s *State) APsFromKnowledge(k core.Knowledge) {
 			Range: in.MaxRange,
 		})
 	}
-	sort.Slice(aps, func(i, j int) bool { return aps[i].BSSID < aps[j].BSSID })
 	s.SetAPs(aps)
 }
 
@@ -161,7 +161,7 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 		errH    *telemetry.Histogram
 	)
 	for mac, est := range frame {
-		d := device{mac: macKey(mac), est: est.Pos, k: est.K, method: est.Method}
+		d := device{mac: mac.Key(), est: est.Pos, k: est.K, method: est.Method}
 		if truth != nil {
 			if pos, ok := truth(mac); ok {
 				d.truth, d.hasTruth = pos, true
@@ -292,6 +292,16 @@ func serveProvider(src func() any) http.HandlerFunc {
 		}
 		writeJSON(w, src())
 	}
+}
+
+// URL is the map's address for a listen address: a host-less ":port"
+// is served on every interface and shown as localhost, and an address
+// with a host is shown as given.
+func URL(addr string) string {
+	if strings.HasPrefix(addr, ":") {
+		return "http://localhost" + addr
+	}
+	return "http://" + addr
 }
 
 // Handler returns the HTTP handler for the map UI and API, with the

@@ -45,6 +45,20 @@ func served(t *testing.T, s *State) (aps []APMarker, devices []DeviceMarker) {
 	return payload.APs, payload.Devices
 }
 
+// TestURL: a host-less listen address is shown on localhost, and one with
+// a host as given.
+func TestURL(t *testing.T) {
+	for addr, want := range map[string]string{
+		":8649":           "http://localhost:8649",
+		"127.0.0.1:18649": "http://127.0.0.1:18649",
+		"[::1]:80":        "http://[::1]:80",
+	} {
+		if got := URL(addr); got != want {
+			t.Errorf("URL(%q) = %q, want %q", addr, got, want)
+		}
+	}
+}
+
 func TestAPIState(t *testing.T) {
 	srv := httptest.NewServer(Handler(testState()))
 	defer srv.Close()

@@ -125,24 +125,12 @@ type rec struct {
 // apMask selects the AP address bits of a rec key.
 const apMask = 1<<48 - 1
 
-// macKey packs a MAC big-endian into the low 48 bits of an integer, so
-// integer order is exactly the MAC's byte order.
-func macKey(m dot11.MAC) uint64 {
-	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
-		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
-}
-
-// keyMAC unpacks the MAC in the low 48 bits of a key.
-func keyMAC(k uint64) dot11.MAC {
-	return dot11.MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
-}
-
 // packKey builds a rec key: Kind<<48 | AP. The Kind must lie in 0–maxKind.
-func packKey(ap dot11.MAC, k Kind) uint64 { return uint64(k)<<48 | macKey(ap) }
+func packKey(ap dot11.MAC, k Kind) uint64 { return uint64(k)<<48 | ap.Key() }
 
 // record rebuilds the public form of one of dev's records.
 func (r rec) record(dev dot11.MAC) Record {
-	return Record{TimeSec: r.t, Device: dev, AP: keyMAC(r.key), Kind: Kind(r.key >> 48)}
+	return Record{TimeSec: r.t, Device: dev, AP: dot11.MACFromKey(r.key), Kind: Kind(r.key >> 48)}
 }
 
 // kindErr reports a Kind the packed record cannot hold, or nil.
@@ -619,7 +607,7 @@ func appendUniqueMACs(dst []dot11.MAC, keys []uint64) []dot11.MAC {
 	}
 	for i, k := range keys {
 		if i == 0 || k != keys[i-1] {
-			dst = append(dst, keyMAC(k))
+			dst = append(dst, dot11.MACFromKey(k))
 		}
 	}
 	return dst
@@ -665,53 +653,8 @@ func (s *Store) DeviceAPSets() map[dot11.MAC][]dot11.MAC {
 	return out
 }
 
-// CoObserved reports whether some device observed both APs within
-// windowSec of each other — the evidence for AP-Rad's r_i + r_j ≥ d_ij
-// constraint.
-func (s *Store) CoObserved(ap1, ap2 dot11.MAC, windowSec float64) bool {
-	k1, k2 := macKey(ap1), macKey(ap2)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, dl := range sh.byDev {
-			if deviceCoObservesLocked(dl.recs, k1, k2, windowSec) {
-				sh.mu.RUnlock()
-				return true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return false
-}
-
-// deviceCoObservesLocked reports whether one device's log places both AP
-// keys within windowSec of each other. The same-AP case degenerates to
-// "was this AP observed at all" (a record co-observes with itself at
-// Δt = 0).
-func deviceCoObservesLocked(recs []rec, k1, k2 uint64, windowSec float64) bool {
-	if k1 == k2 {
-		for _, r := range recs {
-			if r.key&apMask == k1 {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r1 := range recs {
-		if r1.key&apMask != k1 {
-			continue
-		}
-		for _, r2 := range recs {
-			if r2.key&apMask == k2 && absf(r1.t-r2.t) <= windowSec {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // CoObservationIndex returns, for every device, the list of (time, AP)
-// pairs — a compact form the AP-Rad constraint builder iterates once
-// instead of calling CoObserved per pair. Each device's records come back
+// pairs: the record-level read-back of the store. Each device's records come back
 // in that device's ingest order (canonical time order once a window query
 // has re-sorted the log).
 func (s *Store) CoObservationIndex() map[dot11.MAC][]Record {
@@ -730,17 +673,10 @@ func (s *Store) CoObservationIndex() map[dot11.MAC][]Record {
 	return out
 }
 
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // sortMACs sorts MACs in place by byte order, comparing packed keys.
 func sortMACs(ms []dot11.MAC) {
-	slices.SortFunc(ms, func(a, b dot11.MAC) int { return cmp.Compare(macKey(a), macKey(b)) })
+	slices.SortFunc(ms, func(a, b dot11.MAC) int { return cmp.Compare(a.Key(), b.Key()) })
 }
 
 // macLess is MAC byte order, compared as packed keys.
-func macLess(a, b dot11.MAC) bool { return macKey(a) < macKey(b) }
+func macLess(a, b dot11.MAC) bool { return a.Key() < b.Key() }

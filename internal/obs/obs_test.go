@@ -109,27 +109,6 @@ func TestDeviceAPSets(t *testing.T) {
 	}
 }
 
-func TestCoObserved(t *testing.T) {
-	s := NewStore()
-	dev := mac(1)
-	a1, a2, a3 := mac(0xA1), mac(0xA2), mac(0xA3)
-	s.Ingest(100, dot11.NewProbeResponse(a1, dev, "", 1, 1), true)
-	s.Ingest(105, dot11.NewProbeResponse(a2, dev, "", 6, 1), true)
-	s.Ingest(9999, dot11.NewProbeResponse(a3, dev, "", 11, 1), true)
-	if !s.CoObserved(a1, a2, 10) {
-		t.Error("a1,a2 co-observed within 10 s")
-	}
-	if s.CoObserved(a1, a3, 10) {
-		t.Error("a1,a3 seen hours apart must not be co-observed at 10 s window")
-	}
-	if !s.CoObserved(a1, a3, 1e6) {
-		t.Error("a1,a3 co-observed at huge window")
-	}
-	if s.CoObserved(a1, mac(0xEE), 1e6) {
-		t.Error("unknown AP cannot be co-observed")
-	}
-}
-
 func TestCoObservationIndex(t *testing.T) {
 	s := NewStore()
 	dev := mac(4)
