@@ -319,9 +319,11 @@ func BenchmarkExtensionFleetCoverage(b *testing.B) {
 
 // engineBenchWorld builds a deterministic 200-device campus: a 12×12 AP
 // grid and one observation window in which every device has probed the
-// APs whose discs cover it. Returns the knowledge base and a pre-filled
-// store, shared read-only by every engine under benchmark.
-func engineBenchWorld(b *testing.B) (core.Knowledge, *obs.Store) {
+// APs whose discs cover it. idle more devices were heard only long before
+// that window, as most of a city's devices are silent in any one. Returns
+// the knowledge base and a pre-filled store, shared read-only by every
+// engine under benchmark.
+func engineBenchWorld(b *testing.B, idle int) (core.Knowledge, *obs.Store) {
 	b.Helper()
 	const (
 		nSide   = 12
@@ -353,16 +355,27 @@ func engineBenchWorld(b *testing.B) (core.Knowledge, *obs.Store) {
 			}
 		}
 	}
+	for d := 0; d < idle; d++ {
+		dev := sim.NewMAC(0xDE, d)
+		for i := 0; i < 3; i++ {
+			ap := aps[(d*31+i)%len(aps)].BSSID
+			store.Ingest(float64(-3600+d%3000+i), dot11.NewProbeResponse(ap, dev, "", 1, uint16(i+1)), true)
+		}
+	}
 	return know, store
 }
 
 // BenchmarkEngineSnapshot measures one full map frame — localizing every
 // observed device in the window — across the engine's operating modes:
 // sequential vs a worker pool, and with the Γ cache cold-disabled vs warm.
-// Parallel and sequential frames are checked identical before timing.
+// The idle-majority arms add 1,800 devices silent in the window, which the
+// frame's time index should leave out at little cost. Parallel and
+// sequential frames, and the idle-majority frame and per-device fixes over
+// every device, are checked identical before timing.
 func BenchmarkEngineSnapshot(b *testing.B) {
-	know, store := engineBenchWorld(b)
-	newEngine := func(workers, cacheSize int) *engine.Engine {
+	know, store := engineBenchWorld(b, 0)
+	_, idleStore := engineBenchWorld(b, 1800)
+	newEngine := func(store *obs.Store, workers, cacheSize int) *engine.Engine {
 		eng, err := engine.New(engine.Config{
 			Know: know, Store: store, WindowSec: 60,
 			Workers: workers, CacheSize: cacheSize,
@@ -376,24 +389,37 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	if nWorkers < 2 {
 		nWorkers = 4 // still exercises the pooled path on a 1-CPU box
 	}
-	seqFrame := newEngine(1, -1).Snapshot(50)
-	parFrame := newEngine(nWorkers, -1).Snapshot(50)
+	seqFrame := newEngine(store, 1, -1).Snapshot(50)
+	parFrame := newEngine(store, nWorkers, -1).Snapshot(50)
 	if !reflect.DeepEqual(seqFrame, parFrame) {
 		b.Fatal("parallel snapshot differs from sequential")
+	}
+	idleRef := newEngine(idleStore, 1, -1)
+	perDevice := map[dot11.MAC]core.Estimate{}
+	for _, dev := range idleStore.Devices() {
+		if est, err := idleRef.Fix(dev, 50); err == nil {
+			perDevice[dev] = est
+		}
+	}
+	if !reflect.DeepEqual(newEngine(idleStore, nWorkers, 0).Snapshot(50), perDevice) {
+		b.Fatal("idle-majority snapshot differs from per-device fixes")
 	}
 
 	for _, bc := range []struct {
 		name      string
+		store     *obs.Store
 		workers   int
 		cacheSize int
 	}{
-		{"sequential/uncached", 1, -1},
-		{"parallel/uncached", nWorkers, -1},
-		{"sequential/cached", 1, 0},
-		{"parallel/cached", nWorkers, 0},
+		{"sequential/uncached", store, 1, -1},
+		{"parallel/uncached", store, nWorkers, -1},
+		{"sequential/cached", store, 1, 0},
+		{"parallel/cached", store, nWorkers, 0},
+		{"idle-majority/sequential/cached", idleStore, 1, 0},
+		{"idle-majority/parallel/cached", idleStore, nWorkers, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			eng := newEngine(bc.workers, bc.cacheSize)
+			eng := newEngine(bc.store, bc.workers, bc.cacheSize)
 			var frame map[dot11.MAC]core.Estimate
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -415,7 +441,7 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 // configuration. The two ns/op figures must stay within a few percent of
 // each other: recording is asynchronous, so a frame never waits on it.
 func BenchmarkEngineSnapshotFTDC(b *testing.B) {
-	know, store := engineBenchWorld(b)
+	know, store := engineBenchWorld(b, 0)
 	newEngine := func() *engine.Engine {
 		eng, err := engine.New(engine.Config{
 			Know: know, Store: store, WindowSec: 60, Workers: 1, CacheSize: -1,

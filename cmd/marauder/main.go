@@ -499,7 +499,7 @@ func serve(a *attack, p *ops.Process, c *config) error {
 				"algo":       c.algo,
 				"engine":     st,
 				"shardLens":  a.eng.Store().ShardLens(),
-				"obsDevices": len(a.eng.Store().Devices()),
+				"obsDevices": a.eng.Store().DeviceCount(),
 				"trace":      a.eng.Tracer().Stats(),
 			}
 		},

@@ -268,7 +268,7 @@ func TestCachedFixZeroAllocs(t *testing.T) {
 	var buf []dot11.MAC
 	fix := func() {
 		var err error
-		if buf, _, err = e.fixWindow(e.view.Load(), buf[:0], devs[0], 35, 65); err != nil {
+		if buf, _, err = e.fixWindow(e.view.Load(), buf[:0], devs[0], nil, 35, 65); err != nil {
 			t.Fatal(err)
 		}
 	}

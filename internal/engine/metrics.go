@@ -26,7 +26,7 @@ var (
 		"Resolved snapshot worker-pool size (Config.Workers after the GOMAXPROCS default).", nil)
 	mFixes = telemetry.Default().Counter(
 		"marauder_engine_fixes_total",
-		"Localization requests answered, cached or computed, successful or not.", nil)
+		"Localization requests answered, cached or computed, successful or not; a map frame asks only for its window's candidates from the observation store's time index.", nil)
 	mCacheHits = telemetry.Default().Counter(
 		"marauder_engine_cache_hits_total",
 		"Fixes served from the Γ-memoization cache.", nil)
@@ -58,7 +58,8 @@ var (
 // (window_assembly, localize, trace_record) and
 // marauder_fix_seconds are fed from one fixSpan per timed fix — the same
 // clock reads a traced fix's spans and provenance report. Batch-level
-// stages (store_scan, ingest) are timed on every occurrence.
+// stages (store_scan, a map frame's candidate assembly; ingest) are timed
+// on every occurrence.
 var (
 	mFixStage = func() (h [numFixStages]*telemetry.Histogram) {
 		for s, name := range stageNames {
@@ -81,7 +82,7 @@ var (
 func stageSeconds(stage string) *telemetry.Histogram {
 	return telemetry.Default().Histogram(
 		"marauder_stage_seconds",
-		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix).",
+		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix; store_scan is a map frame's candidate assembly).",
 		telemetry.LatencyBuckets(),
 		telemetry.Labels{"stage": stage})
 }

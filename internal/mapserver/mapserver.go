@@ -38,7 +38,7 @@ var (
 	// rather than sampled.
 	mStagePublish = telemetry.Default().Histogram(
 		"marauder_stage_seconds",
-		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix).",
+		"Wall time per pipeline stage (fix-path stages timed on 1 fix in 16 plus every traced fix; store_scan is a map frame's candidate assembly).",
 		telemetry.LatencyBuckets(), telemetry.Labels{"stage": "publish"})
 )
 
