@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rf"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/ftdc"
 )
 
@@ -470,7 +471,19 @@ func BenchmarkEngineSnapshotFTDC(b *testing.B) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
-		go func() { rec.Run(ctx); close(done) }()
+		go func() { // the serving process's sampler, reduced to the recorder
+			defer close(done)
+			t := time.NewTicker(time.Second)
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case now := <-t.C:
+					_ = rec.Append(now, telemetry.Default().Snapshot())
+				}
+			}
+		}()
 		frameLoop(b, rec)
 		b.StopTimer()
 		cancel()

@@ -63,9 +63,7 @@ func TestRunRejectsDanglingFlags(t *testing.T) {
 	}{
 		{[]string{"-chaos-seed", "7", "-once"}, "-chaos"},
 		{[]string{"-checkpoint-interval", "1s", "-once"}, "-checkpoint-dir"},
-		{[]string{"-ftdc-interval", "1s", "-once"}, "-ftdc-dir"},
 		{[]string{"-trace-sample", "0.5", "-once"}, "-trace"},
-		{[]string{"-slo-tick", "1s", "-once"}, "-slo"},
 		{[]string{"-local-capture=false"}, "-agents-listen"},
 		{[]string{"-agents-listen", "127.0.0.1:0", "-once"}, "-once"},
 	}

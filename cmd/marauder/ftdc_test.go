@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/ftdc"
 )
 
@@ -13,7 +15,7 @@ func TestRunOnceWritesFlightRecord(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
 		"-once", "-algo", "centroid", "-aps", "80", "-seed", "3",
-		"-ftdc-dir", dir, "-ftdc-interval", "250ms",
+		"-ftdc-dir", dir, "-sample-interval", "250ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +79,7 @@ func TestHealthReportsRecorderStatus(t *testing.T) {
 	}
 	defer rec.Close()
 	a.ops.Recorder = rec
-	if err := rec.Sample(); err != nil {
+	if err := rec.Append(time.Now(), telemetry.Default().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	st = a.health(0).Detail.(map[string]any)["ftdc"].(ftdc.Status)

@@ -127,6 +127,9 @@ func TestRunBadTelemetryFlags(t *testing.T) {
 	if err := run([]string{"-log-format", "yaml", "-once"}); err == nil {
 		t.Error("want error for unknown log format")
 	}
+	if err := run([]string{"-sample-interval", "0s", "-once"}); err == nil || !strings.Contains(err.Error(), "-sample-interval") {
+		t.Errorf("-sample-interval 0s: err = %v, want one naming the flag", err)
+	}
 }
 
 // TestFlagSurface pins the name, type and default of every flag against

@@ -72,7 +72,6 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 		}},
 		Windows:  []time.Duration{time.Minute, 4 * time.Minute},
 		Registry: reg,
-		Clock:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		now = now.Add(10 * time.Second)
 		total.Add(100)
-		tracker.Tick()
+		tracker.Observe(now, reg.Snapshot())
 	}
 	if got := sloState(); got != slo.StateMet {
 		t.Fatalf("state = %q, want met", got)
@@ -129,7 +128,7 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 	now = now.Add(10 * time.Second)
 	total.Add(100)
 	bad.Add(80)
-	tracker.Tick()
+	tracker.Observe(now, reg.Snapshot())
 	if got := sloState(); got != slo.StateBurning {
 		t.Fatalf("state = %q, want burning", got)
 	}
@@ -143,7 +142,7 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 		now = now.Add(10 * time.Second)
 		total.Add(100)
 		bad.Add(50)
-		tracker.Tick()
+		tracker.Observe(now, reg.Snapshot())
 	}
 	if got := sloState(); got != slo.StateExhausted {
 		t.Fatalf("state = %q, want exhausted", got)
@@ -157,7 +156,7 @@ func TestAPISLOAndHealthTransitions(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		now = now.Add(10 * time.Second)
 		total.Add(100)
-		tracker.Tick()
+		tracker.Observe(now, reg.Snapshot())
 	}
 	if got := sloState(); got != slo.StateMet {
 		t.Fatalf("state = %q, want met after recovery", got)

@@ -23,14 +23,18 @@ const (
 	Chaos                        // -chaos, -chaos-seed
 	Checkpoint                   // -shards, -checkpoint-dir
 	Prof                         // -prof-dir, -prof-cpu
-	FTDC                         // -ftdc-dir, -ftdc-interval
-	SLO                          // -slo, -slo-defaults, -slo-tick
+	FTDC                         // -ftdc-dir, -sample-interval
+	SLO                          // -slo, -slo-defaults, -sample-interval
 	// Serving marks a command that serves its own HTTP port until it is
 	// stopped. -pprof also mounts there, so it needs no -metrics-addr, and
 	// the periodic services get their periods: -checkpoint-interval with
 	// Checkpoint, -prof-interval with Prof.
 	Serving
 )
+
+// sampled is the groups whose services the process's one registry
+// sampler feeds, every -sample-interval.
+const sampled = FTDC | SLO
 
 // Flags holds one command's operational flag values.
 type Flags struct {
@@ -48,7 +52,7 @@ type Flags struct {
 	trace, chaos, sloDefaults                                         bool
 	traceSample                                                       float64
 	chaosSeed                                                         int64
-	checkpointInterval, ftdcInterval, profInterval, profCPU, sloTick  time.Duration
+	checkpointInterval, sampleInterval, profInterval, profCPU         time.Duration
 	slos                                                              []slo.Objective
 }
 
@@ -89,10 +93,12 @@ func Register(fs *flag.FlagSet, component string, groups Group) *Flags {
 			f.requires("checkpoint-interval", "checkpoint-dir")
 		}
 	}
+	if f.has(sampled) {
+		// It always drives the runtime series, so it needs no enabler.
+		fs.DurationVar(&f.sampleInterval, "sample-interval", time.Second, "period of the one registry sampler: runtime series, flight recorder and SLO evaluation")
+	}
 	if f.has(FTDC) {
 		fs.StringVar(&f.ftdcDir, "ftdc-dir", "", "directory for FTDC flight-recorder files (empty = recorder off)")
-		fs.DurationVar(&f.ftdcInterval, "ftdc-interval", time.Second, "flight-recorder sampling period")
-		f.requires("ftdc-interval", "ftdc-dir")
 	}
 	if f.has(Prof) {
 		fs.StringVar(&f.profDir, "prof-dir", "", "directory for continuous-profiler artifacts; a finite run captures one cycle covering it (empty = profiler off)")
@@ -113,8 +119,6 @@ func Register(fs *flag.FlagSet, component string, groups Group) *Flags {
 			return nil
 		})
 		fs.BoolVar(&f.sloDefaults, "slo-defaults", false, "track the built-in fix-latency and fix-availability objectives")
-		fs.DurationVar(&f.sloTick, "slo-tick", 10*time.Second, "SLO evaluation period")
-		f.requires("slo-tick", "slo", "slo-defaults")
 	}
 	return f
 }

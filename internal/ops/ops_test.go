@@ -4,10 +4,13 @@ import (
 	"context"
 	"flag"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dot11"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/ftdc"
 )
 
@@ -41,7 +44,7 @@ func TestBackgroundShutdown(t *testing.T) {
 	start := func() *Process {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		f := Register(fs, "test", Checkpoint|FTDC|Serving)
-		if err := fs.Parse([]string{"-checkpoint-dir", ckptDir, "-ftdc-dir", ftdcDir, "-ftdc-interval", "10ms"}); err != nil {
+		if err := fs.Parse([]string{"-checkpoint-dir", ckptDir, "-ftdc-dir", ftdcDir, "-sample-interval", "10ms"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Checker().Err(); err != nil {
@@ -82,5 +85,114 @@ func TestBackgroundShutdown(t *testing.T) {
 	if again.Store.Len() != 1 || again.Checkpointer.Generation() != 1 {
 		t.Fatalf("restart restored %d records at generation %d, want 1 at 1",
 			again.Store.Len(), again.Checkpointer.Generation())
+	}
+}
+
+// startServing parses args for a serving command with groups and starts
+// its process and Background services on an empty store. stop cancels
+// the services and waits for their shutdown.
+func startServing(t *testing.T, groups Group, args ...string) (p *Process, stop func()) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "test", groups|Serving)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Checker().Err(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	store := obs.NewStore()
+	shutdown := p.Background(ctx, func() *obs.Store { return store })
+	return p, func() {
+		cancel()
+		shutdown()
+		p.Close()
+	}
+}
+
+// waitFor polls cond every millisecond for up to 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// counter reads a counter series from the process-wide registry.
+func counter(t *testing.T, series string) uint64 {
+	t.Helper()
+	for _, s := range telemetry.Default().Snapshot() {
+		if s.Series() == series {
+			return s.Counter
+		}
+	}
+	t.Fatalf("series %s not registered", series)
+	return 0
+}
+
+// TestRuntimeSeriesSampledWithoutRecorder: the runtime series follow the
+// process on every tick with no -ftdc-dir. Two advances of the GC cycle
+// counter show a periodic loop, not a sample taken once at start.
+func TestRuntimeSeriesSampledWithoutRecorder(t *testing.T) {
+	p, stop := startServing(t, Checkpoint|FTDC, "-sample-interval", "10ms")
+	defer stop()
+	if p.Recorder != nil || p.SLOs != nil {
+		t.Fatalf("recorder %v and SLO tracker %v on without their flags", p.Recorder, p.SLOs)
+	}
+	const gc = "marauder_process_gc_cycles_total"
+	for i := 0; i < 2; i++ {
+		before := counter(t, gc)
+		runtime.GC()
+		waitFor(t, "the GC cycle counter to advance", func() bool { return counter(t, gc) > before })
+	}
+}
+
+// TestSamplerOneSnapshot: the flight recorder and the SLO tracker read
+// one registry snapshot per tick, so the tracker's last evaluation and
+// the recorder's last row carry the same time.
+func TestSamplerOneSnapshot(t *testing.T) {
+	p, stop := startServing(t, FTDC|SLO, "-slo-defaults", "-ftdc-dir", t.TempDir(), "-sample-interval", "10ms")
+	waitFor(t, "three flight-record rows", func() bool {
+		st := p.Recorder.Status()
+		return st.Samples+uint64(st.PendingSamples) >= 3
+	})
+	stop()
+
+	chunks, err := ftdc.ReadFile(p.Recorder.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := chunks[len(chunks)-1]
+	if last.Columns[0].Name != ftdc.TimeColumn {
+		t.Fatalf("first column %q, want %q", last.Columns[0].Name, ftdc.TimeColumn)
+	}
+	rowAt := last.Samples[len(last.Samples)-1][0]
+	if tickedAt := p.SLOs.Report().TickedAt; uint64(tickedAt.UnixNano()) != rowAt {
+		t.Fatalf("SLO report at %d ns, last flight-record row at %d ns: not one snapshot", tickedAt.UnixNano(), rowAt)
+	}
+}
+
+// TestSamplerStopsOnCancel: the sampler evaluates the SLOs as soon as it
+// starts and returns once its context is cancelled, so shutdown does not
+// hang.
+func TestSamplerStopsOnCancel(t *testing.T) {
+	p, stop := startServing(t, SLO, "-slo-defaults", "-sample-interval", "1h")
+	waitFor(t, "the first SLO evaluation", func() bool { return len(p.SLOs.Report().Objectives) > 0 })
+	done := make(chan struct{})
+	go func() {
+		stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown did not return after cancel")
 	}
 }

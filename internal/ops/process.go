@@ -26,6 +26,11 @@ import (
 // Process is one command's running operational layer. Each service is
 // nil when its flags leave it off; the recorder, profiler and SLO
 // tracker are nil-safe.
+//
+// One registry sampler feeds the telemetry services: every
+// -sample-interval it refreshes the runtime series and hands one
+// registry snapshot, taken at one now, to both the flight recorder and
+// the SLO tracker.
 type Process struct {
 	Tracer       *trace.Tracer
 	Faults       *faults.Plan
@@ -39,16 +44,18 @@ type Process struct {
 
 	f           *Flags
 	log         *slog.Logger
-	periodic    bool // -checkpoint-interval left periodic checkpoints on
+	runtime     *telemetry.RuntimeSampler // nil without the FTDC or SLO group
+	periodic    bool                      // -checkpoint-interval left periodic checkpoints on
 	metrics     *http.Server
 	metricsDone chan struct{}
 }
 
 // Start sets the process up from the parsed flags, in this order: the
 // runtime profile rates, slog, the tracer, the metrics listener, the
-// chaos plan, checkpoint recovery, then the flight recorder, profiler,
-// SLO tracker and checkpointer. The metrics address is bound here, so
-// an address in use is Start's error. Nothing periodic runs yet.
+// chaos plan, checkpoint recovery, then the runtime series, flight
+// recorder, profiler, SLO tracker and checkpointer. The metrics address
+// is bound here, so an address in use is Start's error. Nothing
+// periodic runs yet.
 func (f *Flags) Start() (*Process, error) {
 	telemetry.SetProfileRates(f.mutexFraction, f.blockRate)
 	logger, err := telemetry.SetupLogging(os.Stderr, f.logLevel, f.logFormat)
@@ -118,19 +125,21 @@ func (p *Process) start() error {
 	if p.Store == nil && f.has(Checkpoint) {
 		p.Store = obs.NewStoreShards(f.shards)
 	}
-	if f.has(FTDC) {
+	if f.has(sampled) {
+		if f.sampleInterval <= 0 {
+			return fmt.Errorf("-sample-interval must be positive, got %v", f.sampleInterval)
+		}
 		// The process runtime series (goroutines, heap, RSS, GC pause,
 		// scheduler latency) show on /metrics with or without the recorder.
-		rt := telemetry.NewRuntimeSampler(nil)
-		rt.Sample()
-		if f.ftdcDir != "" {
-			rec, err := ftdc.New(ftdc.Config{Dir: f.ftdcDir, Interval: f.ftdcInterval, Runtime: rt})
-			if err != nil {
-				return err
-			}
-			p.Recorder = rec
-			p.log.Info("flight recorder on", "path", rec.Path(), "interval", f.ftdcInterval)
+		p.runtime = telemetry.NewRuntimeSampler(nil)
+	}
+	if f.ftdcDir != "" {
+		rec, err := ftdc.New(ftdc.Config{Dir: f.ftdcDir, Interval: f.sampleInterval})
+		if err != nil {
+			return err
 		}
+		p.Recorder = rec
+		p.log.Info("flight recorder on", "path", rec.Path(), "interval", f.sampleInterval)
 	}
 	if f.profDir != "" {
 		interval := f.profCPU // a finite run captures one cycle
@@ -149,12 +158,12 @@ func (p *Process) start() error {
 		objs = append(slo.DefaultObjectives(), objs...)
 	}
 	if len(objs) > 0 {
-		trk, err := slo.New(slo.Config{Objectives: objs, TickInterval: f.sloTick})
+		trk, err := slo.New(slo.Config{Objectives: objs})
 		if err != nil {
 			return err
 		}
 		p.SLOs = trk
-		p.log.Info("slo tracking on", "objectives", len(objs), "tick", f.sloTick)
+		p.log.Info("slo tracking on", "objectives", len(objs), "interval", f.sampleInterval)
 	}
 	if f.checkpointDir != "" {
 		p.Checkpointer = &obs.Checkpointer{Dir: f.checkpointDir, Interval: ckptEvery}
@@ -166,7 +175,7 @@ func (p *Process) start() error {
 // RunFinite runs work as one finite pass. With -prof-dir a single
 // profiler cycle covers it: the CPU capture is live before work starts
 // and is cut short when work returns, and its hot-function attribution is
-// printed. After work succeeds, the flight recorder takes its end-of-run
+// printed. After work succeeds, the sampler takes its one end-of-run
 // sample and the final checkpoint snapshots the store work returned.
 func (p *Process) RunFinite(work func() (*obs.Store, error)) error {
 	stopProfile := p.profileCycle()
@@ -175,7 +184,7 @@ func (p *Process) RunFinite(work func() (*obs.Store, error)) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Recorder.Sample(); err != nil {
+	if err := p.sample(); err != nil {
 		p.log.Warn("flight record sample failed", "err", err)
 	}
 	if p.Checkpointer == nil {
@@ -186,13 +195,13 @@ func (p *Process) RunFinite(work func() (*obs.Store, error)) error {
 }
 
 // Background runs a serving loop's services until ctx is cancelled:
-// periodic checkpoints of store, the flight recorder, the profiler and
-// the SLO tracker. Call the returned shutdown once ctx is done and the
-// loop has flushed what it holds: it waits for the services, whose
-// recorder takes a last sample, then writes the final checkpoint.
+// periodic checkpoints of store, the registry sampler and the profiler.
+// Call the returned shutdown once ctx is done and the loop has flushed
+// what it holds: it waits for the services, whose sampler takes a last
+// sample, then writes the final checkpoint.
 func (p *Process) Background(ctx context.Context, store func() *obs.Store) (shutdown func()) {
 	var wg sync.WaitGroup
-	runs := []func(context.Context){p.Recorder.Run, p.Profiler.Run, p.SLOs.Run}
+	runs := []func(context.Context){p.runSampler, p.Profiler.Run}
 	if p.Checkpointer != nil {
 		p.Checkpointer.Source = store
 		if p.periodic {
@@ -214,6 +223,43 @@ func (p *Process) Background(ctx context.Context, store func() *obs.Store) (shut
 			}
 		}
 	}
+}
+
+// runSampler samples at once, then every -sample-interval until ctx is
+// cancelled, and once more on the way out to capture the shutdown state.
+func (p *Process) runSampler(ctx context.Context) {
+	if p.runtime == nil {
+		return
+	}
+	_ = p.sample() // an append error stays in the recorder's Status
+	t := time.NewTicker(p.f.sampleInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			_ = p.sample()
+			return
+		case <-t.C:
+			_ = p.sample()
+		}
+	}
+}
+
+// sample is one tick of the registry sampler: it refreshes the runtime
+// series, then, when the recorder or the SLO tracker is on, takes one
+// registry snapshot and hands it to both at the same now. It returns the
+// recorder's append error.
+func (p *Process) sample() error {
+	if p.runtime == nil {
+		return nil
+	}
+	p.runtime.Sample()
+	if p.Recorder == nil && p.SLOs == nil {
+		return nil
+	}
+	now, snap := time.Now(), telemetry.Default().Snapshot()
+	p.SLOs.Observe(now, snap)
+	return p.Recorder.Append(now, snap)
 }
 
 // Close ends the process after the last checkpoint: it seals the flight

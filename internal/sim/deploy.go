@@ -99,43 +99,6 @@ func UniformDeployment(cfg DeploymentConfig, rng *rand.Rand) ([]*AP, error) {
 	return aps, nil
 }
 
-// BiasedDeployment reproduces the paper's Fig 4 scenario: nUniform APs
-// uniform over the whole area plus nCluster APs packed into a small disc —
-// the distribution that breaks the Centroid baseline but not
-// disc-intersection.
-func BiasedDeployment(cfg DeploymentConfig, nCluster int, clusterCenter geom.Point,
-	clusterRadius float64, rng *rand.Rand) ([]*AP, error) {
-	aps, err := UniformDeployment(cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	weights := cfg.ChannelWeights
-	if weights == nil {
-		weights = CampusChannelWeights()
-	}
-	for i := 0; i < nCluster; i++ {
-		// Uniform in the cluster disc.
-		for {
-			pos := geom.Point{
-				X: clusterCenter.X + (rng.Float64()*2-1)*clusterRadius,
-				Y: clusterCenter.Y + (rng.Float64()*2-1)*clusterRadius,
-			}
-			if pos.Dist(clusterCenter) > clusterRadius {
-				continue
-			}
-			r := cfg.RangeMin + rng.Float64()*(cfg.RangeMax-cfg.RangeMin)
-			ap, err := NewAP(cfg.N+i, fmt.Sprintf("cluster-%04d", i), pos,
-				pickChannel(weights, rng), r)
-			if err != nil {
-				return nil, err
-			}
-			aps = append(aps, ap)
-			break
-		}
-	}
-	return aps, nil
-}
-
 // CampusDeployment builds a UML-north-campus-like deployment: a dense urban
 // core with building clusters plus scattered residential APs, campus-scale
 // extents (~1.5 km), and the measured channel mix. This is the workload for

@@ -290,26 +290,6 @@ func TestChannelDistributionFig8(t *testing.T) {
 	}
 }
 
-func TestBiasedDeployment(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	cfg := DeploymentConfig{
-		N: 5, Min: geom.Pt(-200, -200), Max: geom.Pt(200, 200),
-		RangeMin: 300, RangeMax: 300,
-	}
-	aps, err := BiasedDeployment(cfg, 10, geom.Pt(150, 150), 30, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aps) != 15 {
-		t.Fatalf("got %d APs, want 15", len(aps))
-	}
-	for _, ap := range aps[5:] {
-		if ap.Pos.Dist(geom.Pt(150, 150)) > 30+1e-9 {
-			t.Errorf("cluster AP %v outside cluster", ap.Pos)
-		}
-	}
-}
-
 func TestCampusDeployment(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, err := CampusDeployment(3, rng); err == nil {

@@ -1,54 +1,15 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness uses: summaries, histograms, CDF quantiles, and grouping of
+// harness uses: means, histograms, CDF quantiles, and grouping of
 // localization errors by the number of communicable APs (the x-axis of the
 // paper's Figs 14-16).
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 )
-
-// ErrEmpty is returned by operations that need at least one sample.
-var ErrEmpty = errors.New("stats: empty sample set")
-
-// Summary holds the basic statistics of a sample set.
-type Summary struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	Std    float64 `json:"std"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Median float64 `json:"median"`
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s, nil
-}
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -138,18 +99,6 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Max - h.Min) / float64(len(h.Counts))
 	return h.Min + (float64(i)+0.5)*w
-}
-
-// Fractions returns each bin's fraction of the total (0s when empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
 }
 
 // String renders an ASCII bar chart, one row per bin.

@@ -1,8 +1,9 @@
 // Package ftdc is the pipeline's flight recorder: full-time diagnostic
 // data capture in the spirit of MongoDB's FTDC and viam-rdk's ftdc/ — a
-// fixed-interval sampler that appends every metric of a telemetry
-// registry plus Go runtime stats to a compact, chunked, delta-encoded,
-// CRC-checksummed binary file. A long soak or chaos run leaves behind a
+// recorder that appends every metric of a telemetry registry snapshot,
+// Go runtime series included, to a compact, chunked, delta-encoded,
+// CRC-checksummed binary file. The caller's fixed-interval sampler
+// (internal/ops) hands it one snapshot per tick. A long soak or chaos run leaves behind a
 // complete per-second history of the process that can be decoded offline
 // (cmd/ftdcdump) long after the Prometheus endpoint is gone — post-mortem
 // analysis as a first-class artifact instead of scraped text.

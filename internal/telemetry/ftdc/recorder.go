@@ -1,7 +1,6 @@
 package ftdc
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
@@ -17,21 +16,11 @@ type Config struct {
 	// Dir is the directory FTDC files are written into; created if
 	// missing. Required.
 	Dir string
-	// Interval is the sampling period; 0 means the default 1 s.
+	// Interval is the caller's sampling period, reported in Status; 0
+	// means 1 s.
 	Interval time.Duration
-	// Registry is the metrics source; nil means the process-wide default.
-	Registry *telemetry.Registry
-	// Runtime, when non-nil, is sampled immediately before each snapshot
-	// so the recorded runtime gauges are at most one interval stale.
-	Runtime *telemetry.RuntimeSampler
 	// ChunkSamples caps samples per chunk; 0 means the Writer default.
 	ChunkSamples int
-	// FilePrefix names the output file <prefix>-<start-unix-nano>.ftdc;
-	// "" means "ftdc".
-	FilePrefix string
-	// Clock substitutes the timestamp source, for tests; nil means
-	// time.Now.
-	Clock func() time.Time
 }
 
 // Status is the recorder's self-report, shaped for /api/health detail.
@@ -54,10 +43,10 @@ type Status struct {
 	LastErr string `json:"lastErr,omitempty"`
 }
 
-// Recorder samples a telemetry registry into an FTDC file on a fixed
-// interval. All methods are safe for concurrent use, and all methods are
-// nil-safe: a nil *Recorder is the recorder-disabled state, costing the
-// caller one nil check.
+// Recorder appends registry snapshots to an FTDC file, one row per
+// Append; the caller owns the sampling clock. All methods are safe for
+// concurrent use, and all methods are nil-safe: a nil *Recorder is the
+// recorder-disabled state, costing the caller one nil check.
 type Recorder struct {
 	cfg  Config
 	path string
@@ -71,8 +60,8 @@ type Recorder struct {
 	closed  bool
 }
 
-// New opens the FTDC output file and returns a running-ready Recorder.
-// Nothing is sampled until Sample or Run.
+// New opens the FTDC output file, ftdc-<start-unix-nano>.ftdc in Dir.
+// Nothing is recorded until Append.
 func New(cfg Config) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ftdc: Config.Dir is required")
@@ -80,19 +69,10 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.Default()
-	}
-	if cfg.FilePrefix == "" {
-		cfg.FilePrefix = "ftdc"
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ftdc: %w", err)
 	}
-	path := filepath.Join(cfg.Dir, fmt.Sprintf("%s-%d.ftdc", cfg.FilePrefix, cfg.Clock().UnixNano()))
+	path := filepath.Join(cfg.Dir, fmt.Sprintf("ftdc-%d.ftdc", time.Now().UnixNano()))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ftdc: %w", err)
@@ -113,19 +93,12 @@ func (r *Recorder) Path() string {
 	return r.path
 }
 
-// Sample takes one snapshot now: runtime stats first (when wired), then
-// every registry metric, appended as one row. Returns the sample/write
-// error, which is also retained for Status.
-func (r *Recorder) Sample() error {
+// Append records snap, a registry snapshot taken at now, as one row.
+// Returns the write error, which is also retained for Status.
+func (r *Recorder) Append(now time.Time, snap []telemetry.Sample) error {
 	if r == nil {
 		return nil
 	}
-	if r.cfg.Runtime != nil {
-		r.cfg.Runtime.Sample()
-	}
-	now := r.cfg.Clock()
-	snap := r.cfg.Registry.Snapshot()
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -190,33 +163,6 @@ func formatBound(v float64) string {
 		return "+Inf"
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// Run samples every Interval until ctx is cancelled, then takes one
-// final sample and flushes. Close remains the caller's job (it seals the
-// last chunk and closes the file). A nil recorder returns immediately.
-func (r *Recorder) Run(ctx context.Context) {
-	if r == nil {
-		return
-	}
-	t := time.NewTicker(r.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			_ = r.Sample()
-			r.mu.Lock()
-			if !r.closed {
-				if err := r.w.Flush(); err != nil {
-					r.lastErr = err
-				}
-			}
-			r.mu.Unlock()
-			return
-		case <-t.C:
-			_ = r.Sample()
-		}
-	}
 }
 
 // Close seals the pending chunk and closes the file. Idempotent.

@@ -23,19 +23,16 @@ func (c *stubClock) now() time.Time {
 	return c.t
 }
 
-func newTestRecorder(t *testing.T, reg *telemetry.Registry) *Recorder {
+// newTestRecorder returns a recorder with 4-sample chunks and its
+// sample: one Append of reg's snapshot, a stub second after the last.
+func newTestRecorder(t *testing.T, reg *telemetry.Registry) (*Recorder, func() error) {
 	t.Helper()
 	clk := &stubClock{t: time.Unix(1700000000, 0)}
-	r, err := New(Config{
-		Dir:          t.TempDir(),
-		Registry:     reg,
-		ChunkSamples: 4,
-		Clock:        clk.now,
-	})
+	r, err := New(Config{Dir: t.TempDir(), ChunkSamples: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return r
+	return r, func() error { return r.Append(clk.now(), reg.Snapshot()) }
 }
 
 func TestRecorderEndToEnd(t *testing.T) {
@@ -44,12 +41,12 @@ func TestRecorderEndToEnd(t *testing.T) {
 	depth := reg.Gauge("app_queue_depth", "queue depth", nil)
 	lat := reg.Histogram("app_latency_seconds", "latency", []float64{0.01, 0.1, 1}, nil)
 
-	rec := newTestRecorder(t, reg)
+	rec, sample := newTestRecorder(t, reg)
 	for i := 0; i < 10; i++ {
 		frames.Add(uint64(3 * i))
 		depth.Set(float64(i) - 2.5)
 		lat.Observe(0.05 * float64(i))
-		if err := rec.Sample(); err != nil {
+		if err := sample(); err != nil {
 			t.Fatalf("Sample %d: %v", i, err)
 		}
 	}
@@ -132,14 +129,14 @@ func TestRecorderEndToEnd(t *testing.T) {
 func TestRecorderSchemaChangeMidFlight(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("app_a_total", "a", nil)
-	rec := newTestRecorder(t, reg)
-	if err := rec.Sample(); err != nil {
+	rec, sample := newTestRecorder(t, reg)
+	if err := sample(); err != nil {
 		t.Fatal(err)
 	}
 	// A new labeled series registers mid-flight: the recorder must seal
 	// the chunk and keep going under the wider schema.
 	reg.Counter("app_b_total", "b", telemetry.Labels{"shard": "3"}).Add(9)
-	if err := rec.Sample(); err != nil {
+	if err := sample(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -174,8 +171,8 @@ func TestRecorderStatus(t *testing.T) {
 	if nilRec.Path() != "" {
 		t.Fatal("nil recorder has a path")
 	}
-	if err := nilRec.Sample(); err != nil {
-		t.Fatalf("nil Sample: %v", err)
+	if err := nilRec.Append(time.Now(), nil); err != nil {
+		t.Fatalf("nil Append: %v", err)
 	}
 	if err := nilRec.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
@@ -183,9 +180,9 @@ func TestRecorderStatus(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	reg.Counter("app_x_total", "x", nil)
-	rec := newTestRecorder(t, reg)
+	rec, sample := newTestRecorder(t, reg)
 	for i := 0; i < 5; i++ { // chunk cap 4 → one sealed chunk + 1 pending
-		if err := rec.Sample(); err != nil {
+		if err := sample(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,15 +202,15 @@ func TestRecorderStatus(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := rec.Sample(); err == nil {
-		t.Fatal("Sample after Close succeeded")
+	if err := sample(); err == nil {
+		t.Fatal("Append after Close succeeded")
 	}
 }
 
 func TestRecorderConcurrentSample(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctr := reg.Counter("app_x_total", "x", nil)
-	rec := newTestRecorder(t, reg)
+	rec, sample := newTestRecorder(t, reg)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -221,7 +218,7 @@ func TestRecorderConcurrentSample(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
 				ctr.Inc()
-				_ = rec.Sample()
+				_ = sample()
 			}
 		}()
 	}

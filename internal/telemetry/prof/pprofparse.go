@@ -381,30 +381,3 @@ func (p *Profile) Top(n, valueIdx int) (top []HotFunc, total int64) {
 	}
 	return top, total
 }
-
-// FlatByFunction aggregates one value column by leaf function over the
-// whole profile — the building block for delta tables (heap allocation
-// between two cycles is the difference of two of these).
-func (p *Profile) FlatByFunction(valueIdx int) map[string]int64 {
-	if valueIdx < 0 {
-		return nil
-	}
-	out := map[string]int64{}
-	for _, s := range p.Samples {
-		if valueIdx >= len(s.Values) {
-			continue
-		}
-		v := s.Values[valueIdx]
-		if v == 0 {
-			continue
-		}
-		leaf := "unknown"
-		if len(s.LocationIDs) > 0 {
-			if fns := p.locFuncs[s.LocationIDs[0]]; len(fns) > 0 {
-				leaf = fns[0]
-			}
-		}
-		out[leaf] += v
-	}
-	return out
-}

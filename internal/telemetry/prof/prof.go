@@ -40,9 +40,6 @@ type Config struct {
 	// capture pushes the directory past the cap, the oldest artifacts are
 	// deleted first. 0 means the default 64 MiB.
 	MaxBytes int64
-	// FilePrefix names artifacts <prefix>-<kind>-<seq>.pprof; "" means
-	// "prof".
-	FilePrefix string
 	// Clock substitutes the timestamp source, for tests; nil means
 	// time.Now.
 	Clock func() time.Time
@@ -120,9 +117,6 @@ func New(cfg Config) (*Profiler, error) {
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 64 << 20
-	}
-	if cfg.FilePrefix == "" {
-		cfg.FilePrefix = "prof"
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -265,8 +259,9 @@ func (p *Profiler) captureLookup(kind string, seq uint64) error {
 	return nil
 }
 
+// artifactPath names an artifact prof-<kind>-<seq>.pprof in Dir.
 func (p *Profiler) artifactPath(kind string, seq uint64) string {
-	return filepath.Join(p.cfg.Dir, fmt.Sprintf("%s-%s-%06d.pprof", p.cfg.FilePrefix, kind, seq))
+	return filepath.Join(p.cfg.Dir, fmt.Sprintf("prof-%s-%06d.pprof", kind, seq))
 }
 
 // rotate deletes the oldest artifacts until retained bytes fit under
@@ -284,7 +279,7 @@ func (p *Profiler) rotate() error {
 	var arts []art
 	var total int64
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), p.cfg.FilePrefix+"-") || !strings.HasSuffix(e.Name(), ".pprof") {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), "prof-") || !strings.HasSuffix(e.Name(), ".pprof") {
 			continue
 		}
 		info, err := e.Info()

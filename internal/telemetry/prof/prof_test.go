@@ -135,7 +135,7 @@ func TestParseHeapProfile(t *testing.T) {
 	if p.ValueIndex("alloc_space") < 0 {
 		t.Fatalf("no alloc_space column in %+v", p.SampleTypes)
 	}
-	if m := p.FlatByFunction(p.ValueIndex("alloc_space")); len(m) == 0 {
+	if top, _ := p.Top(1, p.ValueIndex("alloc_space")); len(top) == 0 {
 		t.Error("heap profile attributed to zero functions")
 	}
 }

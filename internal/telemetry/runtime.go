@@ -2,13 +2,11 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"os"
 	"runtime/metrics"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Names of the runtime/metrics series the sampler reads. Kept in one
@@ -162,26 +160,6 @@ func (s *RuntimeSampler) foldDelta(h *metrics.Float64Histogram, prev []uint64, d
 		}
 	}
 	return prev
-}
-
-// Run samples every interval until ctx is cancelled — the lifecycle the
-// commands start next to their serve loops. A final sample on the way
-// out captures the shutdown state.
-func (s *RuntimeSampler) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			s.Sample()
-			return
-		case <-t.C:
-			s.Sample()
-		}
-	}
 }
 
 // readRSSBytes reads VmRSS from /proc/self/status. Linux-specific by

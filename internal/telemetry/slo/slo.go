@@ -5,9 +5,10 @@
 // allows; >1 = on track to exhaust it before the window ends).
 //
 // The tracker is strictly poll-based: it reads cumulative counters and
-// histogram buckets out of Registry.Snapshot on its own tick, so the
-// fix/ingest hot paths pay nothing for SLO tracking — the same series
-// that already feed /metrics and the FTDC recorder are the SLO inputs.
+// histogram buckets out of the registry snapshot the process sampler
+// hands it each tick, so the fix/ingest hot paths pay nothing for SLO
+// tracking — the same snapshot the FTDC recorder appends is the SLO
+// input.
 // Results are re-published as gauges (marauder_slo_*), which means the
 // flight recorder captures budget trajectories automatically.
 //
@@ -15,7 +16,6 @@
 package slo
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -100,18 +100,13 @@ type Config struct {
 	// Windows are the sliding evaluation windows, shortest to longest;
 	// the longest is the budget window. Nil means {5m, 30m, 2h}.
 	Windows []time.Duration
-	// TickInterval is how often Run samples the registry; 0 means 10 s.
-	TickInterval time.Duration
-	// BurnThreshold is the burn rate above which an objective is
-	// "burning"; 0 means 1.0 (consuming budget faster than sustainable).
-	BurnThreshold float64
-	// Registry is the series source and gauge sink; nil means the
-	// process-wide default.
+	// Registry is the gauge sink; nil means the process-wide default.
 	Registry *telemetry.Registry
-	// Clock substitutes the timestamp source, for tests; nil means
-	// time.Now.
-	Clock func() time.Time
 }
+
+// burnThreshold is the burn rate above which an objective is
+// "burning": consuming its budget faster than is sustainable.
+const burnThreshold = 1.0
 
 // point is one cumulative observation of an objective's counters.
 type point struct {
@@ -170,7 +165,8 @@ type Report struct {
 	Objectives []ObjectiveReport `json:"objectives"`
 }
 
-// Tracker evaluates objectives on a tick. All methods are nil-safe.
+// Tracker evaluates objectives on each observed snapshot. All methods
+// are nil-safe.
 type Tracker struct {
 	cfg     Config
 	maxKeep time.Duration
@@ -207,19 +203,10 @@ func New(cfg Config) (*Tracker, error) {
 			return nil, fmt.Errorf("slo: non-positive window %v", w)
 		}
 	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = 10 * time.Second
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = 1.0
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	t := &Tracker{cfg: cfg, maxKeep: ws[len(ws)-1] + cfg.TickInterval}
+	t := &Tracker{cfg: cfg, maxKeep: ws[len(ws)-1]}
 	for _, o := range cfg.Objectives {
 		tr := &tracked{
 			obj: o,
@@ -287,16 +274,13 @@ func observe(obj Objective, snap []telemetry.Sample) (good, total uint64, thresh
 	return
 }
 
-// Tick samples the registry once, advances every objective's ring, and
-// rebuilds the report and gauges. Run calls it on the interval; tests
-// and one-shot tools call it directly.
-func (t *Tracker) Tick() {
+// Observe evaluates snap, a registry snapshot taken at now: it advances
+// every objective's ring and rebuilds the report and gauges. Successive
+// calls must not go back in time.
+func (t *Tracker) Observe(now time.Time, snap []telemetry.Sample) {
 	if t == nil {
 		return
 	}
-	now := t.cfg.Clock()
-	snap := t.cfg.Registry.Snapshot()
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rep := Report{TickedAt: now}
@@ -306,14 +290,12 @@ func (t *Tracker) Tick() {
 	for _, tr := range t.objs {
 		good, total, threshold := observe(tr.obj, snap)
 		tr.points = append(tr.points, point{t: now, good: good, total: total})
-		// Prune, keeping one point at or before every window boundary so
-		// deltas always have a baseline.
+		// Prune, keeping the newest point before the longest window's
+		// boundary so every window's delta has a baseline.
 		cut := now.Add(-t.maxKeep)
-		drop := 0
-		for drop < len(tr.points)-1 && tr.points[drop+1].t.Before(cut) {
-			drop++
+		if i := sort.Search(len(tr.points), func(i int) bool { return !tr.points[i].t.Before(cut) }); i > 1 {
+			tr.points = tr.points[i-1:]
 		}
-		tr.points = tr.points[drop:]
 
 		or := ObjectiveReport{
 			Name:   tr.obj.Name,
@@ -337,7 +319,7 @@ func (t *Tracker) Tick() {
 				wr.GoodFraction = float64(wr.Good) / float64(wr.Total)
 			}
 			wr.BurnRate = (1 - wr.GoodFraction) / (1 - tr.obj.Target)
-			if wr.Total > 0 && wr.BurnRate > t.cfg.BurnThreshold {
+			if wr.Total > 0 && wr.BurnRate > burnThreshold {
 				burning = true
 			}
 			tr.burn[wi].Set(wr.BurnRate)
@@ -368,18 +350,12 @@ func (t *Tracker) Tick() {
 // (early in the process lifetime the window is effectively "since
 // start", the standard cold-start behavior for sliding SLO windows).
 func baseline(points []point, cutoff time.Time) point {
-	base := points[0]
-	for _, p := range points[1:] {
-		if p.t.After(cutoff) {
-			break
-		}
-		base = p
-	}
-	return base
+	i := sort.Search(len(points), func(i int) bool { return points[i].t.After(cutoff) })
+	return points[max(i-1, 0)]
 }
 
 // Report returns the latest evaluation (zero Report before the first
-// tick or on a nil tracker).
+// Observe or on a nil tracker).
 func (t *Tracker) Report() Report {
 	if t == nil {
 		return Report{}
@@ -418,25 +394,6 @@ func (t *Tracker) HealthReasons() []string {
 		}
 	}
 	return out
-}
-
-// Run ticks immediately and then every TickInterval until ctx is
-// cancelled. A nil tracker returns immediately.
-func (t *Tracker) Run(ctx context.Context) {
-	if t == nil {
-		return
-	}
-	t.Tick()
-	tick := time.NewTicker(t.cfg.TickInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			t.Tick()
-		}
-	}
 }
 
 // DefaultObjectives returns the pipeline's built-in SLOs against series

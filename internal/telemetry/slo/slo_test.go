@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -27,8 +26,7 @@ func mustNew(t *testing.T, cfg Config) *Tracker {
 
 func TestNilTrackerIsSafe(t *testing.T) {
 	var tr *Tracker
-	tr.Tick()
-	tr.Run(context.Background())
+	tr.Observe(time.Now(), nil)
 	if rep := tr.Report(); len(rep.Objectives) != 0 {
 		t.Errorf("nil Report: %+v", rep)
 	}
@@ -68,10 +66,8 @@ func TestAvailabilityTransitions(t *testing.T) {
 			Name: "avail", Kind: KindAvailability, Target: 0.9,
 			TotalSeries: "svc_requests_total", BadSeries: "svc_errors_total",
 		}},
-		Windows:      []time.Duration{time.Minute, 4 * time.Minute},
-		TickInterval: 10 * time.Second,
-		Registry:     reg,
-		Clock:        clk.Now,
+		Windows:  []time.Duration{time.Minute, 4 * time.Minute},
+		Registry: reg,
 	})
 
 	state := func() string {
@@ -83,7 +79,7 @@ func TestAvailabilityTransitions(t *testing.T) {
 	}
 
 	// Before any traffic: no data.
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 	if got := state(); got != StateNoData {
 		t.Fatalf("cold state = %q, want %q", got, StateNoData)
 	}
@@ -95,7 +91,7 @@ func TestAvailabilityTransitions(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		clk.Advance(10 * time.Second)
 		total.Add(100)
-		tr.Tick()
+		tr.Observe(clk.Now(), reg.Snapshot())
 	}
 	if got := state(); got != StateMet {
 		t.Fatalf("healthy state = %q, want %q", got, StateMet)
@@ -110,7 +106,7 @@ func TestAvailabilityTransitions(t *testing.T) {
 	clk.Advance(10 * time.Second)
 	total.Add(100)
 	bad.Add(80)
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 	if got := state(); got != StateBurning {
 		t.Fatalf("burning state = %q, want %q", got, StateBurning)
 	}
@@ -125,7 +121,7 @@ func TestAvailabilityTransitions(t *testing.T) {
 		clk.Advance(10 * time.Second)
 		total.Add(100)
 		bad.Add(50)
-		tr.Tick()
+		tr.Observe(clk.Now(), reg.Snapshot())
 	}
 	if got := state(); got != StateExhausted {
 		t.Fatalf("exhausted state = %q, want %q", got, StateExhausted)
@@ -144,7 +140,7 @@ func TestAvailabilityTransitions(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		clk.Advance(10 * time.Second)
 		total.Add(100)
-		tr.Tick()
+		tr.Observe(clk.Now(), reg.Snapshot())
 	}
 	if got := state(); got != StateMet {
 		t.Fatalf("recovered state = %q, want %q", got, StateMet)
@@ -165,10 +161,9 @@ func TestLatencyObjectiveSnapsThreshold(t *testing.T) {
 		}},
 		Windows:  []time.Duration{time.Minute},
 		Registry: reg,
-		Clock:    clk.Now,
 	})
 
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 	// 8 fast (≤0.05), 2 slow: 80% good against a 50% target.
 	for i := 0; i < 8; i++ {
 		h.Observe(0.02)
@@ -176,7 +171,7 @@ func TestLatencyObjectiveSnapsThreshold(t *testing.T) {
 	h.Observe(0.2)
 	h.Observe(0.2)
 	clk.Advance(10 * time.Second)
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 
 	rep := tr.Report()
 	or := rep.Objectives[0]
@@ -201,7 +196,7 @@ func TestLatencyObjectiveSnapsThreshold(t *testing.T) {
 		h.Observe(0.2)
 	}
 	clk.Advance(10 * time.Second)
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 	if got := tr.Report().Objectives[0].State; got != StateExhausted {
 		t.Errorf("state after slow burst = %q, want exhausted", got)
 	}
@@ -219,11 +214,10 @@ func TestGaugesPublished(t *testing.T) {
 		}},
 		Windows:  []time.Duration{time.Minute, 5 * time.Minute},
 		Registry: reg,
-		Clock:    clk.Now,
 	})
 	total.Add(50)
 	clk.Advance(time.Second)
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 
 	found := map[string]bool{}
 	for _, s := range reg.Snapshot() {
@@ -256,9 +250,8 @@ func TestMissingSeriesIsNoData(t *testing.T) {
 			Series: "never_registered_seconds", ThresholdSeconds: 0.1,
 		}},
 		Registry: reg,
-		Clock:    clk.Now,
 	})
-	tr.Tick()
+	tr.Observe(clk.Now(), reg.Snapshot())
 	if got := tr.Report().Objectives[0].State; got != StateNoData {
 		t.Errorf("missing series state = %q, want no_data", got)
 	}
@@ -317,33 +310,34 @@ func TestInfiniteThresholdRejected(t *testing.T) {
 	}
 }
 
-func TestRunStopsOnCancel(t *testing.T) {
+// TestRingPrunedToLongestWindow: observing every second keeps about one
+// longest window of points, and each window's delta still spans exactly
+// that window.
+func TestRingPrunedToLongestWindow(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("t_total", "", nil)
-	reg.Counter("t_bad", "", nil)
+	total := reg.Counter("req_total", "", nil)
+	reg.Counter("req_bad", "", nil)
+	clk := newFakeClock()
 	tr := mustNew(t, Config{
 		Objectives: []Objective{{
-			Name: "a", Kind: KindAvailability, Target: 0.9,
-			TotalSeries: "t_total", BadSeries: "t_bad",
+			Name: "a", Kind: KindAvailability, Target: 0.99,
+			TotalSeries: "req_total", BadSeries: "req_bad",
 		}},
-		TickInterval: time.Hour,
-		Registry:     reg,
+		Windows:  []time.Duration{10 * time.Second, time.Minute},
+		Registry: reg,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { tr.Run(ctx); close(done) }()
-	deadline := time.After(5 * time.Second)
-	for len(tr.Report().Objectives) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("first tick never happened")
-		case <-time.After(5 * time.Millisecond):
-		}
+	for i := 0; i < 600; i++ {
+		clk.Advance(time.Second)
+		total.Inc()
+		tr.Observe(clk.Now(), reg.Snapshot())
 	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not stop")
+	if n := len(tr.objs[0].points); n > 62 {
+		t.Errorf("ring holds %d points, want at most 62 for a 1m window at 1 s", n)
+	}
+	for _, w := range tr.Report().Objectives[0].Windows {
+		want := map[string]uint64{"10s": 10, "1m0s": 60}[w.Window]
+		if w.Total != want {
+			t.Errorf("window %s counted %d events, want %d", w.Window, w.Total, want)
+		}
 	}
 }

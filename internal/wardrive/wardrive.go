@@ -48,15 +48,6 @@ func (c Collector) CollectAlong(route *sim.RouteWalk, intervalSec float64) []Tup
 	return tuples
 }
 
-// CollectAt records tuples at explicit training locations.
-func (c Collector) CollectAt(points []geom.Point) []Tuple {
-	var tuples []Tuple
-	for _, p := range points {
-		tuples = append(tuples, c.collectAt(p)...)
-	}
-	return tuples
-}
-
 func (c Collector) collectAt(truePos geom.Point) []Tuple {
 	aps := c.World.CommunicableAPs(truePos)
 	if len(aps) == 0 {

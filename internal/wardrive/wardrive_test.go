@@ -58,9 +58,18 @@ func TestCollectAlongDegenerate(t *testing.T) {
 	}
 }
 
-func TestCollectAtSkipsDeadZones(t *testing.T) {
+// stops is a route whose probe stops, one per interval, fall on points.
+func stops(points ...geom.Point) (*sim.RouteWalk, float64) {
+	route := sim.NewRouteWalk(points, 10)
+	if len(points) < 2 {
+		return route, 1
+	}
+	return route, route.TotalDuration() / float64(len(points)-1)
+}
+
+func TestCollectAlongSkipsDeadZones(t *testing.T) {
 	c := Collector{World: trainingWorld(t)}
-	tuples := c.CollectAt([]geom.Point{geom.Pt(0, 0), geom.Pt(9999, 9999)})
+	tuples := c.CollectAlong(stops(geom.Pt(0, 0), geom.Pt(9999, 9999)))
 	if len(tuples) != 1 {
 		t.Fatalf("tuples = %d, want 1 (dead zone dropped)", len(tuples))
 	}
@@ -71,8 +80,8 @@ func TestGPSNoise(t *testing.T) {
 	noisy := Collector{World: w, GPSNoiseStdM: 5, RNG: rand.New(rand.NewSource(3))}
 	clean := Collector{World: w}
 	p := geom.Pt(10, 10)
-	nt := noisy.CollectAt([]geom.Point{p})
-	ct := clean.CollectAt([]geom.Point{p})
+	nt := noisy.CollectAlong(stops(p))
+	ct := clean.CollectAlong(stops(p))
 	if len(nt) != 1 || len(ct) != 1 {
 		t.Fatal("expected one tuple each")
 	}
@@ -87,7 +96,7 @@ func TestGPSNoise(t *testing.T) {
 	}
 	// Noise configured but no RNG: disabled.
 	noRng := Collector{World: w, GPSNoiseStdM: 5}
-	if got := noRng.CollectAt([]geom.Point{p}); got[0].Pos != p {
+	if got := noRng.CollectAlong(stops(p)); got[0].Pos != p {
 		t.Error("noise without RNG must be disabled")
 	}
 }
@@ -95,7 +104,7 @@ func TestGPSNoise(t *testing.T) {
 func TestTuplesForAPAndAPsInTraining(t *testing.T) {
 	w := trainingWorld(t)
 	c := Collector{World: w}
-	tuples := c.CollectAt([]geom.Point{geom.Pt(0, 0), geom.Pt(200, 0), geom.Pt(100, 0)})
+	tuples := c.CollectAlong(stops(geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(200, 0)))
 	aps := APsInTraining(tuples)
 	if len(aps) < 2 {
 		t.Fatalf("training should hear at least 2 APs, got %v", aps)

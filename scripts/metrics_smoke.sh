@@ -2,7 +2,9 @@
 # metrics-smoke: boot cmd/marauder against the sim world, scrape /metrics
 # on the -metrics-addr port, and assert the key Prometheus series are
 # there — the engine Γ-cache counters, the snapshot latency histogram and
-# the per-algorithm localization-error histogram. This is the CI gate for
+# the per-algorithm localization-error histogram — and that the process
+# runtime series are live: the heap gauge must move between two scrapes
+# at least 2 s apart, with no flight recorder on. This is the CI gate for
 # "the telemetry endpoint actually serves the pipeline's metrics", not
 # just "the package unit-tests pass".
 set -eu
@@ -72,6 +74,22 @@ done
 if command -v curl >/dev/null 2>&1; then
     curl -fsS "http://$MADDR/debug/vars" >/dev/null
     curl -fsS -o /dev/null "http://$MADDR/debug/pprof/cmdline"
+fi
+
+# The runtime series are sampled every -sample-interval (1 s) whether or
+# not a flight recorder runs, so the heap gauge cannot read the same in
+# two scrapes 2 s apart.
+heap() {
+    grep '^marauder_process_heap_bytes ' "$1" | awk '{print $2}'
+}
+heap1="$(heap "$OUT")"
+[ -n "$heap1" ] || { echo "metrics-smoke: missing marauder_process_heap_bytes" >&2; exit 1; }
+sleep 2
+fetch >"$OUT"
+heap2="$(heap "$OUT")"
+if [ "$heap1" = "$heap2" ]; then
+    echo "metrics-smoke: marauder_process_heap_bytes frozen at $heap1 across two scrapes 2 s apart" >&2
+    exit 1
 fi
 
 echo "metrics-smoke: ok ($(grep -c '^marauder_' "$OUT") marauder series live)"

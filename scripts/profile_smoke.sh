@@ -66,13 +66,13 @@ if ! grep -q '^profile: [1-9][0-9]* samples, hottest ' "$TMP/once.out"; then
     exit 1
 fi
 
-# Serving path: profiler cycling fast, default SLOs ticking every
-# second, tracing (and so stage timing) on every fix, flight recorder and
-# checkpoints on.
+# Serving path: profiler cycling fast, the registry sampler feeding the
+# default SLOs and the flight recorder every 250 ms, tracing (and so
+# stage timing) on every fix, checkpoints on.
 "$TMP/marauder" -addr "$ADDR" -aps 150 -speedup 200 \
     -prof-dir "$TMP/prof-serve" -prof-interval 5s -prof-cpu 2s \
-    -slo-defaults -slo-tick 1s -trace \
-    -ftdc-dir "$PROFILE_DIR/ftdc" -ftdc-interval 250ms \
+    -slo-defaults -trace -sample-interval 250ms \
+    -ftdc-dir "$PROFILE_DIR/ftdc" \
     -checkpoint-dir "$TMP/ckpt" \
     >"$TMP/serve.out" 2>&1 &
 PID=$!
@@ -93,7 +93,7 @@ if [ -z "$up" ]; then
     exit 1
 fi
 
-# Give one SLO tick and one profiler cycle time to land, then assert the
+# Give the SLO sampler and one profiler cycle time to land, then assert the
 # endpoints carry live content, not just the enabled flag.
 sleep 6
 fetch /api/slo >"$TMP/slo.json"
