@@ -97,7 +97,10 @@ chaos-smoke:
 # its only capture source, two capagents under the aggressive wire fault
 # plan, one SIGKILLed and restarted mid-stream — must resume at its
 # acked cursor with per-agent accounting balanced and metrics exported;
-# the other agent, stopped with SIGTERM, must flush and report.
+# then marauder itself is SIGKILLed and restarted on its checkpoint
+# directory, where the other agent must resume from the checkpointed
+# cursor with the books balanced; that agent, stopped with SIGTERM,
+# must flush and report.
 agent-smoke:
 	sh scripts/agent_chaos_smoke.sh
 

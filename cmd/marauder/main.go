@@ -24,8 +24,9 @@
 // batches over TCP with resumable cursors, served alongside the local
 // fleet. Per-agent liveness, lag and resume accounting shows at
 // /api/agents and in /api/health; with -checkpoint-dir the agents' ack
-// cursors persist next to the observation checkpoints so a restart
-// resumes every agent from its acked position. -local-capture=false
+// cursors are saved inside each observation checkpoint, read before the
+// store it holds, so a restart resumes every agent from the cursor of
+// the checkpoint it restores. -local-capture=false
 // turns the in-process sniffer fleet off (remote agents become the only
 // capture source); -ingest-stale-after degrades /api/health when any
 // capture source delivers nothing for that long.
@@ -47,7 +48,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -359,57 +359,19 @@ func run(args []string) error {
 }
 
 // listenAgents starts the distributed capture plane: remote agents
-// stream batches in and ingest under per-agent source names, with
-// resumable cursors persisted alongside the observation checkpoints.
+// stream batches in and ingest under per-agent source names. Their
+// resume cursors start from the restored checkpoint and are saved inside
+// every later one.
 func listenAgents(a *attack, addr string) (*capwire.Server, error) {
-	srvCfg := capwire.ServerConfig{
+	capSrv, err := capwire.NewServer(capwire.ServerConfig{
 		Ingest: func(agentID string, caps []sniffer.Capture) int {
 			return a.eng.IngestCapturesFrom("agent:"+agentID, caps)
 		},
+		Cursors: a.ops.Cursors,
 		Logf: func(format string, args ...any) {
 			slog.Info(fmt.Sprintf(format, args...), "component", "capwire")
 		},
-	}
-	cursorPath := ""
-	if a.ops.Checkpointer != nil {
-		cursorPath = filepath.Join(a.ops.Checkpointer.Dir, capwire.CursorFileName)
-		cursors, gen, err := capwire.LoadCursors(cursorPath)
-		if err != nil {
-			return nil, err
-		}
-		// Before the first checkpoint, the checkpointer's generation is
-		// the restored store's.
-		recoveredGen := a.ops.Checkpointer.Generation()
-		if len(cursors) > 0 {
-			switch {
-			case gen > recoveredGen:
-				// The cursor file outruns the restored observation store
-				// (recovery fell back to an older checkpoint). Seeding
-				// these stale-forward cursors would make the server dedup
-				// replayed batches whose ingested frames were lost with
-				// the newer store — silent permanent loss. Discard them:
-				// the server starts each agent at cursor 0 and the
-				// clients renumber their retained tails from cursor+1,
-				// so everything still held agent-side is re-ingested.
-				slog.Warn("agent cursors outrun the restored store; discarding them",
-					"component", "marauder", "cursorGeneration", gen, "storeGeneration", recoveredGen)
-				cursors = nil
-			case gen < recoveredGen:
-				// A lagging cursor file only widens the replay window:
-				// the agents re-send a tail the server dedups
-				// (at-least-once delivery, exactly-once ingest), so warn
-				// and continue.
-				slog.Warn("agent cursors from an older checkpoint generation",
-					"component", "marauder", "cursorGeneration", gen, "storeGeneration", recoveredGen)
-			}
-			if len(cursors) > 0 {
-				slog.Info("agent cursors restored", "component", "marauder",
-					"path", cursorPath, "agents", len(cursors), "generation", gen)
-			}
-		}
-		srvCfg.Cursors = cursors
-	}
-	capSrv, err := capwire.NewServer(srvCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -420,12 +382,8 @@ func listenAgents(a *attack, addr string) (*capwire.Server, error) {
 	}
 	go serveAgents(capSrv, lis)
 	a.agents = capSrv
-	if cursorPath != "" {
-		a.ops.Checkpointer.AfterCheckpoint = func(gen uint64) {
-			if err := capSrv.SaveCursors(cursorPath, gen); err != nil {
-				slog.Warn("agent cursor save failed", "component", "marauder", "err", err)
-			}
-		}
+	if a.ops.Checkpointer != nil {
+		a.ops.Checkpointer.Cursors = capSrv.Cursors
 	}
 	slog.Info("capture agent plane listening", "component", "marauder",
 		"addr", lis.Addr().String(), "localCapture", a.localCapture)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,8 +338,8 @@ func TestAdoptCursorRenumbersAfterRegression(t *testing.T) {
 	c.nextSeq = 8
 	c.mu.Unlock()
 
-	// A restarted engine answers the handshake with a stale cursor file
-	// that only recorded 2: replaying seq 5 would be an eternal gap, so
+	// A restarted engine answers the handshake with a stale checkpoint
+	// cursor that only recorded 2: replaying seq 5 would be an eternal gap, so
 	// the retained tail must renumber contiguously from 3.
 	c.adoptCursor(nil, 2)
 
@@ -391,8 +390,8 @@ func TestStaleCursorRestartRecovers(t *testing.T) {
 	}
 	srv1.Close()
 
-	// The engine restarts with a cursor file lagging what the client
-	// already discarded on ack: 5 batches acked, the file recorded 2.
+	// The engine restarts from a checkpoint lagging what the client
+	// already discarded on ack: 5 batches acked, the checkpoint recorded 2.
 	// The session must renumber and make progress, not gap-cut forever.
 	srv2, a2 := startServer(t, ServerConfig{
 		Ingest:  sink.ingest,
@@ -550,42 +549,6 @@ func TestHealthReasonsAccountingOnly(t *testing.T) {
 	reasons := srv.HealthReasons()
 	if len(reasons) != 1 || !strings.Contains(reasons[0], "accounting mismatch") {
 		t.Fatalf("HealthReasons() = %v, want only the accounting mismatch", reasons)
-	}
-}
-
-func TestCursorSaveLoadRoundTrip(t *testing.T) {
-	sink := newCountingSink()
-	srv, addr := startServer(t, ServerConfig{Ingest: sink.ingest})
-	c := fastClient(t, addr, "persist-agent", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for b := 0; b < 4; b++ {
-		if err := c.Send(ctx, uniqueCaptures(0x80, b, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), CursorFileName)
-	if err := srv.SaveCursors(path, 17); err != nil {
-		t.Fatal(err)
-	}
-	cursors, gen, err := LoadCursors(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 17 {
-		t.Fatalf("generation = %d, want 17", gen)
-	}
-	if cursors["persist-agent"] != 4 {
-		t.Fatalf("cursors = %v, want persist-agent: 4", cursors)
-	}
-
-	missing, gen, err := LoadCursors(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || gen != 0 || len(missing) != 0 {
-		t.Fatalf("missing file: %v %d %v", missing, gen, err)
 	}
 }
 

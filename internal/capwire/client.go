@@ -118,8 +118,9 @@ type ClientStats struct {
 	// reconnects.
 	ReplayedBatches uint64 `json:"replayedBatches"`
 	// RenumberedBatches counts queued batches re-sequenced after a
-	// server cursor regression (an engine restart restored a cursor
-	// file lagging batches this client had already discarded on ack).
+	// server cursor regression (an engine restart restored a checkpoint
+	// whose cursor lags batches this client had already discarded on
+	// ack).
 	RenumberedBatches uint64 `json:"renumberedBatches"`
 	// Handshakes counts completed Hello/HelloAck exchanges; Resumes
 	// counts the subset that adopted a non-zero server cursor.
@@ -584,7 +585,7 @@ func (c *Client) adoptCursor(conn net.Conn, cursor uint64) {
 	c.popAckedLocked(cursor)
 	// Cursor regression: the server's cursor sits below the next seq it
 	// will be offered (queue head, or nextSeq on an empty/unsent queue).
-	// That happens when an engine restart restored a cursor file lagging
+	// That happens when an engine restart restored a checkpoint lagging
 	// batches this client already acked and discarded — the skipped
 	// window is lost server-side no matter what, but replaying the old
 	// seqs would be rejected as a gap forever, livelocking the session.

@@ -72,6 +72,6 @@ func newClientMetrics(agent string) clientMetrics {
 		replayed: r.Counter("marauder_agent_replayed_batches_total",
 			"Batches re-sent from the unacked tail after a reconnect, by agent.", l),
 		renumbered: r.Counter("marauder_agent_renumbered_batches_total",
-			"Queued batches re-sequenced after a server cursor regression (engine restart with a stale cursor file), by agent.", l),
+			"Queued batches re-sequenced after a server cursor regression (engine restart from a checkpoint older than its acks), by agent.", l),
 	}
 }

@@ -25,8 +25,9 @@ type ServerConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one ack write; <= 0 means 5s.
 	WriteTimeout time.Duration
-	// Cursors seeds per-agent resume cursors (from LoadCursors) so
-	// resume survives an engine restart.
+	// Cursors seeds per-agent resume cursors (those saved in the
+	// restored observation checkpoint) so resume survives an engine
+	// restart.
 	Cursors map[string]uint64
 	// Logf, when set, receives session lifecycle lines.
 	Logf func(format string, args ...any)

@@ -133,6 +133,19 @@ func Error(est Estimate, truth geom.Point) float64 {
 	return est.Pos.Dist(truth)
 }
 
+// TrackError summarizes a track against a ground-truth trajectory function
+// (time → position), returning the mean error in metres.
+func TrackError(points []TrackPoint, truthAt func(float64) geom.Point) float64 {
+	if len(points) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, p := range points {
+		sum += p.Est.Pos.Dist(truthAt(p.TimeSec))
+	}
+	return sum / float64(len(points))
+}
+
 // Localization errors.
 var (
 	// ErrNoAPs means Γ contains no AP present in the knowledge base.

@@ -225,3 +225,17 @@ func TestErrorMetric(t *testing.T) {
 		t.Error("error metric wrong")
 	}
 }
+
+func TestTrackError(t *testing.T) {
+	if TrackError(nil, nil) != 0 {
+		t.Error("empty track error should be 0")
+	}
+	points := []TrackPoint{
+		{TimeSec: 0, Est: Estimate{Pos: geom.Pt(3, 4)}},
+		{TimeSec: 1, Est: Estimate{Pos: geom.Pt(0, 0)}},
+	}
+	truthAt := func(float64) geom.Point { return geom.Pt(0, 0) }
+	if got := TrackError(points, truthAt); got != 2.5 {
+		t.Errorf("mean error = %v, want 2.5", got)
+	}
+}

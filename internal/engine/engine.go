@@ -609,10 +609,12 @@ func (e *Engine) Snapshot(timeSec float64) map[dot11.MAC]core.Estimate {
 //
 // Workers claim snapshotChunk candidates at a time from one shared atomic
 // cursor and collect their located estimates privately; the collections
-// are merged into the result map once every worker is done. The map holds
-// one estimate per device whatever the interleaving, so the result is
-// identical to localizing sequentially. The whole frame reads one view: a
-// concurrent knowledge swap or reset takes effect from the next frame.
+// are merged into the result map once every worker is done. A frame that
+// needs one worker runs the same body inline, with no goroutine. The map
+// holds one estimate per device whatever the interleaving, so the result
+// is identical to localizing sequentially. The whole frame reads one
+// view: a concurrent knowledge swap or reset takes effect from the next
+// frame.
 func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	began := time.Now()
 	defer func() {
@@ -623,52 +625,43 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	scanStart := time.Now()
 	cands := v.store.WindowCandidates(start, end)
 	mStageScan.ObserveSince(scanStart)
-	workers := min(e.workers, (len(cands)+snapshotChunk-1)/snapshotChunk)
-	if workers <= 1 {
-		out := make(map[dot11.MAC]core.Estimate, len(cands))
+	workers := max(1, min(e.workers, (len(cands)+snapshotChunk-1)/snapshotChunk))
+	var next atomic.Int64
+	found := make([][]located, workers)
+	work := func(w int) {
 		var buf []dot11.MAC
-		for i := range cands {
-			c := &cands[i]
-			var est core.Estimate
-			var err error
-			buf, est, err = e.fixWindow(v, buf[:0], c.Device(), c, start, end)
-			if err == nil {
-				out[c.Device()] = est
+		var mine []located
+		for {
+			hi := int(next.Add(snapshotChunk))
+			lo := hi - snapshotChunk
+			if lo >= len(cands) {
+				break
+			}
+			for i := lo; i < min(hi, len(cands)); i++ {
+				c := &cands[i]
+				var est core.Estimate
+				var err error
+				buf, est, err = e.fixWindow(v, buf[:0], c.Device(), c, start, end)
+				if err == nil {
+					mine = append(mine, located{c.Device(), est})
+				}
 			}
 		}
-		return out
+		found[w] = mine
 	}
-	var (
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		found = make([][]located, workers)
-	)
-	for w := range found {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []dot11.MAC
-			var mine []located
-			for {
-				hi := int(next.Add(snapshotChunk))
-				lo := hi - snapshotChunk
-				if lo >= len(cands) {
-					break
-				}
-				for i := lo; i < min(hi, len(cands)); i++ {
-					c := &cands[i]
-					var est core.Estimate
-					var err error
-					buf, est, err = e.fixWindow(v, buf[:0], c.Device(), c, start, end)
-					if err == nil {
-						mine = append(mine, located{c.Device(), est})
-					}
-				}
-			}
-			found[w] = mine
-		}()
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range found {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	n := 0
 	for _, f := range found {
 		n += len(f)

@@ -167,7 +167,7 @@ func TestRecoveredStoreFramesMatch(t *testing.T) {
 		live.IngestBatch(recs[i:min(i+300, len(recs))])
 	}
 	dir := t.TempDir()
-	if _, err := obs.WriteCheckpoint(dir, 1, live); err != nil {
+	if _, err := obs.WriteCheckpoint(dir, 1, live, nil); err != nil {
 		t.Fatal(err)
 	}
 	read, _, err := obs.ReadCheckpoint(obs.CheckpointPath(dir, 1), 3)

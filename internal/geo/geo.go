@@ -138,9 +138,6 @@ func NewProjection(origin LatLon) *Projection {
 	}
 }
 
-// Origin returns the projection's anchor.
-func (p *Projection) Origin() LatLon { return p.origin }
-
 // ToPlane projects a geodetic coordinate to the local plane: X is metres
 // east of the origin, Y metres north. The up component is discarded.
 func (p *Projection) ToPlane(l LatLon) geom.Point {

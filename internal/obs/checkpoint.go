@@ -25,10 +25,9 @@ const checkpointFormat = 1
 // manifest.
 const checkpointExt = ".ckpt"
 
-// DefaultCheckpointKeep is how many generations a Checkpointer retains
-// when Keep is unset: the newest plus two fallbacks in case the newest is
-// torn by a crash mid-rename (shouldn't happen — rename is atomic — but
-// disks lie).
+// DefaultCheckpointKeep is how many generations a Checkpointer retains:
+// the newest plus two fallbacks in case the newest is torn by a crash
+// mid-rename (shouldn't happen — rename is atomic — but disks lie).
 const DefaultCheckpointKeep = 3
 
 // CheckpointMeta is the header line of a checkpoint file: one line of
@@ -39,11 +38,30 @@ type CheckpointMeta struct {
 	Format int `json:"format"`
 	// Generation is the writer's monotonic checkpoint counter.
 	Generation uint64 `json:"generation"`
-	// SHA256 is the hex digest of the payload bytes after this header line.
+	// SHA256 is the hex digest of the cursors' JSON encoding, when there
+	// are any, followed by the payload bytes after this header line.
 	SHA256 string `json:"sha256"`
 	// Records is how many records the payload holds, a cheap cross-check
 	// on top of the digest.
 	Records int `json:"records"`
+	// Cursors are the capture agents' resume cursors, read before the
+	// store was saved, so the payload holds every batch they count.
+	// Absent when there were none.
+	Cursors map[string]uint64 `json:"cursors,omitempty"`
+}
+
+// digest returns the hex SHA-256 that covers the cursors and the payload.
+// With no cursors it is the payload's plain digest, so a checkpoint
+// written without them reads back unchanged.
+func (m *CheckpointMeta) digest(payload []byte) string {
+	h := sha256.New()
+	if len(m.Cursors) > 0 {
+		// A map of uint64 always encodes, with its keys sorted.
+		b, _ := json.Marshal(m.Cursors)
+		h.Write(b)
+	}
+	h.Write(payload)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // CheckpointPath returns the canonical file name for a generation. The
@@ -95,20 +113,21 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 }
 
 // WriteCheckpoint atomically writes one generation-numbered, checksummed
-// snapshot of the store into dir, returning the file path.
-func WriteCheckpoint(dir string, generation uint64, s *Store) (string, error) {
+// snapshot of the store and the agents' resume cursors (nil for none)
+// into dir, returning the file path.
+func WriteCheckpoint(dir string, generation uint64, s *Store, cursors map[string]uint64) (string, error) {
 	var payload bytes.Buffer
 	records, err := s.save(&payload)
 	if err != nil {
 		return "", fmt.Errorf("obs: checkpoint: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
 	meta := CheckpointMeta{
 		Format:     checkpointFormat,
 		Generation: generation,
-		SHA256:     hex.EncodeToString(sum[:]),
 		Records:    records,
+		Cursors:    cursors,
 	}
+	meta.SHA256 = meta.digest(payload.Bytes())
 	header, err := json.Marshal(meta)
 	if err != nil {
 		return "", fmt.Errorf("obs: checkpoint: %w", err)
@@ -134,8 +153,9 @@ func WriteCheckpoint(dir string, generation uint64, s *Store) (string, error) {
 }
 
 // ReadCheckpoint loads one checkpoint file, verifying the format version,
-// payload checksum, and record count before handing the bytes to the
-// snapshot loader. shards <= 0 means the default shard count.
+// the checksum over cursors and payload, and the record count before
+// handing the bytes to the snapshot loader. The cursors come back in the
+// returned meta. shards <= 0 means the default shard count.
 func ReadCheckpoint(path string, shards int) (*Store, CheckpointMeta, error) {
 	var meta CheckpointMeta
 	raw, err := os.ReadFile(path)
@@ -153,9 +173,8 @@ func ReadCheckpoint(path string, shards int) (*Store, CheckpointMeta, error) {
 		return nil, meta, fmt.Errorf("obs: checkpoint %s: format %d, want %d", path, meta.Format, checkpointFormat)
 	}
 	payload := raw[nl+1:]
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != meta.SHA256 {
-		return nil, meta, fmt.Errorf("obs: checkpoint %s: checksum mismatch: payload %s, header %s", path, got, meta.SHA256)
+	if got := meta.digest(payload); got != meta.SHA256 {
+		return nil, meta, fmt.Errorf("obs: checkpoint %s: checksum mismatch: computed %s, header %s", path, got, meta.SHA256)
 	}
 	s, err := LoadShards(bytes.NewReader(payload), shards)
 	if err != nil {
@@ -177,7 +196,7 @@ type SkippedCheckpoint struct {
 type RecoverInfo struct {
 	// Path is the checkpoint file that was restored ("" when none was).
 	Path string
-	// Meta is the restored checkpoint's header.
+	// Meta is the restored checkpoint's header, agent cursors included.
 	Meta CheckpointMeta
 	// Skipped lists newer-but-invalid checkpoints that were passed over,
 	// newest first.
@@ -185,9 +204,10 @@ type RecoverInfo struct {
 }
 
 // Recover loads the newest valid checkpoint in dir, skipping (and
-// reporting) corrupt or unreadable ones. A missing or empty directory is
-// not an error — there is simply nothing to recover, and the returned
-// store is nil.
+// reporting) corrupt or unreadable ones; the agent cursors saved with it
+// are in info.Meta.Cursors. A missing or empty directory is not an
+// error — there is simply nothing to recover, and the returned store is
+// nil.
 func Recover(dir string, shards int) (*Store, RecoverInfo, error) {
 	var info RecoverInfo
 	entries, err := os.ReadDir(dir)
@@ -220,24 +240,23 @@ func Recover(dir string, shards int) (*Store, RecoverInfo, error) {
 }
 
 // Checkpointer periodically snapshots a store into a directory, pruning
-// old generations. It is the crash-safety layer for long captures: after
-// a kill, Recover restores the last completed snapshot.
+// all but the newest DefaultCheckpointKeep generations. It is the
+// crash-safety layer for long captures: after a kill, Recover restores
+// the last completed snapshot.
 type Checkpointer struct {
 	// Dir is the checkpoint directory, created on first write.
 	Dir string
-	// Interval is the period between automatic snapshots in Run.
+	// Interval is the period between automatic snapshots in Run; it must
+	// be positive.
 	Interval time.Duration
-	// Keep bounds how many generations stay on disk (<= 0 means
-	// DefaultCheckpointKeep).
-	Keep int
 	// Source returns the store to snapshot. Called once per checkpoint,
 	// so the store can be swapped between runs.
 	Source func() *Store
-	// AfterCheckpoint, when set, runs after each successful snapshot with
-	// the generation just written — the hook other durable state (e.g. the
-	// capture agents' ack cursors) uses to persist alongside the store at
-	// a known generation. Failures in the hook are the hook's to report.
-	AfterCheckpoint func(generation uint64)
+	// Cursors, when set, returns the capture agents' resume cursors. It
+	// is called before the store is saved and its result is written into
+	// the same checkpoint, so a saved cursor never counts a batch the
+	// saved store lacks.
+	Cursors func() map[string]uint64
 
 	gen atomic.Uint64
 }
@@ -249,9 +268,16 @@ func (c *Checkpointer) SetGeneration(g uint64) { c.gen.Store(g) }
 // Generation returns the last written (or seeded) generation.
 func (c *Checkpointer) Generation() uint64 { return c.gen.Load() }
 
-// CheckpointNow takes one snapshot immediately: bumps the generation,
-// writes it atomically, and prunes old files past Keep.
+// CheckpointNow takes one snapshot immediately: reads the cursors, bumps
+// the generation, writes cursors and store atomically, and prunes old
+// files. A batch acked after the cursor read may land in the saved store
+// too; a restart then re-ingests it, and the duplicate records leave Γ,
+// a set, unchanged.
 func (c *Checkpointer) CheckpointNow() (string, error) {
+	var cursors map[string]uint64
+	if c.Cursors != nil {
+		cursors = c.Cursors()
+	}
 	s := c.Source()
 	if s == nil {
 		return "", fmt.Errorf("obs: checkpoint: no store")
@@ -261,24 +287,18 @@ func (c *Checkpointer) CheckpointNow() (string, error) {
 		return "", fmt.Errorf("obs: checkpoint: %w", err)
 	}
 	gen := c.gen.Add(1)
-	path, err := WriteCheckpoint(c.Dir, gen, s)
+	path, err := WriteCheckpoint(c.Dir, gen, s, cursors)
 	if err != nil {
 		return "", err
 	}
 	c.prune()
-	if c.AfterCheckpoint != nil {
-		c.AfterCheckpoint(gen)
-	}
 	return path, nil
 }
 
-// prune removes all but the newest Keep checkpoint files. Best-effort:
-// a failed removal leaves a stale file, never a broken checkpoint.
+// prune removes all but the newest DefaultCheckpointKeep checkpoint
+// files. Best-effort: a failed removal leaves a stale file, never a
+// broken checkpoint.
 func (c *Checkpointer) prune() {
-	keep := c.Keep
-	if keep <= 0 {
-		keep = DefaultCheckpointKeep
-	}
 	entries, err := os.ReadDir(c.Dir)
 	if err != nil {
 		return
@@ -289,11 +309,11 @@ func (c *Checkpointer) prune() {
 			names = append(names, e.Name())
 		}
 	}
-	if len(names) <= keep {
+	if len(names) <= DefaultCheckpointKeep {
 		return
 	}
 	sort.Strings(names)
-	for _, name := range names[:len(names)-keep] {
+	for _, name := range names[:len(names)-DefaultCheckpointKeep] {
 		_ = os.Remove(filepath.Join(c.Dir, name))
 	}
 }
@@ -302,9 +322,6 @@ func (c *Checkpointer) prune() {
 // expected to take a final CheckpointNow on shutdown; Run itself stops
 // quietly so cancellation stays fast.
 func (c *Checkpointer) Run(ctx context.Context) {
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
 	t := time.NewTicker(c.Interval)
 	defer t.Stop()
 	for {

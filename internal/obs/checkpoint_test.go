@@ -3,10 +3,13 @@ package obs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +40,7 @@ func saveBytes(t *testing.T, s *Store) []byte {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := populated(t, 10)
-	path, err := WriteCheckpoint(dir, 7, s)
+	path, err := WriteCheckpoint(dir, 7, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	s := populated(t, 5)
-	path, err := WriteCheckpoint(dir, 1, s)
+	path, err := WriteCheckpoint(dir, 1, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 
 func TestCheckpointRecordCountMismatch(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteCheckpoint(dir, 1, populated(t, 4))
+	path, err := WriteCheckpoint(dir, 1, populated(t, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +143,10 @@ func TestRecoverPicksNewestValid(t *testing.T) {
 	dir := t.TempDir()
 	old := populated(t, 3)
 	newer := populated(t, 8)
-	if _, err := WriteCheckpoint(dir, 1, old); err != nil {
+	if _, err := WriteCheckpoint(dir, 1, old, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteCheckpoint(dir, 2, newer); err != nil {
+	if _, err := WriteCheckpoint(dir, 2, newer, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Generation 3 exists but is corrupt: Recover must skip it, report it,
@@ -169,6 +172,91 @@ func TestRecoverPicksNewestValid(t *testing.T) {
 	}
 }
 
+// TestCheckpointCursorsRoundTrip: the agents' resume cursors ride inside
+// the checkpoint, under its checksum. They come back from Recover, a
+// flipped cursor byte makes Recover skip the file like a flipped payload
+// byte, and a checkpoint written without cursors keeps the cursor-less
+// shape and restores with none.
+func TestCheckpointCursorsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := populated(t, 6)
+	older := map[string]uint64{"persist-agent": 4}
+	newer := map[string]uint64{"persist-agent": 4, "lab-2": 1<<63 + 5}
+	cursors := older
+	c := &Checkpointer{Dir: dir, Source: func() *Store { return s }, Cursors: func() map[string]uint64 { return cursors }}
+	if _, err := c.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	cursors = newer
+	path, err := c.CheckpointNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := Recover(dir, 0)
+	if err != nil || got == nil {
+		t.Fatalf("Recover: store %v, err %v", got, err)
+	}
+	if info.Path != path || !maps.Equal(info.Meta.Cursors, newer) {
+		t.Fatalf("recovered %s with cursors %v, want %s with %v", info.Path, info.Meta.Cursors, path, newer)
+	}
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, s)) {
+		t.Error("recovered store differs from the checkpointed one")
+	}
+
+	// Flip one digit of a cursor: the header still parses, the checksum
+	// does not match, and Recover falls back to the older generation.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, []byte(`"persist-agent":4`))
+	if nl := bytes.IndexByte(raw, '\n'); at < 0 || at > nl {
+		t.Fatalf("cursor not in the header line: %s", raw[:nl])
+	}
+	raw[at+len(`"persist-agent":`)] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadCheckpoint(path, 0); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("flipped cursor byte: err = %v, want checksum mismatch", err)
+	}
+	_, info, err = Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Skipped) != 1 || info.Skipped[0].Path != path {
+		t.Errorf("skipped = %+v, want exactly %s", info.Skipped, path)
+	}
+	if info.Meta.Generation != 1 || !maps.Equal(info.Meta.Cursors, older) {
+		t.Errorf("fell back to generation %d with cursors %v, want 1 with %v", info.Meta.Generation, info.Meta.Cursors, older)
+	}
+
+	// No cursors: exactly the header a checkpoint without cursors has
+	// always had, and Recover restores none.
+	bare := t.TempDir()
+	path, err = WriteCheckpoint(bare, 3, s, map[string]uint64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := saveBytes(t, s)
+	want := fmt.Sprintf("{\"format\":1,\"generation\":3,\"sha256\":\"%x\",\"records\":%d}\n%s",
+		sha256.Sum256(payload), s.Len(), payload)
+	if string(raw) != want {
+		t.Fatalf("cursor-less checkpoint header %q, want %q", raw[:bytes.IndexByte(raw, '\n')], want[:strings.IndexByte(want, '\n')])
+	}
+	got, info, err = Recover(bare, 0)
+	if err != nil || got == nil {
+		t.Fatalf("Recover: store %v, err %v", got, err)
+	}
+	if info.Meta.Cursors != nil {
+		t.Errorf("cursor-less checkpoint restored cursors %v", info.Meta.Cursors)
+	}
+}
+
 func TestRecoverEmptyAndMissingDir(t *testing.T) {
 	s, info, err := Recover(filepath.Join(t.TempDir(), "nope"), 0)
 	if err != nil || s != nil || info.Path != "" {
@@ -183,15 +271,15 @@ func TestRecoverEmptyAndMissingDir(t *testing.T) {
 func TestCheckpointerPrunesAndNumbers(t *testing.T) {
 	dir := t.TempDir()
 	s := populated(t, 2)
-	c := &Checkpointer{Dir: dir, Keep: 2, Source: func() *Store { return s }}
+	c := &Checkpointer{Dir: dir, Source: func() *Store { return s }}
 	c.SetGeneration(10)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		if _, err := c.CheckpointNow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Generation() != 14 {
-		t.Errorf("generation = %d, want 14", c.Generation())
+	if c.Generation() != 15 {
+		t.Errorf("generation = %d, want 15", c.Generation())
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -201,8 +289,8 @@ func TestCheckpointerPrunesAndNumbers(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	want := []string{"checkpoint-0000000000000013.ckpt", "checkpoint-0000000000000014.ckpt"}
-	if len(names) != 2 || names[0] != want[0] || names[1] != want[1] {
+	want := []string{"checkpoint-0000000000000013.ckpt", "checkpoint-0000000000000014.ckpt", "checkpoint-0000000000000015.ckpt"}
+	if !slices.Equal(names, want) {
 		t.Errorf("dir holds %v, want %v", names, want)
 	}
 }
@@ -303,7 +391,7 @@ func TestCheckpointDuringIngest(t *testing.T) {
 			return
 		default:
 		}
-		path, err := WriteCheckpoint(dir, gen, s)
+		path, err := WriteCheckpoint(dir, gen, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,6 +41,9 @@ type Process struct {
 	// Store is the observation store to start from, under the Checkpoint
 	// group: the newest valid checkpoint, else an empty -shards store.
 	Store *obs.Store
+	// Cursors are the capture agents' resume cursors saved with that
+	// checkpoint; nil when it holds none.
+	Cursors map[string]uint64
 
 	f           *Flags
 	log         *slog.Logger
@@ -115,9 +118,10 @@ func (p *Process) start() error {
 			p.log.Warn("checkpoint skipped", "path", sk.Path, "err", sk.Err)
 		}
 		if store != nil {
-			p.Store, recoveredGen = store, info.Meta.Generation
+			p.Store, p.Cursors, recoveredGen = store, info.Meta.Cursors, info.Meta.Generation
 			p.log.Info("observations restored from checkpoint", "path", info.Path,
-				"generation", info.Meta.Generation, "records", info.Meta.Records, "skipped", len(info.Skipped))
+				"generation", info.Meta.Generation, "records", info.Meta.Records,
+				"agentCursors", len(info.Meta.Cursors), "skipped", len(info.Skipped))
 		} else {
 			p.log.Info("no checkpoint to restore", "dir", f.checkpointDir)
 		}

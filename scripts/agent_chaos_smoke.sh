@@ -3,10 +3,14 @@
 # capture source, stream from two cmd/capagent processes through the
 # aggressive wire fault plan, SIGKILL one agent mid-stream, restart it
 # under the same identity, and assert the restart resumes from its acked
-# cursor with the exactly-once books still balanced, then stop the other
-# agent with SIGTERM and assert it shut down gracefully. This is the CI gate
-# for "the distributed capture plane survives wire chaos and an agent
-# hard-kill", end to end over real TCP — not just the capwire unit tests.
+# cursor with the exactly-once books still balanced. Then SIGKILL the
+# marauder itself, restart it on the same checkpoint directory, and
+# assert the surviving agent resumes from the cursor saved in the
+# checkpoint with the books balanced, then stop that agent with SIGTERM
+# and assert it shut down gracefully. This is the CI gate for "the
+# distributed capture plane survives wire chaos, an agent hard-kill and
+# a server hard-kill", end to end over real TCP — not just the capwire
+# unit tests.
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18663}"
@@ -61,26 +65,40 @@ wait_metric_ge() {
 }
 
 # --- Engine: agent plane only, no local capture, cursors checkpointed. ---
-"$BINDIR/marauder" -addr "$ADDR" -agents-listen "$WIRE" -local-capture=false \
-    -seed 1 -aps 120 -speedup 100 -ingest-stale-after 30s \
-    -checkpoint-dir "$CKPT" -checkpoint-interval 1s >"$LOG_SRV" 2>&1 &
-SRV_PID=$!
+start_marauder() {
+    "$BINDIR/marauder" -addr "$ADDR" -agents-listen "$WIRE" -local-capture=false \
+        -seed 1 -aps 120 -speedup 100 -ingest-stale-after 30s \
+        -checkpoint-dir "$CKPT" -checkpoint-interval 1s >>"$LOG_SRV" 2>&1 &
+    SRV_PID=$!
 
-tries=0
-until fetch "http://$ADDR/api/agents" | grep -q '"enabled":true'; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 60 ]; then
-        echo "agent-chaos-smoke: /api/agents never enabled" >&2
-        cat "$LOG_SRV" >&2
+    tries=0
+    until fetch "http://$ADDR/api/agents" | grep -q '"enabled":true'; do
+        tries=$((tries + 1))
+        if [ "$tries" -ge 60 ]; then
+            echo "agent-chaos-smoke: /api/agents never enabled" >&2
+            cat "$LOG_SRV" >&2
+            exit 1
+        fi
+        if ! kill -0 "$SRV_PID" 2>/dev/null; then
+            echo "agent-chaos-smoke: marauder exited early" >&2
+            cat "$LOG_SRV" >&2
+            exit 1
+        fi
+        sleep 0.5
+    done
+}
+
+# assert_books: /api/agents must show no agent with unbalanced books.
+assert_books() {
+    fetch "http://$ADDR/api/agents" >"$OUT"
+    if grep -q '"accountingOk":false' "$OUT"; then
+        echo "agent-chaos-smoke: exactly-once accounting violated $1:" >&2
+        cat "$OUT" >&2
         exit 1
     fi
-    if ! kill -0 "$SRV_PID" 2>/dev/null; then
-        echo "agent-chaos-smoke: marauder exited early" >&2
-        cat "$LOG_SRV" >&2
-        exit 1
-    fi
-    sleep 0.5
-done
+}
+
+start_marauder
 
 # --- Two agents, both through the aggressive wire fault plan. ---
 agent() { # $1 id, $2 pos, $3 wire seed, $4 log
@@ -111,12 +129,7 @@ wait_metric_ge 'marauder_agent_batches_ingested_total{agent="lab-2"}' "$((${PRE_
     "lab-2 post-resume ingest"
 
 # --- The books must balance for every agent, through all of the above. ---
-fetch "http://$ADDR/api/agents" >"$OUT"
-if grep -q '"accountingOk":false' "$OUT"; then
-    echo "agent-chaos-smoke: exactly-once accounting violated:" >&2
-    cat "$OUT" >&2
-    exit 1
-fi
+assert_books "before the server kill"
 grep -q '"id":"lab-1"' "$OUT" && grep -q '"id":"lab-2"' "$OUT" || {
     echo "agent-chaos-smoke: /api/agents lost an agent: $(cat "$OUT")" >&2
     exit 1
@@ -140,16 +153,42 @@ for m in marauder_agent_frames_ingested_total marauder_agent_connects_total \
     }
 done
 
-# The cursor file rides the checkpoint generation to disk.
+# --- Hard-kill the marauder once a checkpoint holds lab-1's cursor. ---
+# The cursors ride in each checkpoint's JSON header line.
+lab1_checkpointed() {
+    for f in "$CKPT"/*.ckpt; do
+        head -n 1 "$f" 2>/dev/null | grep -q '"lab-1":[1-9]' && return 0
+    done
+    return 1
+}
 tries=0
-while [ ! -f "$CKPT/agent-cursors.json" ]; do
+until lab1_checkpointed; do
     tries=$((tries + 1))
     if [ "$tries" -ge 30 ]; then
-        echo "agent-chaos-smoke: no agent-cursors.json beside the checkpoint" >&2
+        echo "agent-chaos-smoke: no checkpoint holds a cursor for lab-1" >&2
         exit 1
     fi
     sleep 0.5
 done
+kill -9 "$SRV_PID"
+wait "$SRV_PID" 2>/dev/null || true
+SRV_PID=
+
+# --- Restart on the same checkpoint directory: lab-1 must resume. ---
+# The counters are the restarted process's own.
+start_marauder
+wait_metric_ge 'marauder_agent_resumes_total{agent="lab-1"}' 1 "lab-1 resume on the restarted marauder"
+assert_books "after the server restart"
+# Wire chaos reconnects resume too, so also require that every lab-1
+# session on the restarted marauder resumed, its first one included:
+# the cursor came back from the checkpoint, not from zero.
+LAB1="$(grep -o '{"id":"lab-1"[^}]*}' "$OUT")"
+RESUMES="$(echo "$LAB1" | sed -n 's/.*"resumes":\([0-9]*\).*/\1/p')"
+CONNECTS="$(echo "$LAB1" | sed -n 's/.*"connects":\([0-9]*\).*/\1/p')"
+if [ -z "$RESUMES" ] || [ "$RESUMES" != "$CONNECTS" ]; then
+    echo "agent-chaos-smoke: lab-1 did not resume from the checkpointed cursor: $LAB1" >&2
+    exit 1
+fi
 
 # A plain kill (SIGTERM, as docker stop or systemd sends) must take the
 # agent's graceful path: flush the queued tail, report, close.
@@ -162,4 +201,4 @@ grep -q 'capture agent stopped' "$LOG_A1" || {
     exit 1
 }
 
-echo "agent-chaos-smoke: ok (wire chaos survived, kill resumed at cursor, accounting balanced, graceful SIGTERM)"
+echo "agent-chaos-smoke: ok (wire chaos survived, agent and server kills resumed at cursor, accounting balanced, graceful SIGTERM)"
