@@ -38,10 +38,11 @@ bench-floors:
 	sh scripts/bench_floors.sh
 
 # Short fuzzing burst over every fuzz target: the frame parser, the
-# radiotap splitter, the pcap reader, the sharded store's record ingest
-# and window-query oracle, the AP snapshot and capwire codecs, the FTDC
-# decoder, the incremental-region and M-Loc vertex-kernel differential
-# oracles, and the /api/state encoder's encoding/json oracle.
+# radiotap splitter, the pcap reader, the sharded store's record ingest,
+# window-query oracle and sliding-window sweep, the AP snapshot and
+# capwire codecs, the FTDC decoder, the incremental-region and M-Loc
+# vertex-kernel differential oracles, and the /api/state encoder's
+# encoding/json oracle.
 # Checked-in corpora under testdata/fuzz replay as plain tests; this
 # keeps mining.
 fuzz-smoke:
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime=10s ./internal/pcap
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzScanAPSetWindow$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run xxx -fuzz 'FuzzSweep$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotCodec$$' -fuzztime=10s ./internal/apdb
 	$(GO) test -run xxx -fuzz 'FuzzIncrementalRegion$$' -fuzztime=30s ./internal/geom
 	$(GO) test -run xxx -fuzz 'FuzzRegionVertices$$' -fuzztime=10s ./internal/geom

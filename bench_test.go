@@ -435,6 +435,67 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTrack measures Track the way a map's trail view runs
+// it: 45 s windows stepped every 5 s over 300 s, for each device of an
+// idle-majority set on the engineBenchWorld grid. 100 devices walk east at
+// 1 m/s and are heard every 5 s by the APs covering them; 150 more were
+// heard only long before, so every one of their steps is an empty window.
+// It reports ns per step (a step is one fix) and the cache-hit share of
+// the answered steps, with the Γ cache on and off.
+func BenchmarkEngineTrack(b *testing.B) {
+	know, _ := engineBenchWorld(b, 0)
+	aps := know.All()
+	store := obs.NewStore()
+	var devs []dot11.MAC
+	for d := 0; d < 100; d++ {
+		dev := sim.NewMAC(0xDA, d)
+		devs = append(devs, dev)
+		x0, y := float64((d*7919)%600)-350, float64((d*104729)%700)-350
+		var recs []obs.Record
+		for t := 0.0; t <= 300; t += 5 {
+			pos := geom.Pt(x0+t, y)
+			for _, ap := range aps {
+				if ap.Pos.Dist(pos) <= ap.MaxRange {
+					recs = append(recs, obs.Record{TimeSec: t, Device: dev, AP: ap.BSSID, Kind: obs.KindProbeResponse})
+				}
+			}
+		}
+		store.IngestBatch(recs)
+	}
+	for d := 0; d < 150; d++ {
+		dev := sim.NewMAC(0xDB, d)
+		devs = append(devs, dev)
+		for i := 0; i < 3; i++ {
+			ap := aps[(d*31+i)%len(aps)].BSSID
+			store.Ingest(float64(-3600+d+i), dot11.NewProbeResponse(ap, dev, "", 1, uint16(i+1)), true)
+		}
+	}
+	for _, bc := range []struct {
+		name      string
+		cacheSize int
+	}{{"cached", 0}, {"uncached", -1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, err := engine.New(engine.Config{Know: know, Store: store, WindowSec: 45, CacheSize: bc.cacheSize})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Track(devs[i%len(devs)], 0, 300, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := eng.Stats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Fixes), "ns/step")
+			if answered := st.CacheHits + st.CacheMisses; answered > 0 {
+				b.ReportMetric(float64(st.CacheHits)/float64(answered), "hit_rate")
+				b.ReportMetric(float64(answered)/float64(st.Fixes), "nonempty_frac")
+			}
+		})
+	}
+}
+
 // BenchmarkEngineSnapshotFTDC measures the flight recorder's overhead on
 // the serving path: the same full-frame loop as BenchmarkEngineSnapshot,
 // with the recorder off (its nil no-op state) versus sampling the whole

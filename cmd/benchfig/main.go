@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 
@@ -23,7 +24,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "figure id (2..17), an extension name (defenses, positioning, channel-plans, centroid-estimators, radius-estimators), or all")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")

@@ -49,6 +49,15 @@ func MACFromKey(k uint64) MAC {
 	return MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 }
 
+// AppendFromKeys appends the MACs of packed keys to dst, each as
+// MACFromKey builds it.
+func AppendFromKeys(dst []MAC, keys []uint64) []MAC {
+	for _, k := range keys {
+		dst = append(dst, MACFromKey(k))
+	}
+	return dst
+}
+
 // ParseMAC parses a colon-separated MAC address.
 func ParseMAC(s string) (MAC, error) {
 	var m MAC

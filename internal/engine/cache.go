@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/dot11"
 )
 
 // The Γ cache holds cachePerDevice entries per device the store has seen,
@@ -73,14 +72,15 @@ func newGammaCache() *gammaCache {
 	return c
 }
 
-// appendGammaKey appends Γ's canonical cache key to buf. Γ is already
-// deduplicated and MAC-ascending (APSetWindow's documented order), so the
-// byte concatenation of its addresses is canonical. Callers build the key
-// in a stack buffer: a lookup then allocates nothing, and only put copies
-// the key into a string.
-func appendGammaKey(buf []byte, gamma []dot11.MAC) []byte {
-	for _, m := range gamma {
-		buf = append(buf, m[:]...)
+// appendGammaKey appends Γ's canonical cache key to buf. Γ comes as the
+// packed AP keys an obs.Sweep returns (dot11.MAC.Key), deduplicated and
+// ascending, so the concatenation of the addresses' six big-endian bytes
+// — the MACs' own bytes — is canonical. Callers build the key in a stack
+// buffer: a lookup then allocates nothing, and only put copies the key
+// into a string.
+func appendGammaKey(buf []byte, gamma []uint64) []byte {
+	for _, k := range gamma {
+		buf = append(buf, byte(k>>40), byte(k>>32), byte(k>>24), byte(k>>16), byte(k>>8), byte(k))
 	}
 	return buf
 }

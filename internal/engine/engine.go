@@ -16,14 +16,20 @@
 // ever served for the knowledge it was computed against. The cache is
 // sharded, evicts one entry at a time by CLOCK, and is sized from the
 // store's device count, so the Γ working set of a stable population stays
-// resident across map frames.
+// resident across map frames. Fix, Track and the snapshot workers share
+// one fix path: a step of an obs.Sweep over the device's log, then the
+// cache or the localizer, then tracing. Track drives one sweep through
+// all its steps, and with the cache on a fix whose Γ equals the last one
+// its caller answered reuses that answer, counted as a cache hit.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,7 +138,9 @@ type Stats struct {
 	// candidates (obs.Store.WindowCandidates), so a device the time index
 	// rules out of the window is not a fix, where a Fix call for it is.
 	Fixes uint64
-	// CacheHits is how many of them were served from the Γ cache.
+	// CacheHits is how many of them were served from the Γ cache,
+	// including the fixes (mostly Track steps) that reused the answer of
+	// the same Γ their caller had just been given.
 	CacheHits uint64
 	// CacheMisses is how many ran the localization algorithm.
 	CacheMisses uint64
@@ -456,80 +464,83 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 		trace.Span{Name: "knowledge", DurUS: dur.Microseconds(), Attrs: attrs})
 }
 
-// locateGamma answers one localization request against v's knowledge,
-// through v's Γ cache when enabled, and reports whether the cache
-// answered. gamma must be in APSetWindow's canonical (ascending, deduped)
-// order; the cache key is its byte concatenation (appendGammaKey).
-func (e *Engine) locateGamma(v *view, gamma []dot11.MAC) (est core.Estimate, hit bool, err error) {
-	e.fixes.Add(1)
-	mFixes.Inc()
-	if len(gamma) == 0 {
-		return core.Estimate{}, false, core.ErrNoAPs
-	}
-	if v.cache == nil {
-		e.misses.Add(1)
-		mCacheMisses.Inc()
-		est, err = e.loc.Locate(v.know, gamma)
-		return est, false, err
-	}
-	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
-	var keyBuf [32 * len(dot11.MAC{})]byte
-	key := appendGammaKey(keyBuf[:0], gamma)
-	if est, err, ok := v.cache.get(key); ok {
-		e.hits.Add(1)
-		mCacheHits.Inc()
-		return est, true, err
-	}
-	e.misses.Add(1)
-	mCacheMisses.Inc()
-	est, err = e.loc.Locate(v.know, gamma)
-	if evicted := v.cache.put(key, est, err, cacheCapacity(v.store.DeviceCount())); evicted > 0 {
-		e.evictions.Add(uint64(evicted))
-		mCacheEvictions.Add(uint64(evicted))
-	}
-	return est, false, err
+// fixer runs one caller's fixes against one view: a Fix call, a Track or
+// a snapshot worker. It keeps its buffers across its fixes, its last
+// answer, and its own fix, hit and miss counts and stage-sampler ticks,
+// which flush hands to the engine once the caller is done, so no fix
+// writes a shared counter.
+type fixer struct {
+	e *Engine
+	v *view
+	// gamma is the last window's Γ as packed AP keys, in ascending order;
+	// macs holds Γ as MACs once a miss or a traced fix needed them.
+	gamma []uint64
+	macs  []dot11.MAC
+	// lastGamma, lastEst and lastErr are the cached answer of the last
+	// non-empty Γ, kept only with the cache on: a fix whose Γ equals it
+	// reuses the answer as a cache hit.
+	lastGamma []uint64
+	lastEst   core.Estimate
+	lastErr   error
+	// tick is the last stage-sampler tick this fixer reserved and used.
+	tick                uint64
+	fixes, hits, misses uint64
 }
 
-// fixWindow answers one localization over [start, end) from view v: the
-// window_assembly → localize → trace_record chain shared by Fix, FixRange,
-// Track and the snapshot workers. A snapshot worker passes dev's frame
-// candidate c, which is scanned without looking the device up again; the
-// others pass nil. buf is the reusable Γ buffer (pass buf[:0] in loops);
-// the possibly-grown buffer is returned for reuse. With tracing disabled
-// the only cost over the raw path is one nil check.
-func (e *Engine) fixWindow(v *view, buf []dot11.MAC, dev dot11.MAC, c *obs.Candidate, start, end float64) ([]dot11.MAC, core.Estimate, error) {
+func (e *Engine) newFixer(v *view) *fixer { return &fixer{e: e, v: v} }
+
+// reserve claims the stage sampler's next n ticks, one per fix the
+// caller is about to make, so the 1-in-stageSampleEvery sampling is the
+// same as if every fix took its tick from the shared counter.
+func (f *fixer) reserve(n int) {
+	f.tick = f.e.stageCtr.Add(uint64(n)) - uint64(n)
+}
+
+// flush adds the fixer's counts to the engine's and to the telemetry
+// counters and zeroes them.
+func (f *fixer) flush() {
+	e := f.e
+	e.fixes.Add(f.fixes)
+	e.hits.Add(f.hits)
+	e.misses.Add(f.misses)
+	mFixes.Add(f.fixes)
+	mCacheHits.Add(f.hits)
+	mCacheMisses.Add(f.misses)
+	f.fixes, f.hits, f.misses = 0, 0, 0
+}
+
+// fix answers one localization over [start, end) from the next step of
+// sweep w, for dev: the window_assembly → localize → trace_record chain
+// shared by Fix, Track and the snapshot workers. It uses one reserved
+// sampler tick. A fix is timed when the sampler picks that tick or the
+// tracer sampled it. Adjacent stages share clock reads, so a timed fix
+// costs four time.Now calls and an untimed one none. With tracing
+// disabled the only cost over the raw path is one nil check.
+func (f *fixer) fix(w *obs.Sweep, dev dot11.MAC, start, end float64) (core.Estimate, error) {
 	var tr *trace.Trace
-	if e.tracer != nil {
-		tr = e.tracer.Start(trace.KindFix, dev.String())
+	if f.e.tracer != nil {
+		tr = f.e.tracer.Start(trace.KindFix, dev.String())
 	}
-	// A fix is timed when the 1-in-stageSampleEvery sampler picks it or
-	// the tracer sampled it. Adjacent stages share clock reads, so a timed
-	// fix costs four time.Now calls and an untimed one a single atomic add.
 	var sp fixSpan
-	timed := e.stageCtr.Add(1)%stageSampleEvery == 0 || tr != nil
+	f.tick++
+	timed := f.tick%stageSampleEvery == 0 || tr != nil
 	if timed {
 		sp.start = time.Now()
 	}
-	var (
-		scanned  int
-		resorted bool
-	)
-	if c != nil {
-		buf, scanned, resorted = v.store.ScanCandidate(buf, c, start, end)
-	} else {
-		buf, scanned, resorted = v.store.ScanAPSetWindow(buf, dev, start, end)
-	}
+	gamma, scanned, resorted, same := w.Step(f.gamma, start, end)
+	f.gamma = gamma
 	if timed {
 		sp.mark(stageWindow)
 	}
-	est, hit, err := e.locateGamma(v, buf)
+	est, hit, err := f.locate(same)
 	if timed {
 		// A cache hit's lookup time is localization cost too.
 		sp.mark(stageLocalize)
 	}
 	var p *trace.Provenance
 	if tr != nil {
-		p = e.provenance(v, dev, buf, est, err, hit, start, end)
+		f.macs = dot11.AppendFromKeys(f.macs[:0], gamma)
+		p = f.e.provenance(f.v, dev, f.macs, est, err, hit, start, end)
 	}
 	if timed {
 		sp.mark(stageTrace)
@@ -541,7 +552,48 @@ func (e *Engine) fixWindow(v *view, buf []dot11.MAC, dev dot11.MAC, c *obs.Candi
 	if err != nil && !errors.Is(err, core.ErrNoAPs) {
 		mFixErrors.Inc()
 	}
-	return buf, est, err
+	return est, err
+}
+
+// locate answers the fix whose Γ is f.gamma against f's view: the last
+// answer when the cache is on and Γ equals its Γ (same says the sweep
+// found the window unchanged, so it does), else through the Γ cache when
+// enabled, else from the localizer. It reports whether the answer counts
+// as a cache hit.
+func (f *fixer) locate(same bool) (est core.Estimate, hit bool, err error) {
+	f.fixes++
+	gamma, v := f.gamma, f.v
+	if len(gamma) == 0 {
+		return core.Estimate{}, false, core.ErrNoAPs
+	}
+	if v.cache == nil {
+		f.misses++
+		f.macs = dot11.AppendFromKeys(f.macs[:0], gamma)
+		est, err = f.e.loc.Locate(v.know, f.macs)
+		return est, false, err
+	}
+	if same || slices.Equal(gamma, f.lastGamma) {
+		f.hits++
+		return f.lastEst, true, f.lastErr
+	}
+	// Keys of up to 32 APs — nearly every Γ — stay on the stack.
+	var keyBuf [32 * len(dot11.MAC{})]byte
+	key := appendGammaKey(keyBuf[:0], gamma)
+	est, err, hit = v.cache.get(key)
+	if hit {
+		f.hits++
+	} else {
+		f.misses++
+		f.macs = dot11.AppendFromKeys(f.macs[:0], gamma)
+		est, err = f.e.loc.Locate(v.know, f.macs)
+		if evicted := v.cache.put(key, est, err, cacheCapacity(v.store.DeviceCount())); evicted > 0 {
+			f.e.evictions.Add(uint64(evicted))
+			mCacheEvictions.Add(uint64(evicted))
+		}
+	}
+	f.lastGamma = append(f.lastGamma[:0], gamma...)
+	f.lastEst, f.lastErr = est, err
+	return est, hit, err
 }
 
 // Fix estimates the device's position from the observations in the window
@@ -553,36 +605,52 @@ func (e *Engine) Fix(dev dot11.MAC, timeSec float64) (core.Estimate, error) {
 // FixRange estimates the device's position from the observations with
 // start ≤ t < end.
 func (e *Engine) FixRange(dev dot11.MAC, start, end float64) (core.Estimate, error) {
-	_, est, err := e.fixWindow(e.view.Load(), nil, dev, nil, start, end)
+	v := e.view.Load()
+	f := e.newFixer(v)
+	f.reserve(1)
+	w := v.store.Sweep(dev)
+	est, err := f.fix(&w, dev, start, end)
+	f.flush()
 	return est, err
 }
 
 // Track produces fixes for the device every stepSec over [startSec,
 // endSec]; windows without observations or with failing localization are
 // skipped. Steps are computed as startSec + i·stepSec (no float
-// accumulation drift). Each step is an ordinary fix: every localizer
-// computes a position from Γ alone, so nothing carries over between
-// steps. Every step reads the same view.
+// accumulation drift), and every bound must be finite. Each step is an
+// ordinary fix, counted, timed and traced like any other: every
+// localizer computes a position from Γ alone, so what carries over
+// between steps is only work. The steps are one obs.Sweep over the
+// device's log, so a step reads only the records its window gained and
+// lost, and with the cache on a step whose Γ equals the previous step's
+// reuses that answer as a cache hit. Every step reads the same view, and
+// the engine's counters include every step when Track returns.
 func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core.TrackPoint, error) {
 	if stepSec <= 0 {
 		return nil, fmt.Errorf("engine: Track needs stepSec > 0")
 	}
-	v := e.view.Load()
-	var out []core.TrackPoint
-	var buf []dot11.MAC
-	for i := 0; ; i++ {
-		ts := startSec + float64(i)*stepSec
-		if ts > endSec {
-			break
+	for _, x := range [...]float64{startSec, endSec, stepSec} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("engine: Track needs finite bounds and step, got [%v, %v] by %v", startSec, endSec, stepSec)
 		}
-		var est core.Estimate
-		var err error
-		buf, est, err = e.fixWindow(v, buf[:0], dev, nil, ts-e.windowSec/2, ts+e.windowSec/2)
-		if err != nil {
-			continue
-		}
-		out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
 	}
+	steps := 0
+	for startSec+float64(steps)*stepSec <= endSec {
+		steps++
+	}
+	v := e.view.Load()
+	f := e.newFixer(v)
+	f.reserve(steps)
+	w := v.store.Sweep(dev)
+	var out []core.TrackPoint
+	for i := range steps {
+		ts := startSec + float64(i)*stepSec
+		est, err := f.fix(&w, dev, ts-e.windowSec/2, ts+e.windowSec/2)
+		if err == nil {
+			out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
+		}
+	}
+	f.flush()
 	return out, nil
 }
 
@@ -629,7 +697,7 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	var next atomic.Int64
 	found := make([][]located, workers)
 	work := func(w int) {
-		var buf []dot11.MAC
+		f := e.newFixer(v)
 		var mine []located
 		for {
 			hi := int(next.Add(snapshotChunk))
@@ -637,16 +705,17 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 			if lo >= len(cands) {
 				break
 			}
-			for i := lo; i < min(hi, len(cands)); i++ {
+			hi = min(hi, len(cands))
+			f.reserve(hi - lo)
+			for i := lo; i < hi; i++ {
 				c := &cands[i]
-				var est core.Estimate
-				var err error
-				buf, est, err = e.fixWindow(v, buf[:0], c.Device(), c, start, end)
-				if err == nil {
+				sw := c.Sweep()
+				if est, err := f.fix(&sw, c.Device(), start, end); err == nil {
 					mine = append(mine, located{c.Device(), est})
 				}
 			}
 		}
+		f.flush()
 		found[w] = mine
 	}
 	if workers == 1 {

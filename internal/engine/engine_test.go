@@ -260,17 +260,27 @@ func TestConcurrentSwapsResetsAndFixes(t *testing.T) {
 }
 
 // TestCachedFixZeroAllocs pins the Γ-cache key in its stack buffer: a fix
-// answered by the cache, on a reused Γ buffer as the snapshot workers and
-// Track run it, allocates nothing.
+// answered by the cache, by a fixer that keeps its buffers across fixes as
+// the snapshot workers and Track do, allocates nothing.
 func TestCachedFixZeroAllocs(t *testing.T) {
 	k, store, devs := gridWorld(60, 4)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	var buf []dot11.MAC
+	// Two devices with different Γ, so every fix looks its Γ up in the
+	// cache instead of reusing the fixer's last answer.
+	if reflect.DeepEqual(store.APSetWindow(devs[0], 35, 65), store.APSetWindow(devs[1], 35, 65)) {
+		t.Fatal("fixture devices share a Γ")
+	}
+	v := e.view.Load()
+	f := e.newFixer(v)
 	fix := func() {
-		var err error
-		if buf, _, err = e.fixWindow(e.view.Load(), buf[:0], devs[0], nil, 35, 65); err != nil {
-			t.Fatal(err)
+		for _, dev := range devs[:2] {
+			f.reserve(1)
+			w := v.store.Sweep(dev)
+			if _, err := f.fix(&w, dev, 35, 65); err != nil {
+				t.Fatal(err)
+			}
 		}
+		f.flush()
 	}
 	fix()
 	hits := e.Stats().CacheHits
@@ -518,7 +528,23 @@ func TestResetObservationsKeepsShardCount(t *testing.T) {
 }
 
 func TestGammaKeyCanonical(t *testing.T) {
-	gammaKey := func(g []dot11.MAC) string { return string(appendGammaKey(nil, g)) }
+	gammaKey := func(g []dot11.MAC) string {
+		keys := make([]uint64, len(g))
+		for i, m := range g {
+			keys[i] = m.Key()
+		}
+		key := string(appendGammaKey(nil, keys))
+		// The key is the MACs' bytes in order, as it was when Γ came as
+		// MACs, so a cache entry costs what it did.
+		var want []byte
+		for _, m := range g {
+			want = append(want, m[:]...)
+		}
+		if key != string(want) {
+			t.Fatalf("key of %v = %x, want the MAC bytes %x", g, key, want)
+		}
+		return key
+	}
 	a := []dot11.MAC{mac(0, 1), mac(0, 2)}
 	b := []dot11.MAC{mac(0, 1), mac(0, 2)}
 	if gammaKey(a) != gammaKey(b) {

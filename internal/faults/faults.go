@@ -29,9 +29,39 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Injection metrics, labeled by fault kind, so a chaos run's injected
-// load shows up next to the pipeline's survival counters.
-func mInjected(kind string) *telemetry.Counter {
+// mInjected counts injected faults by kind, so a chaos run's injected
+// load shows up next to the pipeline's survival counters. Every kind's
+// counter is resolved here, once, so an injection is one atomic add and
+// never takes the registry lock.
+var mInjected = struct {
+	cardReject    *telemetry.Counter
+	drop          *telemetry.Counter
+	corrupt       *telemetry.Counter
+	duplicate     *telemetry.Counter
+	reorder       *telemetry.Counter
+	delay         *telemetry.Counter
+	wireTear      *telemetry.Counter
+	wireTruncate  *telemetry.Counter
+	wireCorrupt   *telemetry.Counter
+	wireDuplicate *telemetry.Counter
+	wireReorder   *telemetry.Counter
+	wireStall     *telemetry.Counter
+}{
+	cardReject:    injectedCounter("card_reject"),
+	drop:          injectedCounter("drop"),
+	corrupt:       injectedCounter("corrupt"),
+	duplicate:     injectedCounter("duplicate"),
+	reorder:       injectedCounter("reorder"),
+	delay:         injectedCounter("delay"),
+	wireTear:      injectedCounter("wire_tear"),
+	wireTruncate:  injectedCounter("wire_truncate"),
+	wireCorrupt:   injectedCounter("wire_corrupt"),
+	wireDuplicate: injectedCounter("wire_duplicate"),
+	wireReorder:   injectedCounter("wire_reorder"),
+	wireStall:     injectedCounter("wire_stall"),
+}
+
+func injectedCounter(kind string) *telemetry.Counter {
 	return telemetry.Default().Counter(
 		"marauder_faults_injected_total",
 		"Faults injected into the capture pipeline, by kind.",
@@ -271,7 +301,7 @@ func (p *Plan) RecordCardReject() {
 		return
 	}
 	p.cardReject.Add(1)
-	mInjected("card_reject").Inc()
+	mInjected.cardReject.Inc()
 }
 
 // Outcome is a per-frame delivery decision.
@@ -300,15 +330,15 @@ func (p *Plan) FrameOutcome() Outcome {
 	switch {
 	case u < p.cfg.DropProb:
 		p.dropped.Add(1)
-		mInjected("drop").Inc()
+		mInjected.drop.Inc()
 		return Drop
 	case u < p.cfg.DropProb+p.cfg.CorruptProb:
 		p.corrupted.Add(1)
-		mInjected("corrupt").Inc()
+		mInjected.corrupt.Inc()
 		return Corrupt
 	case u < p.cfg.DropProb+p.cfg.CorruptProb+p.cfg.DupProb:
 		p.duplicated.Add(1)
-		mInjected("duplicate").Inc()
+		mInjected.duplicate.Inc()
 		return Duplicate
 	}
 	return Pass
@@ -358,7 +388,7 @@ func (p *Plan) ShuffleBatch(n int) ([]int, bool) {
 		return nil, false
 	}
 	p.reordered.Add(1)
-	mInjected("reorder").Inc()
+	mInjected.reorder.Inc()
 	return p.rng.Perm(n), true
 }
 
@@ -373,7 +403,7 @@ func (p *Plan) DelayBatch() bool {
 	p.mu.Unlock()
 	if delayed {
 		p.delayed.Add(1)
-		mInjected("delay").Inc()
+		mInjected.delay.Inc()
 	}
 	return delayed
 }

@@ -230,12 +230,12 @@ func (c *wireConn) Write(b []byte) (int, error) {
 	switch p.outcome() {
 	case wireTear:
 		p.torn.Add(1)
-		mInjected("wire_tear").Inc()
+		mInjected.wireTear.Inc()
 		c.Conn.Close()
 		return 0, fmt.Errorf("faults: connection torn by wire plan: %w", net.ErrClosed)
 	case wireTruncate:
 		p.truncated.Add(1)
-		mInjected("wire_truncate").Inc()
+		mInjected.wireTruncate.Inc()
 		n := len(b) / 2
 		if n < 1 {
 			n = 1
@@ -245,7 +245,7 @@ func (c *wireConn) Write(b []byte) (int, error) {
 		return n, fmt.Errorf("faults: message truncated by wire plan: %w", net.ErrClosed)
 	case wireCorrupt:
 		p.corrupted.Add(1)
-		mInjected("wire_corrupt").Inc()
+		mInjected.wireCorrupt.Inc()
 		mangled := append([]byte(nil), b...)
 		p.corruptBytes(mangled)
 		if _, err := c.writeHeldThen(mangled); err != nil {
@@ -254,7 +254,7 @@ func (c *wireConn) Write(b []byte) (int, error) {
 		return len(b), nil
 	case wireDup:
 		p.duplicated.Add(1)
-		mInjected("wire_duplicate").Inc()
+		mInjected.wireDuplicate.Inc()
 		if _, err := c.writeHeldThen(b); err != nil {
 			return 0, err
 		}
@@ -264,7 +264,7 @@ func (c *wireConn) Write(b []byte) (int, error) {
 		return len(b), nil
 	case wireReorder:
 		p.reordered.Add(1)
-		mInjected("wire_reorder").Inc()
+		mInjected.wireReorder.Inc()
 		c.mu.Lock()
 		flush := c.held
 		c.held = append([]byte(nil), b...)
@@ -280,7 +280,7 @@ func (c *wireConn) Write(b []byte) (int, error) {
 		return len(b), nil
 	case wireStall:
 		p.stalled.Add(1)
-		mInjected("wire_stall").Inc()
+		mInjected.wireStall.Inc()
 		stall := p.cfg.StallSec
 		if stall == 0 {
 			stall = 1

@@ -57,14 +57,23 @@ func mRequestSeconds(route string) *telemetry.Histogram {
 		telemetry.Labels{"route": route})
 }
 
-// errorHist resolves the localization-error histogram for one algorithm
-// (Estimate.Method) label. Resolving goes through the registry lock, so
-// per-device loops resolve once per method (see PublishFrame).
+// errorHists holds the localization-error histogram of every algorithm
+// (Estimate.Method) label resolved so far.
+var errorHists sync.Map // string -> *telemetry.Histogram
+
+// errorHist returns the localization-error histogram for one algorithm
+// label. Only an algorithm's first frame resolves it through the registry
+// lock; later frames read it from errorHists.
 func errorHist(algo string) *telemetry.Histogram {
-	return telemetry.Default().Histogram(
+	if h, ok := errorHists.Load(algo); ok {
+		return h.(*telemetry.Histogram)
+	}
+	h := telemetry.Default().Histogram(
 		"marauder_localization_error_meters",
 		"Localization error versus ground truth, by algorithm.",
 		telemetry.DistanceBuckets(), telemetry.Labels{"algo": algo})
+	errorHists.Store(algo, h)
+	return h
 }
 
 // APMarker is one AP dot on the map.
@@ -155,7 +164,7 @@ func (s *State) PublishFrame(frame map[dot11.MAC]core.Estimate, truth func(dot11
 	start := time.Now()
 	devices := make([]device, 0, len(frame))
 	// A frame's estimates almost always share one method, so the error
-	// histogram is re-resolved only when the method changes.
+	// histogram is looked up again only when the method changes.
 	var (
 		errAlgo string
 		errH    *telemetry.Histogram

@@ -85,8 +85,8 @@ func firstBucket(bs []timeBucket, b int32) int {
 // Candidate is one device a map frame localizes: a device log the time
 // index lists for the frame's window.
 type Candidate struct {
-	log   *deviceLog
-	shard int32
+	log *deviceLog
+	sh  *shard
 }
 
 // Device returns the candidate's device.
@@ -109,7 +109,7 @@ func (s *Store) WindowCandidates(start, end float64) []Candidate {
 		// on out.
 		listed []bool
 	)
-	for si, sh := range s.shards {
+	for _, sh := range s.shards {
 		sh.mu.RLock()
 		if ok0 && ok1 {
 			listed = slices.Grow(listed[:0], len(sh.logs))[:len(sh.logs)]
@@ -119,13 +119,13 @@ func (s *Store) WindowCandidates(start, end float64) []Candidate {
 				for _, id := range bs[i].logs {
 					if !listed[id] {
 						listed[id] = true
-						out = append(out, Candidate{log: sh.logs[id], shard: int32(si)})
+						out = append(out, Candidate{log: sh.logs[id], sh: sh})
 					}
 				}
 			}
 		} else {
 			for _, dl := range sh.logs {
-				out = append(out, Candidate{log: dl, shard: int32(si)})
+				out = append(out, Candidate{log: dl, sh: sh})
 			}
 		}
 		sh.mu.RUnlock()
@@ -133,10 +133,14 @@ func (s *Store) WindowCandidates(start, end float64) []Candidate {
 	return out
 }
 
+// Sweep returns a sweep over the candidate's log, as Store.Sweep does
+// for its device, without the device lookup.
+func (c *Candidate) Sweep() Sweep { return Sweep{sh: c.sh, dev: c.log.dev, dl: c.log} }
+
 // ScanCandidate is ScanAPSetWindow for a candidate of WindowCandidates:
-// the same Γ, match count and re-sort flag, without the device lookup.
+// the same Γ, match count and re-sort flag, from the first Step of the
+// candidate's Sweep.
 func (s *Store) ScanCandidate(dst []dot11.MAC, c *Candidate, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	sh := s.shards[c.shard]
-	sh.mu.RLock()
-	return sh.scanRUnlock(dst, c.log, start, end)
+	w := c.Sweep()
+	return w.scan(dst, start, end)
 }

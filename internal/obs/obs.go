@@ -109,8 +109,11 @@ type deviceLog struct {
 	// bucket is the time-index bucket this log last joined (noBucket for
 	// none yet); id is the log's index in its shard's logs.
 	bucket, id int32
-	dev        dot11.MAC
-	sorted     bool
+	// resorts counts the re-sorts of recs, each of which moves records a
+	// Sweep may have indexed.
+	resorts uint32
+	dev     dot11.MAC
+	sorted  bool
 }
 
 // rec is one pairwise record inside its device's log: 16 bytes, where a
@@ -520,57 +523,119 @@ func (s *Store) AppendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end flo
 // of a reused buffer and no per-call allocation happens once the buffer
 // has grown, as long as the window matches at most 64 records.
 //
-// The query binary-searches the device's time-sorted record log for start
-// and scans forward to end, rather than scanning the whole store. When
-// out-of-order ingest has dirtied the log, the re-sort and the search
-// happen under one shard write lock, so a record ingested before the
-// query began is always in the result — there is no window in which the
-// re-sort can hide it.
+// It is the first step of a fresh Sweep: one binary search of the
+// device's time-sorted record log for start, then a scan forward to end.
 func (s *Store) ScanAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	sh := s.shardFor(dev)
-	sh.mu.RLock()
-	dl := sh.byDev[dev]
-	if dl == nil {
-		sh.mu.RUnlock()
-		return dst, 0, false
-	}
-	return sh.scanRUnlock(dst, dl, start, end)
+	w := s.Sweep(dev)
+	return w.scan(dst, start, end)
 }
 
-// scanRUnlock is the window scan behind ScanAPSetWindow and ScanCandidate:
-// it appends the distinct APs of dl's records with start ≤ t < end to dst,
-// in ascending order. The caller holds sh's read lock, which scanRUnlock
-// releases. A log dirtied by out-of-order ingest is re-sorted under the
-// write lock first; a shard never drops a log, so dl stays valid across
-// the switch.
-func (sh *shard) scanRUnlock(dst []dot11.MAC, dl *deviceLog, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	var buf [64]uint64
-	keys := buf[:0]
-	if dl.sorted {
-		keys = appendWindow(keys, dl.recs, start, end)
+// Sweep is a window that slides forward over one device's record log, as
+// a trajectory's fixes do: its first Step seeks the log with one binary
+// search, and a later Step whose window starts and ends no earlier than
+// the previous one advances two indices from where they stood instead.
+// The window query, a map frame's candidate scan and Track are all Steps
+// of a Sweep.
+//
+// A Sweep is not safe for concurrent use; the store under it is, and each
+// Step reads the log under its shard's lock, so records ingested between
+// two Steps are seen by the second. A log re-sorted since the previous
+// Step — by this sweep or any other query — is sought afresh.
+type Sweep struct {
+	sh  *shard
+	dev dot11.MAC
+	// dl is the device's log, nil until the device has one.
+	dl *deviceLog
+	// lo and hi bound the last window's records, dl.recs[lo:hi], which
+	// [start, end) selected while the log's re-sort count was resorts.
+	// They are meaningless until placed is set.
+	lo, hi     int
+	start, end float64
+	resorts    uint32
+	placed     bool
+}
+
+// Sweep returns a sweep over dev's log; its first Step seeks.
+func (s *Store) Sweep(dev dot11.MAC) Sweep { return Sweep{sh: s.shardFor(dev), dev: dev} }
+
+// Step moves the sweep's window to [start, end) and returns the window's
+// Γ as packed AP keys (dot11.MAC.Key), ascending and distinct, plus how
+// many records the window matched and whether out-of-order ingest forced
+// a re-sort of the log under this Step.
+//
+// keys is Γ's buffer: Step rebuilds Γ into keys[:0], except when the
+// window holds exactly the records of the previous Step, where it returns
+// keys as passed and reports same. A caller that wants that shortcut
+// passes the slice the previous Step returned; any buffer is fine for the
+// first Step, which never reports same.
+func (w *Sweep) Step(keys []uint64, start, end float64) (gamma []uint64, scanned int, resorted, same bool) {
+	sh := w.sh
+	sh.mu.RLock()
+	if w.dl == nil {
+		// A device first seen after the sweep began is picked up here.
+		if w.dl = sh.byDev[w.dev]; w.dl == nil {
+			sh.mu.RUnlock()
+			return keys[:0], 0, false, false
+		}
+	}
+	if w.dl.sorted {
+		gamma, same = w.moveLocked(keys, start, end)
 		sh.mu.RUnlock()
 	} else {
+		// The re-sort and the window read happen under one write lock,
+		// so a record ingested before the Step began is always in the
+		// result. A shard never drops a log, so dl stays valid across the
+		// lock switch.
 		sh.mu.RUnlock()
 		sh.mu.Lock()
-		sh.sortDeviceLogLocked(dl.dev, dl)
-		keys = appendWindow(keys, dl.recs, start, end)
+		w.dl.sortLocked()
+		gamma, same = w.moveLocked(keys, start, end)
 		resorted = true
 		sh.mu.Unlock()
 	}
-	return appendUniqueMACs(dst, keys), len(keys), resorted
+	return gamma, w.hi - w.lo, resorted, same
 }
 
-// appendWindow appends the AP keys of the records with start ≤ t < end
-// from a canonically ordered log. NaN-timestamped records sort to the
-// front and match no window (NaN ≥ start is false for every start).
-func appendWindow(keys []uint64, recs []rec, start, end float64) []uint64 {
-	for _, r := range recs[searchTime(recs, start):] {
-		if !(r.t < end) {
-			break
+// moveLocked places the window on [start, end) over the sorted log and
+// returns its Γ (see Step). Caller holds the shard lock.
+//
+// In canonical order the NaN-timestamped records come first and match no
+// window (NaN ≥ start is false for every start); the rest ascend. So when
+// the window's bounds have not decreased and the log has only grown at
+// its tail since the last placement, every record before lo is still
+// before start and every record in [lo, hi) still before end: both
+// indices can only move forward. Otherwise the window is sought afresh.
+func (w *Sweep) moveLocked(keys []uint64, start, end float64) ([]uint64, bool) {
+	recs := w.dl.recs
+	lo, hi := w.lo, w.hi
+	advance := w.placed && w.resorts == w.dl.resorts && start >= w.start && end >= w.end
+	if advance {
+		for lo < len(recs) && !(recs[lo].t >= start) {
+			lo++
 		}
-		keys = append(keys, r.key&apMask)
+		hi = max(hi, lo)
+	} else {
+		lo = searchTime(recs, start)
+		hi = lo
 	}
-	return keys
+	for hi < len(recs) && recs[hi].t < end {
+		hi++
+	}
+	same := advance && lo == w.lo && hi == w.hi
+	w.lo, w.hi, w.start, w.end = lo, hi, start, end
+	w.resorts, w.placed = w.dl.resorts, true
+	if same {
+		return keys, true
+	}
+	return appendUniqueKeys(keys[:0], recs[lo:hi]), false
+}
+
+// scan is one Step of w appended to dst as MACs: the body of
+// ScanAPSetWindow and ScanCandidate.
+func (w *Sweep) scan(dst []dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
+	var buf [64]uint64
+	keys, scanned, resorted, _ := w.Step(buf[:0], start, end)
+	return dot11.AppendFromKeys(dst, keys), scanned, resorted
 }
 
 // searchTime returns the first index i with recs[i].t ≥ t, or len(recs):
@@ -588,30 +653,31 @@ func searchTime(recs []rec, t float64) int {
 	return lo
 }
 
-// appendUniqueMACs sorts the AP keys in place and appends each distinct
-// one to dst as a MAC, in ascending order. Window sets are small, so
-// insertion sort covers the common case; larger sets take slices.Sort.
-func appendUniqueMACs(dst []dot11.MAC, keys []uint64) []dot11.MAC {
-	if len(keys) > 32 {
-		slices.Sort(keys)
+// appendUniqueKeys appends the distinct AP keys of recs to keys, in
+// ascending order. Window sets are small, so insertion sort covers the
+// common case; larger sets take slices.Sort.
+func appendUniqueKeys(keys []uint64, recs []rec) []uint64 {
+	n := len(keys)
+	for _, r := range recs {
+		keys = append(keys, r.key&apMask)
+	}
+	ks := keys[n:]
+	if len(ks) > 32 {
+		slices.Sort(ks)
 	} else {
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
+		for i := 1; i < len(ks); i++ {
+			for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
+				ks[j], ks[j-1] = ks[j-1], ks[j]
 			}
 		}
 	}
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			dst = append(dst, dot11.MACFromKey(k))
-		}
-	}
-	return dst
+	return keys[:n+len(slices.Compact(ks))]
 }
 
-// sortDeviceLogLocked restores a device log's canonical time order after
-// out-of-order ingest. Caller holds the shard write lock.
-func (sh *shard) sortDeviceLogLocked(dev dot11.MAC, dl *deviceLog) {
+// sortLocked restores the log's canonical time order after out-of-order
+// ingest and counts the re-sort, so a Sweep placed on the old order knows
+// to seek again. Caller holds the shard write lock.
+func (dl *deviceLog) sortLocked() {
 	if dl.sorted {
 		return
 	}
@@ -625,9 +691,10 @@ func (sh *shard) sortDeviceLogLocked(dev dot11.MAC, dl *deviceLog) {
 		return 0
 	})
 	dl.sorted = true
+	dl.resorts++
 	mResorts.Inc()
 	slog.Debug("re-sorted device log after out-of-order ingest",
-		"component", "obs", "device", dev.String(), "records", len(dl.recs))
+		"component", "obs", "device", dl.dev.String(), "records", len(dl.recs))
 }
 
 // DeviceAPSets returns Γ_k for every device with at least one pairwise
@@ -638,11 +705,8 @@ func (s *Store) DeviceAPSets() map[dot11.MAC][]dot11.MAC {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for dev, dl := range sh.byDev {
-			keys = keys[:0]
-			for _, r := range dl.recs {
-				keys = append(keys, r.key&apMask)
-			}
-			out[dev] = appendUniqueMACs(nil, keys)
+			keys = appendUniqueKeys(keys[:0], dl.recs)
+			out[dev] = dot11.AppendFromKeys(nil, keys)
 		}
 		sh.mu.RUnlock()
 	}

@@ -265,3 +265,97 @@ func BenchmarkScanAPSetWindow(b *testing.B) {
 	}
 	b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
 }
+
+// FuzzSweep drives one Sweep over a random log through random windows
+// and checks every Step's Γ and match count against ScanAPSetWindow at
+// that moment and against the naive model. Windows mostly advance, and
+// sometimes jump to an out-of-range or non-finite time, backwards too.
+// Records are ingested between Steps, out of order too, and a control
+// bit re-sorts the log through another query before a Step, so the sweep
+// must stay exact across a re-sort it did not make. The input is 3-byte records
+// (time, AP, control) followed by 3-byte steps (start advance, width,
+// control). A record whose control has bit 7 set is held back until a
+// Step ingests it, the rest are in the store before the sweep begins;
+// control bit 0 of a step ingests the next held-back record first, and
+// bit 1 re-sorts the log through ScanAPSetWindow before the Step.
+func FuzzSweep(f *testing.F) {
+	f.Add([]byte{10, 1, 0, 20, 2, 0, 30, 3, 0, 0, 0, 0, 5, 15, 0, 5, 15, 0, 0, 15, 0, 10, 20, 0})
+	// A record behind the tail arrives between steps, and another query
+	// re-sorts the log before the sweep's next step.
+	f.Add([]byte{10, 1, 0, 40, 2, 0, 20, 3, 0x80, 5, 4, 0x80, 0, 0, 0, 0, 30, 0, 5, 30, 3, 0, 30, 3, 10, 50, 1})
+	f.Add([]byte{255, 1, 0, 254, 2, 0, 253, 3, 0x80, 7, 4, 0x80, 7, 5, 0, 0, 0, 0, 0, 251, 1, 0, 252, 3, 3, 9, 2})
+	// The device is first heard after the sweep began.
+	f.Add([]byte{10, 1, 0x80, 20, 2, 0x80, 30, 3, 0x80, 0, 15, 0, 5, 15, 1, 5, 15, 1, 5, 15, 1})
+	// A window jumps back before the records the sweep has passed.
+	f.Add([]byte{5, 1, 0, 10, 2, 0, 30, 3, 0, 20, 15, 0, 251, 0, 0, 10, 10, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		half := len(data) / 2 / 3 * 3
+		var (
+			recs, later []Record
+			held        []bool
+		)
+		for b := data[:half]; len(b) >= 3; b = b[3:] {
+			recs = append(recs, Record{TimeSec: fuzzTime(b[0]), AP: fuzzAP(b[1]), Kind: Kind(b[2] % 5)})
+			held = append(held, b[2]&0x80 != 0)
+		}
+		steps := data[half:]
+		if len(steps) > 3*256 {
+			steps = steps[:3*256]
+		}
+		dev := dot11.MAC{0xDD}
+		s := NewStoreShards(2)
+		ref := &refDevice{}
+		ingest := func(r Record) {
+			r.Device = dev
+			s.IngestBatch([]Record{r})
+			ref.add(r)
+		}
+		for i, r := range recs {
+			if held[i] {
+				later = append(later, r)
+			} else {
+				ingest(r)
+			}
+		}
+		w := s.Sweep(dev)
+		var keys []uint64
+		start, end := math.Inf(-1), math.Inf(-1)
+		for i := 0; len(steps) >= 3; steps, i = steps[3:], i+1 {
+			ctl := steps[2]
+			if ctl&1 != 0 && len(later) > 0 {
+				ingest(later[0])
+				later = later[1:]
+			}
+			if ctl&2 != 0 {
+				s.ScanAPSetWindow(nil, dev, 0, 1)
+				ref.window(0, 1)
+			}
+			// Both bounds advance by whole seconds, or jump to an
+			// out-of-range or non-finite time.
+			if i == 0 || steps[0] >= 250 {
+				start = fuzzTime(steps[0])
+			} else {
+				start += float64(steps[0] % 16)
+			}
+			if steps[1] >= 250 {
+				end = fuzzTime(steps[1])
+			} else {
+				end = max(end, start) + float64(steps[1]%16)
+			}
+			var n int
+			var resorted bool
+			keys, n, resorted, _ = w.Step(keys, start, end)
+			got := dot11.AppendFromKeys(nil, keys)
+			wantG, wantN, wantR := ref.window(start, end)
+			if !slices.Equal(got, wantG) || n != wantN || resorted != wantR {
+				t.Fatalf("step %d [%v, %v): Γ %v, %d records, resorted %v; want %v, %d, %v",
+					i, start, end, got, n, resorted, wantG, wantN, wantR)
+			}
+			scanG, scanN, scanR := s.ScanAPSetWindow(nil, dev, start, end)
+			if !slices.Equal(got, scanG) || n != scanN || scanR {
+				t.Fatalf("step %d [%v, %v): Γ %v, %d records; ScanAPSetWindow says %v, %d (resorted %v)",
+					i, start, end, got, n, scanG, scanN, scanR)
+			}
+		}
+	})
+}

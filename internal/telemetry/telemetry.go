@@ -176,7 +176,16 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	// resolutions counts Counter, Gauge and Histogram calls: the lookups
+	// a per-event path must not make.
+	resolutions atomic.Uint64
 }
+
+// Resolutions reports how many times a metric has been resolved by name
+// and labels through the registry (Counter, Gauge and Histogram calls).
+// Per-event paths hold resolved handles, so a steady pipeline leaves it
+// still.
+func (r *Registry) Resolutions() uint64 { return r.resolutions.Load() }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -213,17 +222,20 @@ func labelKey(labels Labels) string {
 	return b.String()
 }
 
+// labelEscaper escapes a label value per the Prometheus text format:
+// backslash, double quote and newline.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
 // escapeLabelValue escapes per the Prometheus text format: backslash,
 // double quote and newline.
-func escapeLabelValue(v string) string {
-	return strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(v)
-}
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // getOrCreate returns the instance for (name, labels), creating family
 // and instance as needed. It panics when the same name is re-registered
 // as a different kind — that is a programming error, and silently
 // returning a fresh metric would split the series.
 func (r *Registry) getOrCreate(name, help string, kind metricKind, bounds []float64, labels Labels) any {
+	r.resolutions.Add(1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
