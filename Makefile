@@ -37,8 +37,8 @@ bench-engine:
 bench-floors:
 	sh scripts/bench_floors.sh
 
-# Short fuzzing burst over every fuzz target: the frame parser, the
-# radiotap splitter, the pcap reader, the sharded store's record ingest,
+# Short fuzzing burst over every fuzz target: the frame parser and its
+# in-place form's differential oracle, the radiotap splitter, the pcap reader, the sharded store's record ingest,
 # window-query oracle and sliding-window sweep, the AP snapshot and
 # capwire codecs, the FTDC decoder, the incremental-region and M-Loc
 # vertex-kernel differential oracles, and the /api/state encoder's
@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRadiotap$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzFrameParse$$' -fuzztime=10s ./internal/dot11
+	$(GO) test -run xxx -fuzz 'FuzzDecodeReuse$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime=10s ./internal/pcap
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzScanAPSetWindow$$' -fuzztime=10s ./internal/obs

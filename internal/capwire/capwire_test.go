@@ -565,8 +565,9 @@ func TestDedupBatchZeroAllocs(t *testing.T) {
 	}
 	st := srv.agent("dedup-agent")
 	b := &Batch{Seq: 3, Items: make([]Item, 4)}
+	ar := new(arena)
 	if avg := testing.AllocsPerRun(200, func() {
-		if ok, cur := srv.handleBatch(st, b); !ok || cur != 5 {
+		if ok, cur := srv.handleBatch(st, b, ar); !ok || cur != 5 {
 			t.Fatalf("dedup batch: ok=%v cursor=%d, want true 5", ok, cur)
 		}
 	}); avg != 0 {

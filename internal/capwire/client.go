@@ -453,8 +453,10 @@ func (c *Client) session(conn net.Conn) error {
 	if _, err := conn.Write(hello); err != nil {
 		return fmt.Errorf("%w: write hello: %v", errHandshake, err)
 	}
+	// One reader serves the handshake and then the ack reader below.
+	var rd reader
 	conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	msg, err := ReadMessage(conn)
+	msg, err := rd.read(conn)
 	if err != nil {
 		return fmt.Errorf("%w: read helloack: %v", errHandshake, err)
 	}
@@ -471,7 +473,7 @@ func (c *Client) session(conn net.Conn) error {
 		defer close(broken)
 		for {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-			msg, err := ReadMessage(conn)
+			msg, err := rd.read(conn)
 			if err != nil {
 				readErr = err
 				return
@@ -493,7 +495,13 @@ func (c *Client) session(conn net.Conn) error {
 		c.cond.Broadcast()
 	}()
 
-	// Writer: queued batches, else heartbeats.
+	// Writer: queued batches, else heartbeats, each encoded into one
+	// reused buffer (a fault-injecting conn copies what it holds back).
+	var (
+		out   []byte
+		batch Batch
+		hb    Heartbeat
+	)
 	lastWrite := time.Now()
 	stopTick := make(chan struct{})
 	defer close(stopTick)
@@ -537,20 +545,26 @@ func (c *Client) session(conn net.Conn) error {
 				c.stats.ReplayedBatches++
 				c.m.replayed.Inc()
 			}
-			msg = &Batch{Seq: pb.seq, Items: pb.items}
+			batch = Batch{Seq: pb.seq, Items: pb.items}
+			msg = &batch
 			c.nextSend++
 		} else {
-			msg = &Heartbeat{QueuedBatches: uint32(len(c.queue))}
+			hb.QueuedBatches = uint32(len(c.queue))
+			msg = &hb
 		}
 		c.mu.Unlock()
 
-		buf, err := EncodeMessage(msg)
+		out, err = AppendMessage(out[:0], msg)
+		batch = Batch{} // the queue owns the items; do not pin acked ones
 		if err != nil {
 			return fmt.Errorf("capwire: encode: %w", err)
 		}
 		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if _, err := conn.Write(buf); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return fmt.Errorf("capwire: write: %w", err)
+		}
+		if cap(out) > keepBytes {
+			out = nil
 		}
 		lastWrite = time.Now()
 	}

@@ -3,12 +3,15 @@ package capwire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
+	"repro/internal/dot11"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry"
 )
@@ -17,7 +20,10 @@ import (
 type ServerConfig struct {
 	// Ingest hands one decoded batch to the engine and returns how many
 	// captures were ingested; the remainder are counted as quarantined.
-	// Required.
+	// Required. caps and everything it reaches (frames, their
+	// information elements, raw bytes) are the session's reused memory,
+	// valid only for the duration of the call: a callback that keeps any
+	// of it must copy it.
 	Ingest func(agentID string, caps []sniffer.Capture) int
 	// ReadTimeout bounds the wait for an agent's next message; a silent
 	// or mid-message-stalled (slow-loris) connection is cut when it
@@ -228,8 +234,9 @@ func (s *Server) agent(id string) *agentState {
 // until the connection dies or violates the protocol.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
+	sb := new(sessionBufs)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	msg, err := ReadMessage(conn)
+	msg, err := sb.rd.read(conn)
 	if err != nil {
 		s.logf("capwire: %s: handshake read: %v", conn.RemoteAddr(), err)
 		return
@@ -266,7 +273,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.logf("capwire: agent %s connected", st.id)
 	}
 
-	err = s.session(conn, st, cursor)
+	err = s.session(conn, st, sb, cursor)
 
 	st.mu.Lock()
 	if st.conn == conn {
@@ -279,59 +286,62 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) session(conn net.Conn, st *agentState, cursor uint64) error {
-	ackBuf, err := EncodeMessage(&HelloAck{Cursor: cursor})
-	if err != nil {
-		return err
-	}
+func (s *Server) session(conn net.Conn, st *agentState, sb *sessionBufs, cursor uint64) error {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if _, err := conn.Write(ackBuf); err != nil {
+	if err := sb.write(conn, &HelloAck{Cursor: cursor}); err != nil {
 		return fmt.Errorf("write helloack: %w", err)
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		msg, err := ReadMessage(conn)
-		if err != nil {
-			return err
-		}
-		var ackCursor uint64
-		switch m := msg.(type) {
-		case *Batch:
-			ok, cur := s.handleBatch(st, m)
-			if !ok {
-				return fmt.Errorf("batch seq %d with cursor %d: gap, forcing resume", m.Seq, cur)
-			}
-			ackCursor = cur
-		case *Heartbeat:
-			st.mu.Lock()
-			st.lastSeen = time.Now()
-			st.lag = m.QueuedBatches
-			ackCursor = st.cursor
-			st.mu.Unlock()
-			st.m.lag.Set(float64(m.QueuedBatches))
-		default:
-			st.mu.Lock()
-			st.protoErrs++
-			st.mu.Unlock()
-			st.m.protoErrors.Inc()
-			return fmt.Errorf("unexpected %T mid-session", msg)
-		}
-		out, err := EncodeMessage(&Ack{Cursor: ackCursor})
+		ackCursor, err := s.step(st, sb, conn)
 		if err != nil {
 			return err
 		}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if _, err := conn.Write(out); err != nil {
+		if err := sb.writeAck(conn, ackCursor); err != nil {
 			return fmt.Errorf("write ack: %w", err)
 		}
 	}
 }
 
+// step reads one mid-session message from r and applies it, returning
+// the cursor to ack. It leaves sb holding no reference into the message.
+func (s *Server) step(st *agentState, sb *sessionBufs, r io.Reader) (uint64, error) {
+	msg, err := sb.rd.read(r)
+	if err != nil {
+		return 0, err
+	}
+	defer sb.release()
+	switch m := msg.(type) {
+	case *Batch:
+		ok, cur := s.handleBatch(st, m, &sb.ar)
+		if !ok {
+			return 0, fmt.Errorf("batch seq %d with cursor %d: gap, forcing resume", m.Seq, cur)
+		}
+		return cur, nil
+	case *Heartbeat:
+		st.mu.Lock()
+		st.lastSeen = time.Now()
+		st.lag = m.QueuedBatches
+		cur := st.cursor
+		st.mu.Unlock()
+		st.m.lag.Set(float64(m.QueuedBatches))
+		return cur, nil
+	default:
+		st.mu.Lock()
+		st.protoErrs++
+		st.mu.Unlock()
+		st.m.protoErrors.Inc()
+		return 0, fmt.Errorf("unexpected %T mid-session", msg)
+	}
+}
+
 // handleBatch applies the cursor protocol to one batch: dedup at or
-// below the cursor, ingest at cursor+1, reject anything further ahead
-// (a seq gap — the connection is cut so the client rewinds and replays).
-// Returns ok=false on a gap, plus the cursor to ack.
-func (s *Server) handleBatch(st *agentState, b *Batch) (bool, uint64) {
+// below the cursor, ingest at cursor+1 (the only branch that parses
+// frames, into ar), reject anything further ahead (a seq gap — the
+// connection is cut so the client rewinds and replays). Returns ok=false
+// on a gap, plus the cursor to ack.
+func (s *Server) handleBatch(st *agentState, b *Batch, ar *arena) (bool, uint64) {
 	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -346,7 +356,7 @@ func (s *Server) handleBatch(st *agentState, b *Batch) (bool, uint64) {
 		st.m.dedupedFrames.Add(uint64(len(b.Items)))
 		return true, st.cursor
 	case b.Seq == st.cursor+1:
-		caps := b.ToCaptures()
+		caps := ar.captures(b.Items)
 		n := s.cfg.Ingest(st.id, caps)
 		if n < 0 {
 			n = 0
@@ -370,6 +380,58 @@ func (s *Server) handleBatch(st *agentState, b *Batch) (bool, uint64) {
 		st.m.protoErrors.Inc()
 		return false, st.cursor
 	}
+}
+
+// sessionBufs is one server session's reused memory. A message is read
+// into rd's buffer; a batch's items alias that buffer, its frames parse
+// into ar with their information elements aliasing it too, and its
+// captures (ar's) point at both, until the batch's Ingest call returns.
+type sessionBufs struct {
+	rd  reader
+	ar  arena
+	ack Ack
+	out []byte // the outgoing message
+}
+
+// write encodes msg into the session's outgoing buffer and writes it to w.
+func (sb *sessionBufs) write(w io.Writer, msg any) error {
+	out, err := AppendMessage(sb.out[:0], msg)
+	if err != nil {
+		return err
+	}
+	sb.out = out
+	_, err = w.Write(out)
+	return err
+}
+
+// writeAck writes the Ack of cursor to w.
+func (sb *sessionBufs) writeAck(w io.Writer, cursor uint64) error {
+	sb.ack.Cursor = cursor
+	return sb.write(w, &sb.ack)
+}
+
+// release drops every reference into the read buffer, and drops the
+// buffers themselves when together they take more than keepBytes. A
+// 256-item batch of campus captures leaves about 100 KB.
+func (sb *sessionBufs) release() {
+	clear(sb.rd.batch.Items)
+	sb.ar.clear()
+	if sb.footprint() > keepBytes {
+		sb.rd, sb.ar = reader{}, arena{}
+	}
+}
+
+// footprint is the bytes held by the read buffer, the items, the frames
+// with their IE storage and the captures.
+func (sb *sessionBufs) footprint() int {
+	n := cap(sb.rd.buf) +
+		cap(sb.rd.batch.Items)*int(unsafe.Sizeof(Item{})) +
+		cap(sb.ar.caps)*int(unsafe.Sizeof(sniffer.Capture{})) +
+		len(sb.ar.frames)*int(unsafe.Sizeof(dot11.Frame{}))
+	for i := range sb.ar.frames {
+		n += cap(sb.ar.frames[i].IEs) * int(unsafe.Sizeof(dot11.IE{}))
+	}
+	return n
 }
 
 // statusLocked snapshots one agent (st.mu held).

@@ -7,9 +7,8 @@
 // at-least-once with exactly-once ingest accounting: every batch carries
 // a per-agent monotonic sequence number, the server acks a cumulative
 // cursor, an agent replays its unacked tail after a reconnect, and the
-// server dedups anything at or below its cursor. The cursor persists
-// alongside the obs checkpoint generation, so resume survives an engine
-// restart too.
+// server dedups anything at or below its cursor. The cursors ride inside
+// the observation checkpoint, so resume survives an engine restart too.
 //
 // Wire format (all integers big-endian):
 //
@@ -29,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dot11"
 	"repro/internal/sniffer"
@@ -56,6 +56,12 @@ const (
 	// to dot11's ~2400-byte MTU but tight enough to starve hostile length
 	// claims.
 	maxItemData = 1 << 16
+
+	// keepBytes bounds the memory a session, at either end, keeps for
+	// reuse between messages. Anything larger is dropped once its message
+	// is done, so one large batch cannot pin memory for the session's
+	// life.
+	keepBytes = 128 << 10
 )
 
 var magic = [4]byte{'M', 'R', 'C', 'W'}
@@ -130,47 +136,62 @@ const (
 	flagHasFrame = 1 << 1
 )
 
+// itemHeader is an item's fixed part: time, SNR, channel, card channel,
+// live mask, flags and data length.
+const itemHeader = 8 + 8 + 2 + 2 + 2 + 1 + 4
+
 // AppendMessage appends msg's wire encoding to dst and returns the
 // extended slice. msg must be one of *Hello, *HelloAck, *Batch, *Ack,
-// *Heartbeat.
+// *Heartbeat. A batch is sized first, so dst grows at most once and the
+// payload is written in place.
 func AppendMessage(dst []byte, msg any) ([]byte, error) {
+	start := len(dst)
+	// The type and length bytes are filled in once the payload is written.
+	dst = append(dst, magic[0], magic[1], magic[2], magic[3], Version, 0, 0, 0, 0, 0)
 	var typ byte
-	var payload []byte
 	switch m := msg.(type) {
 	case *Hello:
 		if len(m.AgentID) == 0 || len(m.AgentID) > MaxAgentID {
 			return nil, fmt.Errorf("capwire: agent ID length %d, want 1..%d", len(m.AgentID), MaxAgentID)
 		}
 		typ = TypeHello
-		payload = make([]byte, 0, 2+len(m.AgentID))
-		payload = binary.BigEndian.AppendUint16(payload, uint16(len(m.AgentID)))
-		payload = append(payload, m.AgentID...)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.AgentID)))
+		dst = append(dst, m.AgentID...)
 	case *HelloAck:
 		typ = TypeHelloAck
-		payload = binary.BigEndian.AppendUint64(nil, m.Cursor)
+		dst = binary.BigEndian.AppendUint64(dst, m.Cursor)
 	case *Ack:
 		typ = TypeAck
-		payload = binary.BigEndian.AppendUint64(nil, m.Cursor)
+		dst = binary.BigEndian.AppendUint64(dst, m.Cursor)
 	case *Heartbeat:
 		typ = TypeHeartbeat
-		payload = binary.BigEndian.AppendUint32(nil, m.QueuedBatches)
+		dst = binary.BigEndian.AppendUint32(dst, m.QueuedBatches)
 	case *Batch:
 		if len(m.Items) > MaxBatchItems {
 			return nil, fmt.Errorf("capwire: batch has %d items, max %d", len(m.Items), MaxBatchItems)
 		}
+		size := 12
+		for i := range m.Items {
+			n := len(m.Items[i].Data)
+			if n > maxItemData {
+				return nil, fmt.Errorf("capwire: item %d data %d bytes, max %d", i, n, maxItemData)
+			}
+			size += itemHeader + n
+		}
+		if size > MaxPayload {
+			return nil, fmt.Errorf("capwire: payload %d bytes, max %d", size, MaxPayload)
+		}
 		typ = TypeBatch
-		payload = binary.BigEndian.AppendUint64(nil, m.Seq)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(m.Items)))
+		dst = slices.Grow(dst, size+trailerLen)
+		dst = binary.BigEndian.AppendUint64(dst, m.Seq)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Items)))
 		for i := range m.Items {
 			it := &m.Items[i]
-			if len(it.Data) > maxItemData {
-				return nil, fmt.Errorf("capwire: item %d data %d bytes, max %d", i, len(it.Data), maxItemData)
-			}
-			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(it.TimeSec))
-			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(it.SNRDB))
-			payload = binary.BigEndian.AppendUint16(payload, it.Channel)
-			payload = binary.BigEndian.AppendUint16(payload, it.CardChannel)
-			payload = binary.BigEndian.AppendUint16(payload, it.LiveMask)
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.TimeSec))
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.SNRDB))
+			dst = binary.BigEndian.AppendUint16(dst, it.Channel)
+			dst = binary.BigEndian.AppendUint16(dst, it.CardChannel)
+			dst = binary.BigEndian.AppendUint16(dst, it.LiveMask)
 			var flags byte
 			if it.FromAP {
 				flags |= flagFromAP
@@ -178,25 +199,17 @@ func AppendMessage(dst []byte, msg any) ([]byte, error) {
 			if it.HasFrame {
 				flags |= flagHasFrame
 			}
-			payload = append(payload, flags)
-			payload = binary.BigEndian.AppendUint32(payload, uint32(len(it.Data)))
-			payload = append(payload, it.Data...)
+			dst = append(dst, flags)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(it.Data)))
+			dst = append(dst, it.Data...)
 		}
 	default:
 		return nil, fmt.Errorf("capwire: cannot encode %T", msg)
 	}
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("capwire: payload %d bytes, max %d", len(payload), MaxPayload)
-	}
-
-	start := len(dst)
-	dst = append(dst, magic[:]...)
-	dst = append(dst, Version, typ)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start+4 : len(dst)]) // version..payload
-	dst = binary.BigEndian.AppendUint32(dst, sum)
-	return dst, nil
+	dst[start+5] = typ
+	binary.BigEndian.PutUint32(dst[start+6:start+headerLen], uint32(len(dst)-start-headerLen))
+	sum := crc32.ChecksumIEEE(dst[start+4:]) // version..payload
+	return binary.BigEndian.AppendUint32(dst, sum), nil
 }
 
 // EncodeMessage returns msg's wire encoding.
@@ -208,22 +221,22 @@ func EncodeMessage(msg any) ([]byte, error) {
 // message and the number of bytes consumed. Any framing, checksum or
 // payload violation is an error; decoding never panics on arbitrary
 // input, and an accepted message re-encodes to exactly the consumed
-// bytes.
+// bytes. A batch's item data alias b.
 func DecodeMessage(b []byte) (any, int, error) {
+	return decodeMessage(b, nil)
+}
+
+// decodeMessage is DecodeMessage decoding a batch into dst (a fresh
+// batch when dst is nil), reusing the storage of dst.Items.
+func decodeMessage(b []byte, dst *Batch) (any, int, error) {
 	if len(b) < headerLen+trailerLen {
 		return nil, 0, fmt.Errorf("capwire: short message: %d bytes", len(b))
 	}
-	if [4]byte(b[:4]) != magic {
-		return nil, 0, fmt.Errorf("capwire: bad magic %x", b[:4])
-	}
-	if b[4] != Version {
-		return nil, 0, fmt.Errorf("capwire: unsupported version %d", b[4])
+	if err := checkHeader(b); err != nil {
+		return nil, 0, err
 	}
 	typ := b[5]
 	plen := binary.BigEndian.Uint32(b[6:10])
-	if plen > MaxPayload {
-		return nil, 0, fmt.Errorf("capwire: payload claims %d bytes, max %d", plen, MaxPayload)
-	}
 	total := headerLen + int(plen) + trailerLen
 	if len(b) < total {
 		return nil, 0, fmt.Errorf("capwire: message claims %d bytes, have %d", total, len(b))
@@ -233,16 +246,32 @@ func DecodeMessage(b []byte) (any, int, error) {
 	if got := crc32.ChecksumIEEE(b[4 : total-trailerLen]); got != want {
 		return nil, 0, fmt.Errorf("capwire: checksum mismatch: %08x != %08x", got, want)
 	}
-	msg, err := decodePayload(typ, payload)
+	msg, err := decodePayload(typ, payload, dst)
 	if err != nil {
 		return nil, 0, err
 	}
 	return msg, total, nil
 }
 
+// checkHeader checks a header's magic, version and payload length claim.
+func checkHeader(head []byte) error {
+	if [4]byte(head[:4]) != magic {
+		return fmt.Errorf("capwire: bad magic %x", head[:4])
+	}
+	if head[4] != Version {
+		return fmt.Errorf("capwire: unsupported version %d", head[4])
+	}
+	if plen := binary.BigEndian.Uint32(head[6:10]); plen > MaxPayload {
+		return fmt.Errorf("capwire: payload claims %d bytes, max %d", plen, MaxPayload)
+	}
+	return nil
+}
+
 // decodePayload parses a checksum-verified payload for one message type,
-// rejecting trailing or missing bytes so decode(encode(m)) is exact.
-func decodePayload(typ byte, p []byte) (any, error) {
+// rejecting trailing or missing bytes so decode(encode(m)) is exact. A
+// batch is decoded into dst (a fresh one when nil), its items' data
+// aliasing p.
+func decodePayload(typ byte, p []byte, dst *Batch) (any, error) {
 	switch typ {
 	case TypeHello:
 		if len(p) < 2 {
@@ -272,15 +301,23 @@ func decodePayload(typ byte, p []byte) (any, error) {
 		if len(p) < 12 {
 			return nil, fmt.Errorf("capwire: batch payload %d bytes", len(p))
 		}
-		b := &Batch{Seq: binary.BigEndian.Uint64(p[:8])}
 		count := binary.BigEndian.Uint32(p[8:12])
 		if count > MaxBatchItems {
 			return nil, fmt.Errorf("capwire: batch claims %d items, max %d", count, MaxBatchItems)
 		}
+		// Every item takes at least its header, so a larger claim is a
+		// lie, refused before it sizes anything.
+		if int(count) > (len(p)-12)/itemHeader {
+			return nil, fmt.Errorf("capwire: batch claims %d items in %d bytes", count, len(p)-12)
+		}
+		b := dst
+		if b == nil {
+			b = new(Batch)
+		}
+		b.Seq = binary.BigEndian.Uint64(p[:8])
+		b.Items = slices.Grow(b.Items[:0], int(count))
 		p = p[12:]
-		b.Items = make([]Item, 0, min(int(count), 1024))
 		for i := uint32(0); i < count; i++ {
-			const itemHeader = 8 + 8 + 2 + 2 + 2 + 1 + 4
 			if len(p) < itemHeader {
 				return nil, fmt.Errorf("capwire: batch item %d: %d bytes left", i, len(p))
 			}
@@ -306,7 +343,7 @@ func decodePayload(typ byte, p []byte) (any, error) {
 				return nil, fmt.Errorf("capwire: batch item %d: data %d bytes, %d left", i, dlen, len(p))
 			}
 			if dlen > 0 {
-				it.Data = append([]byte(nil), p[:dlen]...)
+				it.Data = p[:dlen:dlen]
 			}
 			p = p[dlen:]
 			b.Items = append(b.Items, it)
@@ -319,105 +356,147 @@ func decodePayload(typ byte, p []byte) (any, error) {
 	return nil, fmt.Errorf("capwire: unknown message type %d", typ)
 }
 
-// ReadMessage reads exactly one message from r. It allocates at most
-// MaxPayload bytes for the payload and returns any framing error as-is;
-// io.EOF before the first header byte means a clean close.
+// ReadMessage reads exactly one message from r into memory of its own.
+// It allocates at most MaxPayload bytes for the payload and returns any
+// framing error as-is; io.EOF before the first header byte means a clean
+// close.
 func ReadMessage(r io.Reader) (any, error) {
-	head := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, head); err != nil {
+	return new(reader).read(r)
+}
+
+// reader reads messages into one reused buffer. The batch it returns is
+// its own, and the items' data alias the buffer: both are valid only
+// until the next read.
+type reader struct {
+	buf   []byte
+	batch Batch
+}
+
+// read reads and decodes exactly one message from r, with ReadMessage's
+// errors.
+func (rd *reader) read(r io.Reader) (any, error) {
+	buf := slices.Grow(rd.buf[:0], headerLen)[:headerLen]
+	rd.buf = buf
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if [4]byte(head[:4]) != magic {
-		return nil, fmt.Errorf("capwire: bad magic %x", head[:4])
+	if err := checkHeader(buf); err != nil {
+		return nil, err
 	}
-	if head[4] != Version {
-		return nil, fmt.Errorf("capwire: unsupported version %d", head[4])
-	}
-	plen := binary.BigEndian.Uint32(head[6:10])
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("capwire: payload claims %d bytes, max %d", plen, MaxPayload)
-	}
-	rest := make([]byte, int(plen)+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	total := headerLen + int(binary.BigEndian.Uint32(buf[6:10])) + trailerLen
+	buf = slices.Grow(buf, total-headerLen)[:total]
+	rd.buf = buf
+	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	buf := append(head, rest...)
-	msg, _, err := DecodeMessage(buf)
+	msg, _, err := decodeMessage(buf, &rd.batch)
 	return msg, err
 }
 
-// ItemFromCapture converts a sniffer capture to its wire form. Decoded
+// BatchFromCaptures builds a sequenced wire batch from captures. Decoded
 // frames are re-encoded (bit-exact by dot11's round-trip contract);
-// corrupt captures travel as their raw bytes with HasFrame unset.
-func ItemFromCapture(c sniffer.Capture) (Item, error) {
-	it := Item{
-		TimeSec:     c.TimeSec,
-		SNRDB:       c.SNRDB,
-		Channel:     clampUint16(c.Channel),
-		CardChannel: clampUint16(c.CardChannel),
-		LiveMask:    c.LiveMask,
-		FromAP:      c.FromAP,
-	}
-	if c.Frame != nil {
-		data, err := c.Frame.Encode()
-		if err != nil {
-			return Item{}, fmt.Errorf("capwire: encode frame: %w", err)
-		}
-		it.Data = data
-		it.HasFrame = true
-	} else {
-		it.Data = c.Raw
-	}
-	return it, nil
-}
-
-// ToCapture converts a wire item back to a sniffer capture. An item
-// whose frame bytes no longer decode (wire corruption beyond what the
-// CRC caught cannot reach here; this covers agent-side corruption sent
-// deliberately as HasFrame) degrades to a raw capture for the engine's
-// quarantine path.
-func (it Item) ToCapture() sniffer.Capture {
-	c := sniffer.Capture{
-		TimeSec:     it.TimeSec,
-		Channel:     int(it.Channel),
-		CardChannel: int(it.CardChannel),
-		SNRDB:       it.SNRDB,
-		FromAP:      it.FromAP,
-		LiveMask:    it.LiveMask,
-	}
-	if it.HasFrame {
-		if f, err := dot11.Decode(it.Data); err == nil {
-			c.Frame = f
-			return c
-		}
-	}
-	c.Raw = append([]byte(nil), it.Data...)
-	return c
-}
-
-// BatchFromCaptures builds a sequenced wire batch from captures.
+// corrupt captures travel as their raw bytes with HasFrame unset. Every
+// item's data is a copy in one buffer the batch owns.
 func BatchFromCaptures(seq uint64, caps []sniffer.Capture) (*Batch, error) {
-	b := &Batch{Seq: seq, Items: make([]Item, 0, len(caps))}
-	for i, c := range caps {
-		it, err := ItemFromCapture(c)
-		if err != nil {
-			return nil, fmt.Errorf("capwire: capture %d: %w", i, err)
+	size := 0
+	for i := range caps {
+		if f := caps[i].Frame; f != nil {
+			size += f.EncodedLen()
+		} else {
+			size += len(caps[i].Raw)
 		}
-		b.Items = append(b.Items, it)
+	}
+	data := make([]byte, 0, size)
+	b := &Batch{Seq: seq, Items: make([]Item, len(caps))}
+	for i := range caps {
+		c := &caps[i]
+		it := &b.Items[i]
+		*it = Item{
+			TimeSec:     c.TimeSec,
+			SNRDB:       c.SNRDB,
+			Channel:     clampUint16(c.Channel),
+			CardChannel: clampUint16(c.CardChannel),
+			LiveMask:    c.LiveMask,
+			FromAP:      c.FromAP,
+			HasFrame:    c.Frame != nil,
+		}
+		from := len(data)
+		if c.Frame != nil {
+			var err error
+			if data, err = c.Frame.AppendEncode(data); err != nil {
+				return nil, fmt.Errorf("capwire: capture %d: encode frame: %w", i, err)
+			}
+		} else {
+			data = append(data, c.Raw...)
+		}
+		// data was sized to fit, so it never moves and the items share it.
+		if to := len(data); to > from {
+			it.Data = data[from:to:to]
+		}
 	}
 	return b, nil
 }
 
-// ToCaptures converts the batch's items for engine ingest.
+// ToCaptures converts the batch's items for engine ingest the way the
+// server does, parsing frames into a fresh arena. An item whose frame
+// bytes do not decode (agent-side corruption sent deliberately as
+// HasFrame; wire corruption the CRC caught cannot reach here) degrades to
+// a raw capture for the engine's quarantine path. The frames' information
+// elements and the raw captures' bytes alias the items' data, so the
+// captures are valid only while those bytes are unchanged.
 func (b *Batch) ToCaptures() []sniffer.Capture {
-	caps := make([]sniffer.Capture, 0, len(b.Items))
-	for _, it := range b.Items {
-		caps = append(caps, it.ToCapture())
+	return new(arena).captures(b.Items)
+}
+
+// arena holds one batch's decoded frames and captures, reused batch to
+// batch by a server session.
+type arena struct {
+	// frames always has len == cap; each keeps its IEs storage for reuse.
+	frames []dot11.Frame
+	caps   []sniffer.Capture
+}
+
+// captures parses items into the arena and returns their captures. A
+// frame's IEs and a raw capture's bytes alias the items' data. The
+// captures are valid until the arena's next use or clear.
+func (a *arena) captures(items []Item) []sniffer.Capture {
+	if len(a.frames) < len(items) {
+		a.frames = slices.Grow(a.frames, len(items)-len(a.frames))
+		a.frames = a.frames[:cap(a.frames)]
 	}
-	return caps
+	a.caps = slices.Grow(a.caps[:0], len(items))
+	used := 0
+	for i := range items {
+		it := &items[i]
+		c := sniffer.Capture{
+			TimeSec:     it.TimeSec,
+			Channel:     int(it.Channel),
+			CardChannel: int(it.CardChannel),
+			SNRDB:       it.SNRDB,
+			FromAP:      it.FromAP,
+			LiveMask:    it.LiveMask,
+		}
+		if f := &a.frames[used]; it.HasFrame && f.Parse(it.Data) == nil {
+			c.Frame = f
+			used++
+		} else {
+			c.Raw = it.Data
+		}
+		a.caps = append(a.caps, c)
+	}
+	return a.caps
+}
+
+// clear drops the captures' and frames' references into item data,
+// keeping their storage.
+func (a *arena) clear() {
+	clear(a.caps)
+	for i := range a.frames {
+		clear(a.frames[i].IEs)
+	}
 }
 
 func clampUint16(v int) uint16 {

@@ -187,12 +187,15 @@ func TestCaptureConversionRoundTrip(t *testing.T) {
 }
 
 func TestItemWithUndecodableFrameBytesQuarantines(t *testing.T) {
-	it := Item{HasFrame: true, Data: []byte{0xba, 0xdf, 0x00, 0xd5}}
-	c := it.ToCapture()
-	if c.Frame != nil {
+	b := &Batch{Seq: 1, Items: []Item{{HasFrame: true, Data: []byte{0xba, 0xdf, 0x00, 0xd5}}}}
+	caps := b.ToCaptures()
+	if len(caps) != 1 {
+		t.Fatalf("got %d captures, want 1", len(caps))
+	}
+	if caps[0].Frame != nil {
 		t.Fatal("undecodable frame bytes produced a decoded frame")
 	}
-	if len(c.Raw) == 0 {
-		t.Fatal("undecodable frame bytes should survive as Raw for quarantine")
+	if !bytes.Equal(caps[0].Raw, b.Items[0].Data) {
+		t.Fatalf("undecodable frame bytes should survive as Raw for quarantine, got %x", caps[0].Raw)
 	}
 }

@@ -11,10 +11,12 @@
 package dot11
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // MAC is a 48-bit IEEE 802 MAC address.
@@ -187,23 +189,37 @@ func (f *Frame) Channel() (int, bool) {
 	return 0, false
 }
 
+// EncodedLen is the length of the frame's wire encoding, FCS included.
+func (f *Frame) EncodedLen() int {
+	n := mgmtHeaderLen + 4
+	if f.hasFixedFields() {
+		n += fixedFieldsLen
+	}
+	for _, ie := range f.IEs {
+		n += 2 + len(ie.Data)
+	}
+	return n
+}
+
 // Encode serializes the frame to wire format including the trailing FCS.
 func (f *Frame) Encode() ([]byte, error) {
+	return f.AppendEncode(nil)
+}
+
+// AppendEncode appends the frame's wire encoding, FCS included, to dst
+// and returns the extended slice. dst grows at most once; on error it
+// is returned unchanged.
+func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	if f.Type != TypeManagement {
-		return nil, ErrNotMgmt
-	}
-	size := mgmtHeaderLen
-	if f.hasFixedFields() {
-		size += fixedFieldsLen
+		return dst, ErrNotMgmt
 	}
 	for _, ie := range f.IEs {
 		if len(ie.Data) > 255 {
-			return nil, fmt.Errorf("dot11: IE %d data too long (%d bytes)", ie.ID, len(ie.Data))
+			return dst, fmt.Errorf("dot11: IE %d data too long (%d bytes)", ie.ID, len(ie.Data))
 		}
-		size += 2 + len(ie.Data)
 	}
-	size += 4 // FCS
-	buf := make([]byte, 0, size)
+	start := len(dst)
+	buf := slices.Grow(dst, f.EncodedLen())
 
 	fc := uint16(f.Type)<<2 | uint16(f.Subtype)<<4 // version 0
 	buf = binary.LittleEndian.AppendUint16(buf, fc)
@@ -223,59 +239,79 @@ func (f *Frame) Encode() ([]byte, error) {
 		buf = append(buf, ie.ID, byte(len(ie.Data)))
 		buf = append(buf, ie.Data...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 	return buf, nil
 }
 
-// Decode parses a wire-format frame, verifying the FCS.
+// Decode parses a wire-format frame, verifying the FCS. The frame owns
+// its memory: b is copied once and the information elements alias the
+// copy, so the caller may reuse b.
 func Decode(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := f.Parse(bytes.Clone(b)); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Parse decodes a wire-format frame into f in place, with the checks
+// Decode makes (length, FCS, management type, fixed fields and IE
+// framing). It overwrites every field of f and reuses the storage of
+// f.IEs, whose data alias b: f is valid only while b is unchanged.
+// After an error f holds no meaningful frame.
+func (f *Frame) Parse(b []byte) error {
 	if len(b) < mgmtHeaderLen+4 {
-		return nil, ErrShortFrame
+		return ErrShortFrame
 	}
 	payload, fcsBytes := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fcsBytes) {
-		return nil, ErrBadFCS
+		return ErrBadFCS
 	}
 	fc := binary.LittleEndian.Uint16(payload[0:2])
-	f := &Frame{
+	seqCtl := binary.LittleEndian.Uint16(payload[22:24])
+	*f = Frame{
 		Type:     FrameType(fc >> 2 & 0x3),
 		Subtype:  Subtype(fc >> 4 & 0xf),
 		Duration: binary.LittleEndian.Uint16(payload[2:4]),
+		Addr1:    MAC(payload[4:10]),
+		Addr2:    MAC(payload[10:16]),
+		Addr3:    MAC(payload[16:22]),
+		Seq:      seqCtl >> 4,
+		Frag:     uint8(seqCtl & 0xf),
+		IEs:      f.IEs[:0],
 	}
 	if f.Type != TypeManagement {
-		return nil, ErrNotMgmt
+		return ErrNotMgmt
 	}
-	copy(f.Addr1[:], payload[4:10])
-	copy(f.Addr2[:], payload[10:16])
-	copy(f.Addr3[:], payload[16:22])
-	seqCtl := binary.LittleEndian.Uint16(payload[22:24])
-	f.Seq = seqCtl >> 4
-	f.Frag = uint8(seqCtl & 0xf)
 
 	rest := payload[mgmtHeaderLen:]
 	if f.hasFixedFields() {
 		if len(rest) < fixedFieldsLen {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
 		f.Timestamp = binary.LittleEndian.Uint64(rest[0:8])
 		f.BeaconInterval = binary.LittleEndian.Uint16(rest[8:10])
 		f.Capability = binary.LittleEndian.Uint16(rest[10:12])
 		rest = rest[fixedFieldsLen:]
 	}
-	for len(rest) > 0 {
-		if len(rest) < 2 {
-			return nil, ErrShortFrame
+	// Check the element framing and count the elements first, so f.IEs
+	// grows at most once.
+	n := 0
+	for r := rest; len(r) > 0; n++ {
+		if len(r) < 2 || len(r) < 2+int(r[1]) {
+			return ErrShortFrame
 		}
-		id, l := rest[0], int(rest[1])
-		if len(rest) < 2+l {
-			return nil, ErrShortFrame
-		}
-		data := make([]byte, l)
-		copy(data, rest[2:2+l])
-		f.IEs = append(f.IEs, IE{ID: id, Data: data})
-		rest = rest[2+l:]
+		r = r[2+int(r[1]):]
 	}
-	return f, nil
+	f.IEs = slices.Grow(f.IEs, n)
+	for len(rest) > 0 {
+		end := 2 + int(rest[1])
+		// A full slice expression, so an append to one element's data
+		// cannot overwrite the next element.
+		f.IEs = append(f.IEs, IE{ID: rest[0], Data: rest[2:end:end]})
+		rest = rest[end:]
+	}
+	return nil
 }
 
 // NewProbeRequest builds a broadcast probe request from src for the given

@@ -2,6 +2,8 @@ package dot11
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -28,6 +30,70 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed bytes:\n in: %x\nout: %x", data, re)
 		}
 	})
+}
+
+// FuzzDecodeReuse is the in-place parser's differential oracle. Parsing
+// into a reused frame that still holds another frame (fixed fields set
+// and more IEs than the input can have) accepts exactly what Decode
+// accepts, with the same error, and leaves exactly Decode's frame: every
+// field and IE equal, and no stale IE left over. Decode's frame must
+// not change when its input is overwritten afterwards.
+func FuzzDecodeReuse(f *testing.F) {
+	for _, fr := range []*Frame{
+		NewBeacon(MAC{1, 2, 3, 4, 5, 6}, "seed", 6, 42, 7),
+		NewProbeRequest(MAC{9, 8, 7, 6, 5, 4}, "", 1),
+		NewProbeResponse(MAC{0xA0, 9}, MAC{0xDD, 9}, "café", 14, 2),
+		{Type: TypeManagement, Subtype: SubtypeDeauth},
+	} {
+		b, err := fr.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		input := bytes.Clone(data)
+		want, werr := Decode(input)
+		for i := range input {
+			input[i] ^= 0xff
+		}
+		dirty := NewBeacon(MAC{0xee}, "stale", 11, 1<<40, 99)
+		for len(dirty.IEs) <= len(data)/2 {
+			dirty.IEs = append(dirty.IEs, IE{ID: 0xdd, Data: []byte("stale")})
+		}
+		gerr := dirty.Parse(data)
+		if gerr != werr {
+			t.Fatalf("Parse error %v, Decode error %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if msg := frameDiff(dirty, want); msg != "" {
+			t.Fatalf("reused frame differs from Decode's: %s", msg)
+		}
+	})
+}
+
+// frameDiff describes the first difference between two frames, or
+// returns "" when every field and IE is equal.
+func frameDiff(a, b *Frame) string {
+	ha, hb := *a, *b
+	ha.IEs, hb.IEs = nil, nil
+	if !reflect.DeepEqual(ha, hb) {
+		return fmt.Sprintf("header %+v vs %+v", ha, hb)
+	}
+	if len(a.IEs) != len(b.IEs) {
+		return fmt.Sprintf("%d IEs vs %d", len(a.IEs), len(b.IEs))
+	}
+	for i := range a.IEs {
+		x, y := a.IEs[i], b.IEs[i]
+		if x.ID != y.ID || !bytes.Equal(x.Data, y.Data) || (x.Data == nil) != (y.Data == nil) {
+			return fmt.Sprintf("IE %d: %d %x vs %d %x", i, x.ID, x.Data, y.ID, y.Data)
+		}
+	}
+	return ""
 }
 
 // FuzzFrameParse drives the full parse surface the observation pipeline

@@ -253,6 +253,11 @@ func (e *Engine) IngestCaptures(caps []sniffer.Capture) int {
 // capwire agents). Any non-empty delivery — even one that quarantines
 // every capture — marks the source alive, because the path itself worked;
 // content problems are the quarantine counters' job.
+//
+// It keeps no reference into caps once it returns: the store copies what
+// it records (a probe's SSID included), a raw capture's retry decodes a
+// copy, and a quarantined capture keeps only its length. So the capwire
+// server may hand it frames that alias its reused read buffer.
 func (e *Engine) IngestCapturesFrom(source string, caps []sniffer.Capture) int {
 	if len(caps) == 0 {
 		return 0
