@@ -107,11 +107,13 @@ chaos-smoke:
 agent-smoke:
 	sh scripts/agent_chaos_smoke.sh
 
-# End-to-end profiling/SLO/flight-recorder gate: a one-shot marauder run
-# must write all five profile kinds and print a decoded hot-function
-# attribution; a serving run must answer /api/slo and /api/profile with
-# live content, export the stage/SLO metric families, and on SIGTERM
-# write a final checkpoint and a flight record ftdcdump -check accepts.
+# End-to-end profiling/ledger/SLO/flight-recorder gate: a one-shot
+# marauder run must write all five profile kinds, a CPU capture that
+# `go tool pprof -top` reads into a non-empty table, and a profile line
+# naming its hottest ledger layer; a serving run must answer /api/slo
+# and /api/profile with live content and carry a moving ledger in
+# /api/stats, export the stage/SLO metric families, and on SIGTERM write
+# a final checkpoint and a flight record ftdcdump -check accepts.
 profile-smoke:
 	sh scripts/profile_smoke.sh
 

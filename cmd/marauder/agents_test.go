@@ -112,6 +112,16 @@ func TestDisabledCheckpointIntervalRuns(t *testing.T) {
 // a pipe and returns what was written, then restores the default logger.
 func captureStderr(t *testing.T, f func()) string {
 	t.Helper()
+	out := capture(t, &os.Stderr, f)
+	if _, err := telemetry.SetupLogging(os.Stderr, "info", "text"); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// capture runs f with *file sent to a pipe and returns what was written.
+func capture(t *testing.T, file **os.File, f func()) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -119,16 +129,13 @@ func captureStderr(t *testing.T, f func()) string {
 	var buf bytes.Buffer
 	done := make(chan struct{})
 	go func() { io.Copy(&buf, r); close(done) }()
-	orig := os.Stderr
-	os.Stderr = w
+	orig := *file
+	*file = w
 	f()
-	os.Stderr = orig
+	*file = orig
 	w.Close()
 	<-done
 	r.Close()
-	if _, err := telemetry.SetupLogging(os.Stderr, "info", "text"); err != nil {
-		t.Fatal(err)
-	}
 	return buf.String()
 }
 

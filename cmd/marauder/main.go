@@ -459,6 +459,7 @@ func serve(a *attack, p *ops.Process, c *config) error {
 				"shardLens":  a.eng.Store().ShardLens(),
 				"obsDevices": a.eng.Store().DeviceCount(),
 				"trace":      a.eng.Tracer().Stats(),
+				"ledger":     p.Ledger(),
 			}
 		},
 		Health: func() mapserver.Health {
@@ -470,11 +471,7 @@ func serve(a *attack, p *ops.Process, c *config) error {
 	}
 	if p.Profiler != nil {
 		opts.Profile = func() any {
-			return map[string]any{
-				"enabled":     true,
-				"status":      p.Profiler.Status(),
-				"attribution": p.Profiler.Attribution(),
-			}
+			return map[string]any{"enabled": true, "status": p.Profiler.Status()}
 		}
 	}
 	if a.agents != nil {

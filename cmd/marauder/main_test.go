@@ -77,6 +77,26 @@ func TestRunOnceAPRad(t *testing.T) {
 	}
 }
 
+// TestRunOnceProfileNamesHottestLayer: with -prof-dir, an AP-Rad
+// one-shot names its hottest ledger layer, the LP that re-estimates the
+// AP radii, beside the artifact directory.
+func TestRunOnceProfileNamesHottestLayer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("AP-Rad LP run")
+	}
+	dir := t.TempDir()
+	var err error
+	out := capture(t, &os.Stdout, func() {
+		err = run([]string{"-once", "-algo", "aprad", "-aps", "150", "-seed", "3", "-prof-dir", dir, "-prof-cpu", "30s"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "profile: hottest layer knowledge_refresh (") || !strings.Contains(out, "artifacts in "+dir) {
+		t.Fatalf("no profile line naming knowledge_refresh and %s in:\n%s", dir, out)
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("want flag error")

@@ -21,7 +21,7 @@
 // plan before ingest and prints the fault and quarantine counts with the
 // map; -checkpoint-dir restores the newest valid checkpoint before the
 // replay and writes a final one after it; -prof-dir covers the replay
-// with one profiler cycle and prints its hot-function attribution; -trace
+// with one profiler cycle and prints its hottest ledger layer; -trace
 // explains one located device's estimate after the map. -pprof needs
 // -metrics-addr, since replay serves no port of its own.
 package main

@@ -471,9 +471,9 @@ func (e *Engine) traceRefresh(start time.Time, dur time.Duration, attrs map[stri
 
 // fixer runs one caller's fixes against one view: a Fix call, a Track or
 // a snapshot worker. It keeps its buffers across its fixes, its last
-// answer, and its own fix, hit and miss counts and stage-sampler ticks,
-// which flush hands to the engine once the caller is done, so no fix
-// writes a shared counter.
+// answer, and its own fix, hit, miss and error counts and stage-sampler
+// ticks, which flush hands to the engine and the telemetry counters once
+// the caller is done, so no fix writes a shared counter.
 type fixer struct {
 	e *Engine
 	v *view
@@ -488,8 +488,8 @@ type fixer struct {
 	lastEst   core.Estimate
 	lastErr   error
 	// tick is the last stage-sampler tick this fixer reserved and used.
-	tick                uint64
-	fixes, hits, misses uint64
+	tick                      uint64
+	fixes, hits, misses, errs uint64
 }
 
 func (e *Engine) newFixer(v *view) *fixer { return &fixer{e: e, v: v} }
@@ -511,7 +511,8 @@ func (f *fixer) flush() {
 	mFixes.Add(f.fixes)
 	mCacheHits.Add(f.hits)
 	mCacheMisses.Add(f.misses)
-	f.fixes, f.hits, f.misses = 0, 0, 0
+	mFixErrors.Add(f.errs)
+	f.fixes, f.hits, f.misses, f.errs = 0, 0, 0, 0
 }
 
 // fix answers one localization over [start, end) from the next step of
@@ -524,7 +525,9 @@ func (f *fixer) flush() {
 func (f *fixer) fix(w *obs.Sweep, dev dot11.MAC, start, end float64) (core.Estimate, error) {
 	var tr *trace.Trace
 	if f.e.tracer != nil {
-		tr = f.e.tracer.Start(trace.KindFix, dev.String())
+		// The trace takes its device from the provenance, so an
+		// unsampled fix formats no MAC.
+		tr = f.e.tracer.Start(trace.KindFix, "")
 	}
 	var sp fixSpan
 	f.tick++
@@ -555,7 +558,7 @@ func (f *fixer) fix(w *obs.Sweep, dev dot11.MAC, start, end float64) (core.Estim
 		fileFix(tr, &sp, p, scanned, resorted)
 	}
 	if err != nil && !errors.Is(err, core.ErrNoAPs) {
-		mFixErrors.Inc()
+		f.errs++
 	}
 	return est, err
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dot11"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/telemetry/trace"
 )
 
 func mac(hi, lo byte) dot11.MAC { return dot11.MAC{0, 0, 0, 0, hi, lo} }
@@ -262,9 +263,21 @@ func TestConcurrentSwapsResetsAndFixes(t *testing.T) {
 // TestCachedFixZeroAllocs pins the Γ-cache key in its stack buffer: a fix
 // answered by the cache, by a fixer that keeps its buffers across fixes as
 // the snapshot workers and Track do, allocates nothing.
-func TestCachedFixZeroAllocs(t *testing.T) {
+func TestCachedFixZeroAllocs(t *testing.T) { cachedFixZeroAllocs(t, nil) }
+
+// TestCachedTracedFixZeroAllocs: with a tracer on, a fix the tracer does
+// not sample allocates nothing either; it formats no device MAC.
+func TestCachedTracedFixZeroAllocs(t *testing.T) {
+	tr, err := trace.New(trace.Config{Sample: 0.0001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedFixZeroAllocs(t, tr)
+}
+
+func cachedFixZeroAllocs(t *testing.T, tr *trace.Tracer) {
 	k, store, devs := gridWorld(60, 4)
-	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Tracer: tr})
 	// Two devices with different Γ, so every fix looks its Γ up in the
 	// cache instead of reusing the fixer's last answer.
 	if reflect.DeepEqual(store.APSetWindow(devs[0], 35, 65), store.APSetWindow(devs[1], 35, 65)) {

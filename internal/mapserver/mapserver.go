@@ -244,8 +244,8 @@ type HandlerOpts struct {
 	// must be JSON-serializable; nil reports SLO tracking disabled.
 	SLO func() any
 	// Profile is the provider behind /api/profile — typically a closure
-	// composing prof.Profiler.Status and Attribution. nil reports
-	// profiling disabled.
+	// over prof.Profiler.Status, whose LastCPUPath `go tool pprof` reads.
+	// nil reports profiling disabled.
 	Profile func() any
 	// Agents is the provider behind /api/agents — typically a closure over
 	// capwire.Server.Report, giving per-agent liveness, lag, cursor, and

@@ -99,7 +99,7 @@ func (c *Candidate) Device() dot11.MAC { return c.log.dev }
 // of the index's range lists every device with a record instead. The list
 // is in no particular order, and it is fixed when the call returns: a
 // device first seen later is not on it, but a later record of a listed
-// device is seen by ScanCandidate.
+// device is seen by its candidate's Sweep.
 func (s *Store) WindowCandidates(start, end float64) []Candidate {
 	b0, ok0 := bucketOf(start)
 	b1, ok1 := bucketOf(end)
@@ -136,11 +136,3 @@ func (s *Store) WindowCandidates(start, end float64) []Candidate {
 // Sweep returns a sweep over the candidate's log, as Store.Sweep does
 // for its device, without the device lookup.
 func (c *Candidate) Sweep() Sweep { return Sweep{sh: c.sh, dev: c.log.dev, dl: c.log} }
-
-// ScanCandidate is ScanAPSetWindow for a candidate of WindowCandidates:
-// the same Γ, match count and re-sort flag, from the first Step of the
-// candidate's Sweep.
-func (s *Store) ScanCandidate(dst []dot11.MAC, c *Candidate, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	w := c.Sweep()
-	return w.scan(dst, start, end)
-}

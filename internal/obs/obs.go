@@ -527,7 +527,9 @@ func (s *Store) AppendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end flo
 // device's time-sorted record log for start, then a scan forward to end.
 func (s *Store) ScanAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
 	w := s.Sweep(dev)
-	return w.scan(dst, start, end)
+	var buf [64]uint64
+	keys, scanned, resorted, _ := w.Step(buf[:0], start, end)
+	return dot11.AppendFromKeys(dst, keys), scanned, resorted
 }
 
 // Sweep is a window that slides forward over one device's record log, as
@@ -628,14 +630,6 @@ func (w *Sweep) moveLocked(keys []uint64, start, end float64) ([]uint64, bool) {
 		return keys, true
 	}
 	return appendUniqueKeys(keys[:0], recs[lo:hi]), false
-}
-
-// scan is one Step of w appended to dst as MACs: the body of
-// ScanAPSetWindow and ScanCandidate.
-func (w *Sweep) scan(dst []dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	var buf [64]uint64
-	keys, scanned, resorted, _ := w.Step(buf[:0], start, end)
-	return dot11.AppendFromKeys(dst, keys), scanned, resorted
 }
 
 // searchTime returns the first index i with recs[i].t ≥ t, or len(recs):

@@ -83,15 +83,16 @@ func (d *refDevice) window(start, end float64) (gamma []dot11.MAC, scanned int, 
 }
 
 // FuzzScanAPSetWindow checks the packed-key window path and the map
-// frame's path — WindowCandidates, then ScanCandidate — against the naive
-// reference. The input is a 5-byte header — two windows (start, end) and
-// a dst prefix length — then 3-byte records: time, AP, and a byte whose
-// top bit picks one of two devices and whose rest picks the Kind. The
-// first half of the records is ingested and queried, then the rest, so
-// out-of-order records after a re-sort are covered too. The first device
-// is scanned the way a frame scans it, through its candidate, the second
-// the way Fix does; every device whose naive window is not empty must be
-// a candidate, and no device may be listed twice.
+// frame's path — WindowCandidates, then a Step of the candidate's Sweep —
+// against the naive reference. The input is a 5-byte header — two
+// windows (start, end) and a dst prefix length — then 3-byte records:
+// time, AP, and a byte whose top bit picks one of two devices and whose
+// rest picks the Kind. The first half of the records is ingested and
+// queried, then the rest, so out-of-order records after a re-sort are
+// covered too. The first device is scanned the way a frame scans it,
+// through its candidate, the second the way Fix does; every device whose
+// naive window is not empty must be a candidate, and no device may be
+// listed twice.
 func FuzzScanAPSetWindow(f *testing.F) {
 	f.Add([]byte{0, 100, 5, 6, 2, 10, 0xA1, 2, 12, 0xB2, 2, 11, 0xA1, 2})
 	f.Add([]byte{253, 254, 255, 0, 1, 255, 1, 2, 50, 2, 2, 254, 3, 2, 253, 4, 0x82, 10, 5, 2})
@@ -174,7 +175,10 @@ func FuzzScanAPSetWindow(f *testing.F) {
 						resorted bool
 					)
 					if c != nil && dev == devs[0] {
-						got, n, resorted = s.ScanCandidate(dst, c, w[0], w[1])
+						sw := c.Sweep()
+						var keys []uint64
+						keys, n, resorted, _ = sw.Step(nil, w[0], w[1])
+						got = dot11.AppendFromKeys(dst, keys)
 					} else {
 						got, n, resorted = s.ScanAPSetWindow(dst, dev, w[0], w[1])
 					}
@@ -213,8 +217,10 @@ func TestScanAPSetWindowZeroAllocs(t *testing.T) {
 			t.Errorf("window [%v,%v): %v allocs per query, want 0", w[0], w[1], allocs)
 		}
 		c := &s.WindowCandidates(w[0], w[1])[0]
+		keys := make([]uint64, 0, 64)
 		allocs = testing.AllocsPerRun(100, func() {
-			dst, _, _ = s.ScanCandidate(dst[:0], c, w[0], w[1])
+			sw := c.Sweep()
+			keys, _, _, _ = sw.Step(keys[:0], w[0], w[1])
 		})
 		if allocs != 0 {
 			t.Errorf("window [%v,%v): %v allocs per candidate query, want 0", w[0], w[1], allocs)

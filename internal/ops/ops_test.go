@@ -139,7 +139,8 @@ func counter(t *testing.T, series string) uint64 {
 
 // TestRuntimeSeriesSampledWithoutRecorder: the runtime series follow the
 // process on every tick with no -ftdc-dir. Two advances of the GC cycle
-// counter show a periodic loop, not a sample taken once at start.
+// counter show a periodic loop, not a sample taken once at start. The
+// ledger is derived without the recorder and the SLO tracker too.
 func TestRuntimeSeriesSampledWithoutRecorder(t *testing.T) {
 	p, stop := startServing(t, Checkpoint|FTDC, "-sample-interval", "10ms")
 	defer stop()
@@ -152,6 +153,7 @@ func TestRuntimeSeriesSampledWithoutRecorder(t *testing.T) {
 		runtime.GC()
 		waitFor(t, "the GC cycle counter to advance", func() bool { return counter(t, gc) > before })
 	}
+	waitFor(t, "a ledger", func() bool { return p.Ledger() != nil })
 }
 
 // TestSamplerOneSnapshot: the flight recorder and the SLO tracker read

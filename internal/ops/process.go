@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -28,9 +29,9 @@ import (
 // tracker are nil-safe.
 //
 // One registry sampler feeds the telemetry services: every
-// -sample-interval it refreshes the runtime series and hands one
-// registry snapshot, taken at one now, to both the flight recorder and
-// the SLO tracker.
+// -sample-interval it refreshes the runtime series and takes one
+// registry snapshot at one now, from which it derives the stage ledger
+// and which it hands to both the flight recorder and the SLO tracker.
 type Process struct {
 	Tracer       *trace.Tracer
 	Faults       *faults.Plan
@@ -51,6 +52,10 @@ type Process struct {
 	periodic    bool                      // -checkpoint-interval left periodic checkpoints on
 	metrics     *http.Server
 	metricsDone chan struct{}
+
+	ledger   atomic.Pointer[Ledger]
+	lastSnap []telemetry.Sample // the previous tick's snapshot; nil before the first
+	lastAt   time.Time          // when lastSnap was taken, or the process started
 }
 
 // Start sets the process up from the parsed flags, in this order: the
@@ -65,7 +70,7 @@ func (f *Flags) Start() (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Process{f: f, log: logger.With("component", f.component)}
+	p := &Process{f: f, log: logger.With("component", f.component), lastAt: time.Now()}
 	if err := p.start(); err != nil {
 		p.Close()
 		return nil, err
@@ -178,9 +183,10 @@ func (p *Process) start() error {
 
 // RunFinite runs work as one finite pass. With -prof-dir a single
 // profiler cycle covers it: the CPU capture is live before work starts
-// and is cut short when work returns, and its hot-function attribution is
-// printed. After work succeeds, the sampler takes its one end-of-run
-// sample and the final checkpoint snapshots the store work returned.
+// and is cut short when work returns, and the run's hottest ledger layer
+// is printed. After work succeeds, the sampler takes its one end-of-run
+// sample, whose ledger covers the whole run, and the final checkpoint
+// snapshots the store work returned.
 func (p *Process) RunFinite(work func() (*obs.Store, error)) error {
 	stopProfile := p.profileCycle()
 	defer stopProfile()
@@ -250,21 +256,24 @@ func (p *Process) runSampler(ctx context.Context) {
 }
 
 // sample is one tick of the registry sampler: it refreshes the runtime
-// series, then, when the recorder or the SLO tracker is on, takes one
-// registry snapshot and hands it to both at the same now. It returns the
-// recorder's append error.
+// series when they are on, then takes one registry snapshot, derives the
+// ledger since the previous tick from it and hands it to the SLO tracker
+// and the recorder at the same now. It returns the recorder's append
+// error.
 func (p *Process) sample() error {
-	if p.runtime == nil {
-		return nil
-	}
-	p.runtime.Sample()
-	if p.Recorder == nil && p.SLOs == nil {
-		return nil
+	if p.runtime != nil {
+		p.runtime.Sample()
 	}
 	now, snap := time.Now(), telemetry.Default().Snapshot()
+	l := NewLedger(p.lastSnap, snap, now.Sub(p.lastAt))
+	p.ledger.Store(&l)
+	p.lastSnap, p.lastAt = snap, now
 	p.SLOs.Observe(now, snap)
 	return p.Recorder.Append(now, snap)
 }
+
+// Ledger returns the latest sampler tick's ledger, nil before the first.
+func (p *Process) Ledger() *Ledger { return p.ledger.Load() }
 
 // Close ends the process after the last checkpoint: it seals the flight
 // recorder, then closes the profiler, then stops the metrics listener.
@@ -295,7 +304,7 @@ func (p *Process) finalCheckpoint() error {
 // profileCycle starts a finite run's profiler cycle and returns once its
 // CPU capture is live, so the capture covers the run even on one CPU.
 // The returned stop cuts the capture short, waits for the cycle and
-// prints its attribution.
+// prints the run's hottest ledger layer and the artifact directory.
 func (p *Process) profileCycle() (stop func()) {
 	if p.Profiler == nil {
 		return func() {}
@@ -312,15 +321,14 @@ func (p *Process) profileCycle() (stop func()) {
 	return func() {
 		cancel()
 		<-done
-		attr, dir := p.Profiler.Attribution(), p.Profiler.Status().Dir
-		switch {
-		case attr == nil:
-		case len(attr.TopFunctions) > 0:
-			hot := attr.TopFunctions[0]
-			fmt.Printf("profile: %d samples, hottest %s (%.1f%% flat), artifacts in %s\n",
-				attr.Samples, hot.Name, 100*hot.FlatShare, dir)
-		default:
-			fmt.Printf("profile: %d samples (run too brief for attribution), artifacts in %s\n", attr.Samples, dir)
+		l, dir := p.Ledger(), p.Profiler.Status().Dir
+		if l == nil {
+			return
+		}
+		if hot, ok := l.Hottest(); ok {
+			fmt.Printf("profile: hottest layer %s (%.1f%% of layer time), artifacts in %s\n", hot.Layer, 100*hot.Share, dir)
+		} else {
+			fmt.Printf("profile: no layer timed, artifacts in %s\n", dir)
 		}
 	}
 }

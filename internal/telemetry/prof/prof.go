@@ -1,10 +1,8 @@
 // Package prof is the continuous profiler: a background loop that
 // periodically captures CPU, delta-heap, goroutine, mutex and block
 // profiles from the running process into rotated, size-capped artifact
-// files alongside the FTDC stream, then decodes its own CPU captures
-// in-process into a top-N hot-function attribution table (pprofparse.go)
-// so the hottest symbols are visible over /api/profile and in the
-// -once summary line without ever attaching an external pprof tool.
+// files alongside the FTDC stream. The artifacts are standard pprof
+// files: `go tool pprof` reads them, as it reads -pprof's handlers.
 //
 // Like the FTDC recorder and the tracer, a nil *Profiler is the disabled
 // state: every method absorbs the call at the cost of one nil check.
@@ -34,15 +32,10 @@ type Config struct {
 	// CPUDuration is how long each CPU capture runs; 0 means the default
 	// 10 s, and values above Interval are clamped to Interval.
 	CPUDuration time.Duration
-	// TopN bounds the attribution table; 0 means the default 20.
-	TopN int
 	// MaxBytes caps the total artifact bytes kept on disk; when a new
 	// capture pushes the directory past the cap, the oldest artifacts are
 	// deleted first. 0 means the default 64 MiB.
 	MaxBytes int64
-	// Clock substitutes the timestamp source, for tests; nil means
-	// time.Now.
-	Clock func() time.Time
 }
 
 // Status is the profiler's self-report, shaped for /api/health detail.
@@ -59,30 +52,14 @@ type Status struct {
 	Cycles   uint64 `json:"cycles"`
 	Captures uint64 `json:"captures"`
 	Bytes    int64  `json:"bytes"`
-	// LastCPUPath is the most recent CPU artifact, the one Attribution
-	// decodes.
+	// LastCPUPath is the most recent CPU artifact.
 	LastCPUPath string `json:"lastCpuPath,omitempty"`
 	// LastErr is the most recent capture error, "" when healthy.
 	LastErr string `json:"lastErr,omitempty"`
 }
 
-// Attribution is the decoded view of the most recent CPU capture.
-type Attribution struct {
-	// CapturedAt is when the capture cycle finished.
-	CapturedAt time.Time `json:"capturedAt"`
-	// Path is the artifact the table was decoded from.
-	Path string `json:"path"`
-	// Samples is the number of stack samples in the capture, TotalNanos
-	// the CPU-nanosecond sum across them.
-	Samples    int   `json:"samples"`
-	TotalNanos int64 `json:"totalNanos"`
-	// TopFunctions is the flat-weight-ordered hot-function table.
-	TopFunctions []HotFunc `json:"topFunctions"`
-}
-
 // Profiler periodically captures runtime profiles into rotated artifact
-// files and keeps an in-process attribution of its latest CPU capture.
-// All methods are nil-safe.
+// files. All methods are nil-safe.
 type Profiler struct {
 	cfg Config
 
@@ -93,7 +70,6 @@ type Profiler struct {
 	retainedBytes int64
 	lastErr       error
 	lastCPU       string
-	attr          *Attribution
 	closed        bool
 }
 
@@ -112,14 +88,8 @@ func New(cfg Config) (*Profiler, error) {
 	if cfg.CPUDuration > cfg.Interval {
 		cfg.CPUDuration = cfg.Interval
 	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = 20
-	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 64 << 20
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
@@ -129,8 +99,7 @@ func New(cfg Config) (*Profiler, error) {
 
 // Cycle runs one full capture cycle synchronously: a CPU capture of
 // CPUDuration (cancellable via ctx), then heap, goroutine, mutex and
-// block snapshots, artifact rotation, and attribution of the fresh CPU
-// capture. Returns the first error; the cycle continues past individual
+// block snapshots, then artifact rotation. Returns the first error; the cycle continues past individual
 // capture failures so one broken profile kind doesn't starve the rest.
 func (p *Profiler) Cycle(ctx context.Context) error {
 	return p.CycleSignaled(ctx, nil)
@@ -167,7 +136,7 @@ func (p *Profiler) CycleSignaled(ctx context.Context, started chan<- struct{}) e
 		}
 	}
 
-	cpuPath, cpuData, err := p.captureCPU(ctx, seq, started)
+	cpuPath, err := p.captureCPU(ctx, seq, started)
 	keep(err)
 	keep(p.captureLookup("heap", seq))
 	keep(p.captureLookup("goroutine", seq))
@@ -178,40 +147,21 @@ func (p *Profiler) CycleSignaled(ctx context.Context, started chan<- struct{}) e
 	keep(p.captureLookup("block", seq))
 	keep(p.rotate())
 
-	var attr *Attribution
-	if cpuData != nil {
-		if prof, perr := Parse(cpuData); perr != nil {
-			keep(perr)
-		} else {
-			top, total := prof.Top(p.cfg.TopN, prof.ValueIndex("cpu"))
-			attr = &Attribution{
-				CapturedAt:   p.cfg.Clock(),
-				Path:         cpuPath,
-				Samples:      len(prof.Samples),
-				TotalNanos:   total,
-				TopFunctions: top,
-			}
-		}
-	}
-
 	p.mu.Lock()
 	p.cycles++
 	p.lastErr = firstErr
 	if cpuPath != "" {
 		p.lastCPU = cpuPath
 	}
-	if attr != nil {
-		p.attr = attr
-	}
 	p.mu.Unlock()
 	return firstErr
 }
 
 // captureCPU runs one CPU profile of the configured duration, cut short
-// if ctx is cancelled, and returns the artifact path and raw bytes.
+// if ctx is cancelled, and returns the artifact path.
 // started (when non-nil) is closed once profiling is live or has failed
 // to start.
-func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- struct{}) (string, []byte, error) {
+func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- struct{}) (string, error) {
 	var buf bytes.Buffer
 	err := pprof.StartCPUProfile(&buf)
 	if started != nil {
@@ -220,7 +170,7 @@ func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- st
 	if err != nil {
 		// Another CPU profile is active (e.g. a /debug/pprof/profile
 		// request); skip this cycle's CPU capture rather than fight it.
-		return "", nil, fmt.Errorf("prof: cpu: %w", err)
+		return "", fmt.Errorf("prof: cpu: %w", err)
 	}
 	select {
 	case <-ctx.Done():
@@ -229,12 +179,12 @@ func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- st
 	pprof.StopCPUProfile()
 	path := p.artifactPath("cpu", seq)
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", nil, fmt.Errorf("prof: cpu: %w", err)
+		return "", fmt.Errorf("prof: cpu: %w", err)
 	}
 	p.mu.Lock()
 	p.captures++
 	p.mu.Unlock()
-	return path, buf.Bytes(), nil
+	return path, nil
 }
 
 // captureLookup snapshots one named runtime profile. The heap profile is
@@ -332,18 +282,6 @@ func (p *Profiler) Close() error {
 	p.closed = true
 	p.mu.Unlock()
 	return nil
-}
-
-// Attribution returns the decoded top-N table from the latest CPU
-// capture, or nil before the first completed cycle (and on a nil
-// profiler).
-func (p *Profiler) Attribution() *Attribution {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.attr
 }
 
 // Status reports the profiler's progress; a nil profiler reports

@@ -2,11 +2,12 @@ package prof
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime/pprof"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,115 +30,21 @@ func spin(stop *atomic.Bool, sink *atomic.Uint64) {
 	}
 }
 
-// selfCapture records a real CPU profile of this process for dur while
-// burning CPU, returning the raw pprof bytes.
-func selfCapture(t *testing.T, dur time.Duration) []byte {
+// pprofTop runs `go tool pprof -top` from the running toolchain on one
+// artifact (the last argument, after any extra flags) and returns its
+// table: the standard reader is the check that an artifact is a
+// well-formed profile.
+func pprofTop(t *testing.T, args ...string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Fatalf("StartCPUProfile: %v", err)
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goCmd); err != nil {
+		t.Skipf("no go command beside the runtime: %v", err)
 	}
-	var stop atomic.Bool
-	var sink atomic.Uint64
-	done := make(chan struct{})
-	go func() { spin(&stop, &sink); close(done) }()
-	time.Sleep(dur)
-	stop.Store(true)
-	<-done
-	pprof.StopCPUProfile()
-	return buf.Bytes()
-}
-
-func TestParseSelfCPUCapture(t *testing.T) {
-	data := selfCapture(t, 300*time.Millisecond)
-	p, err := Parse(data)
+	out, err := exec.Command(goCmd, append([]string{"tool", "pprof", "-top"}, args...)...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("go tool pprof -top %v: %v\n%s", args, err, out)
 	}
-	idx := p.ValueIndex("cpu")
-	if idx < 0 {
-		t.Fatalf("no cpu sample type in %+v", p.SampleTypes)
-	}
-	if len(p.Samples) == 0 {
-		t.Fatal("no samples in a 300ms busy capture")
-	}
-	top, total := p.Top(10, idx)
-	if total <= 0 || len(top) == 0 {
-		t.Fatalf("empty attribution: total=%d rows=%d", total, len(top))
-	}
-	var found bool
-	for _, hf := range top {
-		if strings.Contains(hf.Name, "spin") {
-			found = true
-			if hf.FlatShare <= 0 || hf.FlatShare > 1 {
-				t.Errorf("spin FlatShare out of range: %v", hf.FlatShare)
-			}
-		}
-	}
-	if !found {
-		names := make([]string, len(top))
-		for i, hf := range top {
-			names[i] = hf.Name
-		}
-		t.Fatalf("spin not in top-10: %v", names)
-	}
-	// Shares must sum to at most 1 (top-N truncation loses some).
-	var sum float64
-	for _, hf := range top {
-		sum += hf.FlatShare
-		if hf.Cum < hf.Flat {
-			t.Errorf("%s: cum %d < flat %d", hf.Name, hf.Cum, hf.Flat)
-		}
-	}
-	if sum > 1.0001 {
-		t.Errorf("flat shares sum to %v > 1", sum)
-	}
-}
-
-func TestParseAcceptsBareProto(t *testing.T) {
-	data := selfCapture(t, 100*time.Millisecond)
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("capture not gzipped: %v", err)
-	}
-	var raw bytes.Buffer
-	if _, err := raw.ReadFrom(zr); err != nil {
-		t.Fatalf("gunzip: %v", err)
-	}
-	p, err := Parse(raw.Bytes())
-	if err != nil {
-		t.Fatalf("Parse bare proto: %v", err)
-	}
-	if p.ValueIndex("cpu") < 0 {
-		t.Fatal("bare proto lost sample types")
-	}
-}
-
-func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse([]byte{0x07, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Gzip magic with a broken stream.
-	if _, err := Parse([]byte{0x1f, 0x8b, 0x00}); err == nil {
-		t.Error("broken gzip accepted")
-	}
-}
-
-func TestParseHeapProfile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		t.Fatalf("heap WriteTo: %v", err)
-	}
-	p, err := Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("Parse heap: %v", err)
-	}
-	if p.ValueIndex("alloc_space") < 0 {
-		t.Fatalf("no alloc_space column in %+v", p.SampleTypes)
-	}
-	if top, _ := p.Top(1, p.ValueIndex("alloc_space")); len(top) == 0 {
-		t.Error("heap profile attributed to zero functions")
-	}
+	return string(out)
 }
 
 func TestNilProfilerIsSafe(t *testing.T) {
@@ -149,21 +56,21 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
-	if a := p.Attribution(); a != nil {
-		t.Errorf("nil Attribution: %+v", a)
-	}
 	if st := p.Status(); st.Enabled {
 		t.Error("nil Status reports Enabled")
 	}
 }
 
-func TestProfilerCycleCapturesAndAttributes(t *testing.T) {
+// busyCycle runs one profiler cycle into a fresh directory while spin
+// burns CPU, and returns the directory and the (still open) profiler.
+func busyCycle(t *testing.T, cpu time.Duration) (string, *Profiler) {
+	t.Helper()
 	dir := t.TempDir()
-	p, err := New(Config{Dir: dir, CPUDuration: 250 * time.Millisecond, TopN: 15})
+	p, err := New(Config{Dir: dir, CPUDuration: cpu})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer p.Close()
+	t.Cleanup(func() { p.Close() })
 
 	var stop atomic.Bool
 	var sink atomic.Uint64
@@ -175,25 +82,93 @@ func TestProfilerCycleCapturesAndAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cycle: %v", err)
 	}
+	return dir, p
+}
 
+// artifact is the path of the first cycle's artifact of one kind.
+func artifact(dir, kind string) string {
+	return filepath.Join(dir, "prof-"+kind+"-000000.pprof")
+}
+
+// flatShare returns the flat% of the first row of a pprof -top table
+// whose function name contains fn (any row for ""), or -1 when no row
+// names it.
+func flatShare(t *testing.T, top, fn string) float64 {
+	t.Helper()
+	_, rows, ok := strings.Cut(top, "flat%")
+	if !ok {
+		return -1
+	}
+	for _, line := range strings.Split(rows, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 6 || !strings.Contains(f[len(f)-1], fn) {
+			continue
+		}
+		v, err := strconv.ParseFloat(strings.TrimSuffix(f[1], "%"), 64)
+		if err != nil {
+			t.Fatalf("flat%% of %q: %v", line, err)
+		}
+		return v
+	}
+	return -1
+}
+
+// TestParseSelfCPUCapture reads the cycle's CPU capture of this process
+// through the standard reader: the spinning function must be in the
+// table with a flat share in (0, 100]%.
+func TestParseSelfCPUCapture(t *testing.T) {
+	dir, _ := busyCycle(t, 300*time.Millisecond)
+	top := pprofTop(t, artifact(dir, "cpu"))
+	share := flatShare(t, top, "spin")
+	if share < 0 {
+		t.Fatalf("spin not in the cpu table:\n%s", top)
+	}
+	if share <= 0 || share > 100 {
+		t.Errorf("spin flat share out of range: %v%%\n%s", share, top)
+	}
+}
+
+// TestParseHeapProfile reads the cycle's heap artifact by its
+// alloc_space column, and the goroutine, mutex and block artifacts,
+// through the standard reader.
+func TestParseHeapProfile(t *testing.T) {
+	// Allocate enough that the sampled allocation profile holds rows.
+	keep := make([][]byte, 0, 64)
+	for i := 0; i < 64; i++ {
+		keep = append(keep, make([]byte, 64<<10))
+	}
+	dir, _ := busyCycle(t, time.Millisecond)
+	runtime.KeepAlive(keep)
+
+	heap := pprofTop(t, "-sample_index=alloc_space", artifact(dir, "heap"))
+	if !strings.Contains(heap, "flat%") || flatShare(t, heap, "TestParseHeapProfile") <= 0 {
+		t.Errorf("heap artifact: no alloc_space row for the test's allocations:\n%s", heap)
+	}
+	for _, kind := range []string{"goroutine", "mutex", "block"} {
+		if top := pprofTop(t, artifact(dir, kind)); !strings.Contains(top, "flat%") {
+			t.Errorf("%s artifact: no table from go tool pprof:\n%s", kind, top)
+		}
+	}
+}
+
+// TestProfilerCycleCapturesAndAttributes checks one cycle's artifact
+// set and Status, and that its CPU artifact attributes samples to
+// functions.
+func TestProfilerCycleCapturesAndAttributes(t *testing.T) {
+	dir, p := busyCycle(t, 250*time.Millisecond)
 	for _, kind := range []string{"cpu", "heap", "goroutine", "mutex", "block"} {
-		path := filepath.Join(dir, "prof-"+kind+"-000000.pprof")
-		if _, err := os.Stat(path); err != nil {
+		if _, err := os.Stat(artifact(dir, kind)); err != nil {
 			t.Errorf("missing %s artifact: %v", kind, err)
 		}
 	}
-	attr := p.Attribution()
-	if attr == nil {
-		t.Fatal("no attribution after a cycle")
-	}
-	if len(attr.TopFunctions) == 0 || attr.TotalNanos <= 0 {
-		t.Fatalf("empty attribution: %+v", attr)
+	if top := pprofTop(t, artifact(dir, "cpu")); flatShare(t, top, "") <= 0 {
+		t.Errorf("cpu artifact attributes no samples:\n%s", top)
 	}
 	st := p.Status()
 	if !st.Enabled || st.Cycles != 1 || st.Captures != 5 {
 		t.Errorf("status: %+v", st)
 	}
-	if st.LastCPUPath == "" || st.LastErr != "" {
+	if st.LastCPUPath != artifact(dir, "cpu") || st.LastErr != "" {
 		t.Errorf("status: %+v", st)
 	}
 	if st.Bytes <= 0 {
@@ -231,9 +206,8 @@ func TestProfilerRotationCapsBytes(t *testing.T) {
 		}
 		total += info.Size()
 	}
-	// Rotation runs before attribution, so the cap may be exceeded only
-	// by the final artifact batch of this cycle; the planted 8 KiB of
-	// old fakes must be gone.
+	// The cap may be exceeded only by the final artifact batch of this
+	// cycle; the planted 8 KiB of old fakes must be gone.
 	for i := 0; i < 4; i++ {
 		name := filepath.Join(dir, "prof-cpu-00000"+string(rune('0'+i))+".pprof")
 		if _, err := os.Stat(name); err == nil {
@@ -280,12 +254,5 @@ func TestCycleAfterCloseFails(t *testing.T) {
 	}
 	if err := p.Cycle(context.Background()); err == nil {
 		t.Error("Cycle after Close succeeded")
-	}
-}
-
-func TestTopHandlesMissingValueIndex(t *testing.T) {
-	p := &Profile{}
-	if top, total := p.Top(5, -1); top != nil || total != 0 {
-		t.Errorf("Top(-1) = %v, %d", top, total)
 	}
 }

@@ -139,7 +139,9 @@ func (t *Tracer) SampleEvery() int {
 
 // Start begins a trace of the given kind when the sampler selects this
 // operation, and returns nil otherwise (including on a nil tracer). device
-// is the subject device MAC for fix traces, "" for pipeline-level kinds.
+// is the subject device MAC for fix traces, "" for pipeline-level kinds;
+// a fix trace may pass "" and take its device from the provenance that
+// Finish files.
 func (t *Tracer) Start(kind, device string) *Trace {
 	if t == nil {
 		return nil
@@ -307,22 +309,25 @@ func (tr *Trace) ID() string {
 // clock pair that feeds its latency histogram; spans are its stages, with
 // StartUS offsets from start, and are kept as passed. prov (optional) attaches the estimate's
 // provenance record and indexes it by device; its StagesMs and TotalMs
-// are the caller's to fill. Finishing twice or finishing a nil trace is a
-// no-op.
+// are the caller's to fill, and its Device defaults to the trace's and
+// names the record's device. Finishing twice or finishing a nil trace is
+// a no-op.
 func (tr *Trace) Finish(start time.Time, dur time.Duration, prov *Provenance, spans ...Span) {
 	if tr == nil || !tr.done.CompareAndSwap(false, true) {
 		return
 	}
+	device := tr.device
 	if prov != nil {
 		prov.TraceID = tr.id
 		if prov.Device == "" {
-			prov.Device = tr.device
+			prov.Device = device
 		}
+		device = prov.Device
 	}
 	tr.tracer.record(&Record{
 		ID:         tr.id,
 		Kind:       tr.kind,
-		Device:     tr.device,
+		Device:     device,
 		Start:      start.UnixMicro(),
 		DurUS:      dur.Microseconds(),
 		Spans:      spans,

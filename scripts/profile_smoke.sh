@@ -1,16 +1,17 @@
 #!/bin/sh
-# profile-smoke: the CI gate for the continuous profiler and the SLO
-# plane. One-shot: run the marauder attack under a heavy algorithm with
-# -prof-dir and assert every profile kind (cpu, heap, goroutine, mutex,
-# block) was written and the in-process attributor decoded the CPU
-# capture into a non-empty hot-function table (the "profile:" summary
-# line). Serving: boot with the profiler, the default SLOs, per-fix
-# stage timing, the flight recorder and checkpointing, then assert
-# /api/slo and /api/profile carry live content and the new metric
-# families show on /metrics. Finally stop it with a plain kill (SIGTERM,
-# as docker stop or systemd sends) and assert the graceful shutdown ran:
-# a final checkpoint was logged and ftdcdump -check decodes the sealed
-# flight record.
+# profile-smoke: the CI gate for the continuous profiler, the stage
+# ledger and the SLO plane. One-shot: run the marauder attack under a
+# heavy algorithm with -prof-dir and assert every profile kind (cpu,
+# heap, goroutine, mutex, block) was written, `go tool pprof -top` reads
+# a non-empty table from the CPU capture, and the "profile:" summary line
+# names the run's hottest ledger layer. Serving: boot with the profiler,
+# the default SLOs, per-fix stage timing, the flight recorder and
+# checkpointing, then assert /api/slo and /api/profile carry live
+# content, /api/stats carries a ledger whose window_assembly row has a
+# positive rate, and the new metric families show on /metrics. Finally
+# stop it with a plain kill (SIGTERM, as docker stop or systemd sends)
+# and assert the graceful shutdown ran: a final checkpoint was logged and
+# ftdcdump -check decodes the sealed flight record.
 #
 # Env overrides: SMOKE_ADDR (default 127.0.0.1:18655), APS (one-shot AP
 # count, default 600), PROFILE_DIR (kept when set; default a temp dir;
@@ -41,8 +42,8 @@ fetch() {
     fi
 }
 
-# One-shot pass: aprad's per-fix linear programs give the 100 Hz sampler
-# real work, so the attribution table cannot be legitimately empty.
+# One-shot pass: aprad's linear programs give the 100 Hz sampler real
+# work, so the CPU table cannot be legitimately empty.
 "$TMP/marauder" -once -algo aprad -aps "$APS" \
     -prof-dir "$PROFILE_DIR" -prof-cpu 30s \
     -mutex-profile-fraction 5 -block-profile-rate 10000 \
@@ -60,8 +61,21 @@ for kind in cpu heap goroutine mutex block; do
     fi
 done
 
-if ! grep -q '^profile: [1-9][0-9]* samples, hottest ' "$TMP/once.out"; then
-    echo "profile-smoke: no decoded attribution in the -once output" >&2
+go tool pprof -top "$(ls "$PROFILE_DIR"/prof-cpu-*.pprof | tail -1)" >"$TMP/top.txt" 2>&1 || {
+    echo "profile-smoke: go tool pprof cannot read the CPU artifact" >&2
+    cat "$TMP/top.txt" >&2
+    exit 1
+}
+# A table row is "flat flat% sum% cum cum% name"; a non-empty table has
+# one below the header.
+if ! awk '/flat%/ { hdr = 1; next } hdr && NF >= 6 { rows++ } END { exit rows ? 0 : 1 }' "$TMP/top.txt"; then
+    echo "profile-smoke: go tool pprof -top gave an empty CPU table" >&2
+    cat "$TMP/top.txt" >&2
+    exit 1
+fi
+
+if ! grep -q '^profile: hottest layer [a-z_]* (' "$TMP/once.out"; then
+    echo "profile-smoke: the -once profile line names no hottest layer" >&2
     tail -5 "$TMP/once.out" >&2
     exit 1
 fi
@@ -113,6 +127,26 @@ grep -q '"enabled": *true' "$TMP/profile.json" || {
     cat "$TMP/profile.json" >&2
     exit 1
 }
+# The ledger covers one 250 ms sampler tick and frames come every 500 ms,
+# so a tick may hold none: poll for one whose window_assembly row moved.
+rate=""
+tries=0
+while [ $tries -lt 20 ]; do
+    tries=$((tries + 1))
+    fetch /api/stats | tr -d ' \n' >"$TMP/stats.json"
+    rate="$(grep -o '"layer":"window_assembly"[^}]*' "$TMP/stats.json" |
+        sed -n 's/.*"itemsPerSec":\([^,]*\).*/\1/p')"
+    if [ -n "$rate" ] && awk -v r="$rate" 'BEGIN { exit !(r > 0) }'; then
+        break
+    fi
+    rate=""
+    sleep 0.25
+done
+if [ -z "$rate" ]; then
+    echo "profile-smoke: /api/stats has no ledger with a moving window_assembly row" >&2
+    cat "$TMP/stats.json" >&2
+    exit 1
+fi
 fetch /metrics >"$TMP/metrics.txt"
 grep -q '^marauder_stage_seconds_count{stage="window_assembly"}' "$TMP/metrics.txt" || {
     echo "profile-smoke: stage histograms missing from /metrics" >&2
@@ -145,4 +179,4 @@ if [ "$found" -eq 0 ]; then
     exit 1
 fi
 
-echo "profile-smoke: ok (5 artifact kinds, decoded attribution, live /api/slo + /api/profile, graceful SIGTERM)"
+echo "profile-smoke: ok (5 artifact kinds, pprof-readable CPU table, hottest layer, live /api/slo + /api/profile + /api/stats ledger, graceful SIGTERM)"
